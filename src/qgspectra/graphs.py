@@ -8,18 +8,19 @@ lambda_b)`` per unit wavenumber, and the vertex matrix depends on the
 dimensionless strength alone.  The secular condition det(I - D(k) Sigma) = 0,
 with D(k) the diagonal of directed-bond phase factors exp(i S k) and Sigma
 the unitary bond-to-bond scattering matrix, is therefore a finite sum of
-exponentials in k with constant coefficients.  Expanding the determinant
-symbolically, centering the occurring total actions and rotating the result
-onto the real axis turns it into the canonical cosine series consumed by
-the solver.
+exponentials in k with constant coefficients.  Both directions of bond b
+carry the same factor z_b = exp(i S_b k), so the determinant is a
+polynomial of degree at most 2 in each z_b; its coefficients follow exactly
+from its values on the grid of cube roots of unity.  Centering the
+occurring total actions and rotating the result onto the real axis turns it
+into the canonical cosine series consumed by the solver.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -33,10 +34,20 @@ from .errors import (
 )
 from .series import MERGE_TOL, SpectralSeries, canonicalize
 
-# Determinant expansion cap on directed bonds (2 per undirected bond).
-MAX_DIRECTED_BONDS = 16
-# Complex monomial coefficients below this are treated as exact zeros.
-COEFF_FLOOR = 1e-14
+# Cap on directed bonds (2 per undirected bond).  The determinant is
+# interpolated on 3^B grid points: a 9-bond star takes about 0.15 s and a
+# 10-bond star about 0.7 s on a 2-vCPU Xeon VM.
+MAX_DIRECTED_BONDS = 20
+# Coefficients below FLOOR_UNITS * 2B * eps * max|det| over the grid are
+# exact zeros.  On stars, wheels and the test graphs (B <= 8) the
+# interpolated coefficients differed from an exact subset expansion by at
+# most 0.6 of these units (2.4e-15), while the smallest true coefficient was
+# 3.5e-2: the floor sits 25x above the noise and ten decades below any
+# coefficient seen.  The Kirchhoff star needs it: its principal minors of
+# size B/2 vanish exactly.
+FLOOR_UNITS = 16
+# Grid points per batched determinant call, which bounds its memory.
+GRID_CHUNK = 3**5
 # Mirror-paired coefficients must be conjugate within this tolerance.
 CONJUGATE_TOL = 1e-9
 
@@ -179,39 +190,25 @@ def vertex_scattering(vertex: VertexSpec, degree: int) -> np.ndarray:
 
 @dataclass
 class ExpoPolynomial:
-    """Exponential sum  sum_n c_n * exp(i k * <n, actions>)  with n in {0,1}^d.
+    """Exponential sum  sum_n c_n * exp(i k * <n, actions>)  with n in {0,1,2}^B.
 
-    Exponent vectors are stored as bitmasks over the directed bonds; the
-    basis ``actions`` give each directed bond's action.  Coefficients with
-    magnitude below ``COEFF_FLOOR`` are never stored.
+    ``actions`` holds the action S_b of each bond, and n_b counts how many of
+    bond b's two directions a monomial traverses.  Coefficients with
+    magnitude below ``floor`` are zeros and are never stored.
     """
 
-    coefficients: dict[int, complex]
+    coefficients: dict[tuple[int, ...], complex]
     actions: tuple[float, ...]
+    floor: float
 
-    @property
-    def n_directed(self) -> int:
-        return len(self.actions)
-
-    def exponent_vector(self, mask: int) -> tuple[int, ...]:
-        return tuple((mask >> i) & 1 for i in range(self.n_directed))
-
-    def total_action(self, mask: int) -> float:
-        return math.fsum(self.actions[i] for i in range(self.n_directed) if mask >> i & 1)
+    def total_action(self, exponents: tuple[int, ...]) -> float:
+        return math.fsum(n * s for n, s in zip(exponents, self.actions))
 
     def evaluate(self, k: float) -> complex:
         return sum(
-            c * cmath.exp(1j * self.total_action(mask) * k)
-            for mask, c in self.coefficients.items()
+            c * cmath.exp(1j * self.total_action(n) * k)
+            for n, c in self.coefficients.items()
         )
-
-
-def directed_actions(graph: QuantumGraph) -> tuple[float, ...]:
-    """Actions of the 2B directed bonds; bond b yields indices 2b and 2b+1."""
-    out: list[float] = []
-    for b in graph.bonds:
-        out.extend((b.action, b.action))
-    return tuple(out)
 
 
 def bond_scattering_matrix(graph: QuantumGraph) -> np.ndarray:
@@ -238,64 +235,56 @@ def bond_scattering_matrix(graph: QuantumGraph) -> np.ndarray:
     return sigma
 
 
-def transfer_determinant(graph: QuantumGraph) -> ExpoPolynomial:
-    """Symbolic expansion of det(I - D(k) Sigma) over directed-bond monomials.
+_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
+# _INV_DFT[j, n] = omega^(j*(2 - n)) / 3: the inverse DFT of length 3 times
+# the factor z_b^2 that det D contributes per bond (see transfer_determinant).
+_INV_DFT = np.exp(2j * np.pi / 3 * np.outer(np.arange(3), 2 - np.arange(3))) / 3
 
-    Laplace expansion along rows, memoized on the remaining column subset;
-    row r contributes either its identity entry (column r) or the monomial
-    -Sigma[r, j] * exp(i S_r k).  Exponent components therefore stay in
-    {0, 1} and the cost is O(2^n * n) subset states.
+
+def transfer_determinant(graph: QuantumGraph) -> ExpoPolynomial:
+    """Coefficients of det(I - D Sigma) as a polynomial in z_b = exp(i S_b k).
+
+    z_b sits on the two rows of D(z) Sigma that belong to bond b, so the
+    determinant has degree at most 2 in every z_b, and its values on the
+    3^B grid z_b in {1, omega, omega^2}, omega = exp(2 pi i / 3), determine
+    it exactly: an inverse DFT of length 3 along each bond's axis returns
+    every coefficient c_n, n in {0,1,2}^B.  The grid values come from
+    batched LU determinants of det(D^-1 - Sigma) = det(I - D Sigma) / det D,
+    which spares a complex product per matrix entry; det D = prod_b z_b^2
+    is folded into the per-axis transform.
     """
     sigma = bond_scattering_matrix(graph)
-    actions = directed_actions(graph)
-    n = len(actions)
+    actions = tuple(b.action for b in graph.bonds)
+    n_bonds = len(actions)
+    n = 2 * n_bonds
+    # Grid point p has digit (p // place[b]) % 3 on bond b's axis.
+    place = 3 ** np.arange(n_bonds - 1, -1, -1)
+    diagonal = np.arange(n)
+    grid = np.empty(3**n_bonds, dtype=complex)
+    for start in range(0, grid.size, GRID_CHUNK):
+        points = np.arange(start, min(start + GRID_CHUNK, grid.size))
+        inverse_z = np.repeat(_OMEGA[points[:, None] // place % 3].conj(), 2, axis=1)
+        mats = np.empty((points.size, n, n), dtype=complex)
+        mats[:] = -sigma
+        mats[:, diagonal, diagonal] += inverse_z
+        grid[start:start + points.size] = np.linalg.det(mats)
 
-    rows: list[list[tuple[int, complex]]] = []
-    for r in range(n):
-        entries = [(j, -sigma[r, j]) for j in range(n) if sigma[r, j] != 0.0]
-        rows.append(entries)
-
-    # prev[mask] is the determinant polynomial of rows (n-popcount)..n-1
-    # against the column set ``mask``; only one popcount level is live.
-    prev: dict[int, dict[int, complex]] = {0: {0: 1.0 + 0.0j}}
-    for size in range(1, n + 1):
-        row = n - size
-        exp_bit = 1 << row
-        row_entries = rows[row]
-        cur: dict[int, dict[int, complex]] = {}
-        for cols in combinations(range(n), size):
-            mask = 0
-            for c in cols:
-                mask |= 1 << c
-            poly: dict[int, complex] = {}
-            for parity, col in enumerate(cols):
-                sub = prev[mask ^ (1 << col)]
-                sgn = -1.0 if parity & 1 else 1.0
-                if col == row:
-                    for mono, coeff in sub.items():
-                        poly[mono] = poly.get(mono, 0.0) + sgn * coeff
-            for col, centry in row_entries:
-                if not mask >> col & 1:
-                    continue
-                parity = bin(mask & ((1 << col) - 1)).count("1")
-                sgn = -1.0 if parity & 1 else 1.0
-                factor = sgn * centry
-                sub = prev[mask ^ (1 << col)]
-                for mono, coeff in sub.items():
-                    key = mono | exp_bit
-                    poly[key] = poly.get(key, 0.0) + factor * coeff
-            cur[mask] = poly
-        prev = cur
-
-    full = prev[(1 << n) - 1]
-    coefficients = {m: c for m, c in full.items() if abs(c) >= COEFF_FLOOR}
-    return ExpoPolynomial(coefficients=coefficients, actions=actions)
+    # Each pass transforms the leading axis and rotates it to the back.
+    coeffs = grid
+    for _ in range(n_bonds):
+        coeffs = coeffs.reshape(3, -1).T @ _INV_DFT
+    coeffs = coeffs.ravel()
+    floor = FLOOR_UNITS * n * np.finfo(float).eps * float(np.abs(grid).max())
+    kept = np.flatnonzero(np.abs(coeffs) >= floor)
+    exponents = (kept[:, None] // place % 3).tolist()
+    coefficients = dict(zip(map(tuple, exponents), coeffs[kept].tolist()))
+    return ExpoPolynomial(coefficients=coefficients, actions=actions, floor=floor)
 
 
 def transfer_matrix(graph: QuantumGraph, k: float) -> np.ndarray:
     """Numeric D(k) Sigma at wavenumber ``k`` (for cross-checks)."""
     sigma = bond_scattering_matrix(graph)
-    phases = np.exp(1j * np.asarray(directed_actions(graph)) * k)
+    phases = np.exp(1j * np.repeat([b.action for b in graph.bonds], 2) * k)
     return phases[:, None] * sigma
 
 
@@ -313,8 +302,6 @@ class SecularExpansion:
     rotation: complex
     scale: float
     expo: ExpoPolynomial
-    sigma: np.ndarray = field(repr=False)
-    actions: tuple[float, ...]
 
     @property
     def normalization(self) -> complex:
@@ -324,7 +311,7 @@ class SecularExpansion:
 def _cluster_actions(expo: ExpoPolynomial) -> list[tuple[float, complex]]:
     """Group monomials whose total actions agree within MERGE_TOL."""
     items = sorted(
-        ((expo.total_action(mask), coeff) for mask, coeff in expo.coefficients.items()),
+        ((expo.total_action(n), coeff) for n, coeff in expo.coefficients.items()),
         key=lambda t: t[0],
     )
     groups: list[tuple[float, complex]] = []
@@ -333,7 +320,7 @@ def _cluster_actions(expo: ExpoPolynomial) -> list[tuple[float, complex]]:
             groups[-1] = (groups[-1][0], groups[-1][1] + coeff)
         else:
             groups.append((action, coeff))
-    return [(a, c) for a, c in groups if abs(c) >= COEFF_FLOOR]
+    return [(a, c) for a, c in groups if abs(c) >= expo.floor]
 
 
 def expand_secular(graph: QuantumGraph) -> SecularExpansion:
@@ -429,8 +416,6 @@ def expand_secular(graph: QuantumGraph) -> SecularExpansion:
         rotation=rotation,
         scale=scale,
         expo=expo,
-        sigma=bond_scattering_matrix(graph),
-        actions=directed_actions(graph),
     )
 
 

@@ -1,5 +1,6 @@
 """Graph model: vertex matrices, determinant expansion, realification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from qgspectra import (
     ValidationError,
     VertexSpec,
     DegreeMismatch,
+    bond_scattering_matrix,
     evaluate,
     expand_secular,
     scan_roots,
@@ -27,6 +29,31 @@ from conftest import ALL_GRAPHS, make_star3
 def numeric_det(graph, k):
     n = 2 * len(graph.bonds)
     return np.linalg.det(np.eye(n) - transfer_matrix(graph, k))
+
+
+def dirichlet_star(lengths):
+    vertices = [VertexSpec(0, "kirchhoff")]
+    vertices += [VertexSpec(i, "dirichlet") for i in range(1, len(lengths) + 1)]
+    bonds = tuple(BondSpec((0, i), length) for i, length in enumerate(lengths, 1))
+    return QuantumGraph(vertices=tuple(vertices), bonds=bonds)
+
+
+def principal_minor_coefficients(graph):
+    """det(I - D Sigma) = sum_T (-1)^|T| prod_{i in T} z_i det Sigma[T, T],
+    summed by brute force over directed-bond subsets T and collected by the
+    per-bond exponent n_b = |T & {2b, 2b+1}|."""
+    sigma = bond_scattering_matrix(graph)
+    n = sigma.shape[0]
+    out = {}
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            minor = np.linalg.det(sigma[np.ix_(subset, subset)]) if subset else 1.0
+            exponents = [0] * len(graph.bonds)
+            for i in subset:
+                exponents[i // 2] += 1
+            key = tuple(exponents)
+            out[key] = out.get(key, 0.0) + (-1) ** size * minor
+    return out
 
 
 class TestVertexScattering:
@@ -107,11 +134,8 @@ class TestGraphValidation:
             )
 
     def test_size_cap(self):
-        vertices = [VertexSpec(0, "kirchhoff")]
-        vertices += [VertexSpec(i, "dirichlet") for i in range(1, 10)]
-        bonds = tuple(BondSpec((0, i), 1.0 + 0.01 * i) for i in range(1, 10))
         with pytest.raises(SizeCapExceeded):
-            QuantumGraph(vertices=tuple(vertices), bonds=bonds)
+            dirichlet_star([1.0 + 0.01 * i for i in range(1, 12)])
 
     def test_delta_strength_only_on_delta(self):
         with pytest.raises(ValidationError, match="delta strength"):
@@ -201,13 +225,44 @@ class TestSecularSeries:
             assert np.max(np.abs(det_roots - series_roots)) <= 1e-8
 
     def test_exponent_vectors_are_binary(self, any_graph):
+        # Binary per directed bond: a bond's exponent counts its two
+        # directions, so it lies in {0, 1, 2}.
         expo = transfer_determinant(any_graph)
-        n = expo.n_directed
-        assert len(expo.coefficients) <= 2 ** n
-        for mask in expo.coefficients:
-            assert 0 <= mask < 2 ** n
-            assert set(expo.exponent_vector(mask)) <= {0, 1}
-        assert all(abs(c) >= 1e-14 for c in expo.coefficients.values())
+        n_bonds = len(any_graph.bonds)
+        assert len(expo.actions) == n_bonds
+        assert len(expo.coefficients) <= 3 ** n_bonds
+        for exponents in expo.coefficients:
+            assert len(exponents) == n_bonds
+            assert set(exponents) <= {0, 1, 2}
+        assert all(abs(c) >= expo.floor for c in expo.coefficients.values())
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, f in ALL_GRAPHS.items() if len(f().bonds) <= 4)
+    )
+    def test_coefficients_match_principal_minors(self, name):
+        graph = ALL_GRAPHS[name]()
+        expo = transfer_determinant(graph)
+        oracle = principal_minor_coefficients(graph)
+        for exponents in oracle.keys() | expo.coefficients.keys():
+            got = expo.coefficients.get(exponents, 0.0)
+            assert abs(got - oracle.get(exponents, 0.0)) <= 1e-12, exponents
+
+    @pytest.mark.parametrize("arms", [4, 6])
+    def test_kirchhoff_star_structural_zeros(self, arms):
+        # A size-j principal minor of the centre's (2/B)J - I is
+        # (-1)^j (1 - 2j/B); the B/2-arm terms vanish exactly and must not
+        # survive as interpolation noise.
+        graph = dirichlet_star([1.0 - 0.07 * i for i in range(arms)])
+        expo = transfer_determinant(graph)
+        assert len(expo.coefficients) == 2**arms - math.comb(arms, arms // 2)
+
+    def test_nine_bond_star_reconstruction(self):
+        graph = dirichlet_star([1.0 - 0.055 * i for i in range(9)])
+        expansion = expand_secular(graph)
+        for k in np.random.default_rng(5).uniform(0.05, 40.0, size=20):
+            recon = expansion.normalization * np.exp(-1j * expansion.theta * k) * numeric_det(graph, k)
+            assert abs(evaluate(expansion.series, k) - recon.real) <= 1e-9
+            assert abs(recon.imag) <= 1e-9
 
     def test_expo_polynomial_matches_numeric_det(self, any_graph):
         expo = transfer_determinant(any_graph)
