@@ -33,7 +33,6 @@ from .series import (
     evaluate,
     evaluate_array,
     regularity_sum,
-    regularization_order,
 )
 from .graphs import (
     BondSpec,
@@ -51,14 +50,13 @@ from .graphs import (
 from .solver import (
     DescentChain,
     DescentTrace,
-    RootCell,
     Spectrum,
     SpectrumEntry,
     base_separators,
     build_chain,
     descend,
     descend_with_trace,
-    root_in_cell,
+    regularization_order,
     solve_graph,
 )
 from .oracle import VerificationReport, scan_roots, verify_spectrum
@@ -81,7 +79,6 @@ __all__ = [
     "ParseError",
     "QuantumGraph",
     "RealificationFailure",
-    "RootCell",
     "SecularExpansion",
     "SizeCapExceeded",
     "SpectralError",
@@ -106,7 +103,6 @@ __all__ = [
     "load_config",
     "regularity_sum",
     "regularization_order",
-    "root_in_cell",
     "run",
     "scan_roots",
     "secular_series",

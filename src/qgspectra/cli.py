@@ -7,8 +7,11 @@ series  canonical secular series (s0, phi0, terms) as a reusable JSON config
 verify  solver-versus-scan diff as JSON; exit 0 only on an empty diff
 sample  grid values of every derivative level as CSV, for plotting
 
-Exit codes: 0 success, 2 invalid configuration, 3 degenerate spectrum,
-4 verification mismatch.
+Exit codes: 0 success, 2 invalid configuration or unsupported model (a
+series whose action gap is too small to regularize included),
+3 degenerate spectrum, 4 verification mismatch, 141 output pipe closed
+early (as for ``| head``; 128 + SIGPIPE, the code a shell reports for a
+writer ended by that signal).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, TextIO
@@ -27,6 +31,7 @@ from .errors import (
     DegenerateEndpoint,
     DegenerateLeadingTerm,
     DegenerateSpectrum,
+    NotRegular,
     ParseError,
     RealificationFailure,
     SpectralError,
@@ -40,13 +45,13 @@ from .series import (
     canonicalize,
     evaluate_array,
     regularity_sum,
-    regularization_order,
 )
-from .solver import build_chain, descend
+from .solver import build_chain, descend, regularization_order
 
 COMMANDS = ("solve", "series", "verify", "sample")
 _BC_MAP = {"dirichlet": "dirichlet", "kirchhoff": "kirchhoff", "delta": "scaling_delta"}
 _SAMPLE_POINTS_PER_HALF_PERIOD = 20
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass(frozen=True)
@@ -355,11 +360,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 return run(args.command, config, handle)
-        return run(args.command, config, sys.stdout)
+        code = run(args.command, config, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush
+        # at interpreter exit cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (DegenerateSpectrum, DegenerateEndpoint) as exc:
         print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
         return 3
-    except (RealificationFailure, DegenerateLeadingTerm, ValidationError) as exc:
+    except (RealificationFailure, DegenerateLeadingTerm, ValidationError, NotRegular) as exc:
         print(f"error: unsupported model: {exc}", file=sys.stderr)
         return 2
 

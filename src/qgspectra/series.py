@@ -6,18 +6,25 @@ A series represents the almost-periodic function
 
 where every term action ``s_j`` lies strictly below the leading action
 ``s0``.  The family is closed under (d/dk)/s0: each term amplitude shrinks
-by the ratio ``s_j/s0`` and every phase advances by pi/2.  Because all
-ratios are below one, repeated differentiation eventually pushes the term
-sum below 1, after which the leading cosine pins the sign of the series at
-its own extrema.  That decay is what the spectral descent in
-:mod:`qgspectra.solver` relies on.
+by the ratio ``s_j/s0`` and every phase advances by pi/2, so one
+derivative level follows from the last by scaling and shifting the terms
+in place.  Because all ratios are below one, repeated differentiation
+eventually pushes the term sum below 1, after which the leading cosine
+pins the sign of the series at its own extrema.  That decay is what the
+spectral descent in :mod:`qgspectra.solver` relies on; the solver also
+builds the chain of levels and finds its regularization order.
+
+A series keeps its terms as a tuple and, built once on first use, as
+arrays of actions, amplitudes and phases; :func:`evaluate_array` sums the
+terms with one matrix product per block of points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,10 +38,12 @@ MERGE_TOL = 1e-12
 AMPLITUDE_FLOOR = 1e-14
 # Default headroom below 1 required of a regular term sum.
 DEFAULT_MARGIN = 1e-6
+# Entries (terms x points) of one cosine block in evaluate_array; bounds its
+# temporary memory whatever the number of points.
+EVAL_BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class TrigTerm:
+class TrigTerm(NamedTuple):
     """One subtracted cosine term: ``amplitude * cos(action*k + phase)``."""
 
     action: float
@@ -57,6 +66,11 @@ class SpectralSeries:
     leading_phase: float
     terms: tuple[TrigTerm, ...]
 
+    @cached_property
+    def arrays(self) -> np.ndarray:
+        """Term actions, amplitudes and phases as the rows of a float array."""
+        return np.array(self.terms, dtype=float).reshape(-1, 3).T.copy()
+
 
 def _wrap_phase(phi: float) -> float:
     """Reduce a phase to [0, 2*pi)."""
@@ -71,7 +85,7 @@ def _wrap_phase(phi: float) -> float:
 def canonicalize(
     leading_action: float,
     leading_phase: float,
-    raw_terms: Iterable[tuple[float, float, float] | TrigTerm] = (),
+    raw_terms: Iterable[tuple[float, float, float]] = (),
     *,
     level: int = 0,
 ) -> SpectralSeries:
@@ -92,11 +106,7 @@ def canonicalize(
         raise ValueError(f"leading phase must be finite, got {leading_phase!r}")
 
     folded: list[tuple[float, float, float]] = []
-    for raw in raw_terms:
-        if isinstance(raw, TrigTerm):
-            action, amplitude, phase = raw.action, raw.amplitude, raw.phase
-        else:
-            action, amplitude, phase = raw
+    for action, amplitude, phase in raw_terms:
         action = float(action)
         amplitude = float(amplitude)
         phase = float(phase)
@@ -161,53 +171,46 @@ def evaluate(series: SpectralSeries, k: float) -> float:
 
 
 def evaluate_array(series: SpectralSeries, ks: np.ndarray) -> np.ndarray:
-    """Vectorized series evaluation over an array of wavenumbers."""
+    """Vectorized series evaluation over an array of wavenumbers.
+
+    Points go through in blocks of at most ``EVAL_BLOCK`` term-point
+    entries (one point at least), so temporary memory does not grow with
+    the number of points.
+    """
     ks = np.asarray(ks, dtype=float)
-    acc = np.cos(series.leading_action * ks + series.leading_phase)
-    terms = series.terms
-    if len(terms) > 48:
-        actions = np.array([t.action for t in terms])
-        amps = np.array([t.amplitude for t in terms])
-        phases = np.array([t.phase for t in terms])
-        acc = acc - amps @ np.cos(np.outer(actions, ks.ravel()) + phases[:, None]).reshape(
-            (len(terms),) + ks.shape
-        )
-        return acc
-    for t in terms:
-        acc = acc - t.amplitude * np.cos(t.action * ks + t.phase)
-    return acc
+    flat = ks.ravel()
+    acc = np.cos(series.leading_action * flat + series.leading_phase)
+    actions, amps, phases = series.arrays
+    step = max(1, EVAL_BLOCK // max(1, len(amps)))
+    for start in range(0, flat.size, step):
+        block = flat[start : start + step]
+        acc[start : start + step] -= amps @ np.cos(np.outer(actions, block) + phases[:, None])
+    return acc.reshape(ks.shape)
 
 
 def derivative_series(series: SpectralSeries) -> SpectralSeries:
     """Next derivative level: d/dk followed by division by the leading action.
 
     Amplitudes scale by action/leading_action and every phase advances by
-    pi/2, so the result is again a canonical series one level up.
+    pi/2.  Actions do not change, so no two terms can merge; terms whose
+    amplitude falls below ``AMPLITUDE_FLOOR`` (the constant term at once)
+    are dropped, and the result is again a canonical series one level up.
     """
     s0 = series.leading_action
     half = 0.5 * math.pi
-    raw = [(t.action, t.amplitude * (t.action / s0), t.phase + half) for t in series.terms]
-    return canonicalize(s0, series.leading_phase + half, raw, level=series.level + 1)
+    terms = []
+    for t in series.terms:
+        amplitude = t.amplitude * (t.action / s0)
+        if amplitude >= AMPLITUDE_FLOOR:
+            terms.append(TrigTerm(t.action, amplitude, _wrap_phase(t.phase + half)))
+    return SpectralSeries(
+        level=series.level + 1,
+        leading_action=s0,
+        leading_phase=_wrap_phase(series.leading_phase + half),
+        terms=tuple(terms),
+    )
 
 
 def regularity_sum(series: SpectralSeries) -> float:
     """Sum of term amplitudes; the series is regular iff this is below 1."""
     return math.fsum(t.amplitude for t in series.terms)
-
-
-def regularization_order(series: SpectralSeries, margin: float = DEFAULT_MARGIN) -> int:
-    """Smallest derivative level whose term sum is at most ``1 - margin``.
-
-    Termination is guaranteed by the strict action gap: every ratio
-    action/leading_action is below 1, so amplitudes decay geometrically.
-    """
-    if not (0.0 < margin < 1.0):
-        raise ValueError(f"margin must lie in (0, 1), got {margin!r}")
-    order = 0
-    current = series
-    while regularity_sum(current) > 1.0 - margin:
-        current = derivative_series(current)
-        order += 1
-        if order > 100_000:
-            raise RuntimeError("regularization did not converge; action gap is degenerate")
-    return order

@@ -1,13 +1,15 @@
 """Bootstrap-and-descent root solver for canonical cosine series.
 
-The series is differentiated (and renormalized) until its term sum drops
-below one.  At that regular level the extrema of the leading cosine are
-root separators: the series sign there is pinned by the leading term, so
-every separator cell brackets exactly one simple root.  Walking back down,
-the roots of each level are the extrema of the level below and therefore
-separate its roots; each cell is probed for a sign change and yields at
-most one root.  Every root is returned inside a certified bracket obtained
-by bisection and a bracket-safeguarded Newton polish.
+:func:`build_chain` differentiates (and renormalizes) the series until its
+term sum drops below one; the number of steps is the regularization order
+M.  At that regular level the extrema of the leading cosine are root
+separators: the series sign there is pinned by the leading term, so every
+separator cell brackets exactly one simple root.  Walking back down, the
+roots of each level are the extrema of the level below and therefore
+separate its roots.  One loop handles every level the same way: it probes
+each cell for a sign change, and each cell yields at most one root.  Every
+root is returned inside a certified bracket obtained by bisection and a
+bracket-safeguarded Newton polish.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from .series import (
     regularity_sum,
 )
 
+# Deepest derivative level build_chain materializes before giving up.
+MAX_ORDER = 100_000
+
 # Roots are never reported below this wavenumber; padding is clamped here.
 POSITIVE_FLOOR = 1e-9
 # |g| at or below this at a cell endpoint signals a (near-)double root.
@@ -52,16 +57,6 @@ class DescentChain:
     @property
     def order(self) -> int:
         return len(self.levels) - 1
-
-
-@dataclass(frozen=True)
-class RootCell:
-    """One separator cell and the certified root it encloses, if any."""
-
-    lower: float
-    upper: float
-    root: float | None
-    enclosure: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -103,15 +98,29 @@ class DescentTrace:
 
 
 def build_chain(series: SpectralSeries, margin: float = DEFAULT_MARGIN) -> DescentChain:
-    """Materialize derivative levels up to the first regular one."""
+    """Materialize derivative levels up to the first regular one.
+
+    Termination is guaranteed by the strict action gap: every ratio
+    action/leading_action is below 1, so amplitudes decay geometrically.
+    A gap so small that ``MAX_ORDER`` levels do not suffice raises
+    ``NotRegular``.
+    """
     if not (0.0 < margin < 1.0):
         raise ValueError(f"margin must lie in (0, 1), got {margin!r}")
     levels = [series]
     while regularity_sum(levels[-1]) > 1.0 - margin:
+        if len(levels) > MAX_ORDER:
+            raise NotRegular(
+                f"term sum {regularity_sum(levels[-1]):g} is still above {1.0 - margin:g} "
+                f"after {MAX_ORDER} derivative levels; the action gap is too small"
+            )
         levels.append(derivative_series(levels[-1]))
-        if len(levels) > 100_001:
-            raise RuntimeError("regularization did not converge; action gap is degenerate")
     return DescentChain(levels=tuple(levels), margin=margin)
+
+
+def regularization_order(series: SpectralSeries, margin: float = DEFAULT_MARGIN) -> int:
+    """Smallest derivative level whose term sum is at most ``1 - margin``."""
+    return build_chain(series, margin).order
 
 
 def base_separators(
@@ -152,8 +161,8 @@ def _refine_brackets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bisect sign-change brackets to relative width, then Newton-polish.
 
-    Lanes are updated only while active, so each lane performs the same
-    operation sequence it would in a scalar loop.  The Newton step uses the
+    Lanes are updated only while active, and each lane's bracket follows
+    its own sign tests alone.  The Newton step uses the
     analytic derivative leading_action * deriv(k) and never leaves its
     bracket, which keeps the returned enclosure certified.
     """
@@ -183,39 +192,6 @@ def _refine_brackets(
         x = np.where(ok, cand, x)
     enclosure = np.maximum(x - a, b - x)
     return x, enclosure
-
-
-def root_in_cell(
-    series: SpectralSeries,
-    lower: float,
-    upper: float,
-    *,
-    deriv: SpectralSeries | None = None,
-) -> RootCell:
-    """Extract the unique root of a separator cell, or report it empty.
-
-    The endpoints must carry nonzero series values; a magnitude at or below
-    ``ENDPOINT_TOL`` raises ``DegenerateEndpoint`` since it is consistent
-    with a tangential (double) root, which the solver refuses to guess at.
-    Equal endpoint signs mean the cell contains no root at all: between
-    consecutive extrema the series is monotone, so the sign test is exact.
-    """
-    if not upper > lower:
-        raise ValueError(f"cell bounds must satisfy lower < upper, got {lower!r}, {upper!r}")
-    ends = evaluate_array(series, np.array([lower, upper]))
-    if np.min(np.abs(ends)) <= ENDPOINT_TOL:
-        raise DegenerateEndpoint(
-            f"series value {ends[int(np.argmin(np.abs(ends)))]:.3e} at a cell endpoint "
-            "is consistent with a double root"
-        )
-    if np.sign(ends[0]) == np.sign(ends[1]):
-        return RootCell(lower=lower, upper=upper, root=None)
-    if deriv is None:
-        deriv = derivative_series(series)
-    roots, enclosures = _refine_brackets(
-        series, deriv, np.array([lower]), np.array([upper]), ends[:1]
-    )
-    return RootCell(lower=lower, upper=upper, root=float(roots[0]), enclosure=float(enclosures[0]))
 
 
 def _floor_escape(series: SpectralSeries, start: float, cap: float) -> tuple[float, float]:
@@ -330,45 +306,32 @@ def descend_with_trace(
     hi_pad = k_hi + pad
 
     derivs = list(levels[1:]) + [derivative_series(levels[top])]
-    level_roots: dict[int, np.ndarray] = {}
-    level_encl: dict[int, np.ndarray] = {}
+    level_roots: list[np.ndarray] = []  # top level first
     width_tol = 1e-9 * cell
 
     try:
-        # Regular level: separator grid of the leading cosine.
-        series = levels[top]
-        lo_edge, _ = _safe_edge(series, lo_pad, cell, "lower", floor=POSITIVE_FLOOR)
-        hi_edge, _ = _safe_edge(series, hi_pad, cell, "upper")
-        seps = base_separators(series, lo_edge, hi_edge, chain.margin)
-        seps = seps[(seps > lo_edge + width_tol) & (seps < hi_edge - width_tol)]
-        bounds = np.concatenate(([lo_edge], seps, [hi_edge]))
-        values = evaluate_array(series, bounds)
-        interior = slice(1, -1) if len(bounds) > 3 else None
-        roots, encl = _level_pass(series, derivs[top], bounds, values, interior=interior)
-        level_roots[top] = roots
-        level_encl[top] = encl
-
-        # Walk back down: level-m roots separate the roots of level m-1.
-        for m in range(top - 1, -1, -1):
+        for m in range(top, -1, -1):
             series = levels[m]
             lo_edge, _ = _safe_edge(series, lo_pad, cell, "lower", floor=POSITIVE_FLOOR)
             hi_edge, _ = _safe_edge(series, hi_pad, cell, "upper")
-            prev = level_roots[m + 1]
+            # The regular level is separated by the extrema of its leading
+            # cosine, every level below by the roots of the level above.
+            prev = base_separators(series, lo_edge, hi_edge, chain.margin) if m == top else roots
             inner = prev[(prev > lo_edge + width_tol) & (prev < hi_edge - width_tol)]
+            if m == top:
+                seps = inner
             bounds = np.concatenate(([lo_edge], inner, [hi_edge]))
             values = evaluate_array(series, bounds)
-            roots, encl = _level_pass(series, derivs[m], bounds, values)
-            level_roots[m] = roots
-            level_encl[m] = encl
+            interior = slice(1, -1) if m == top and len(bounds) > 3 else None
+            roots, encl = _level_pass(series, derivs[m], bounds, values, interior=interior)
+            level_roots.append(roots)
     except DegenerateEndpoint as exc:
         raise DegenerateSpectrum(str(exc)) from exc
 
     slack = EDGE_SLACK_REL * max(1.0, abs(k_lo), abs(k_hi))
-    roots0 = level_roots[0]
-    encl0 = level_encl[0]
-    keep = (roots0 >= k_lo - slack) & (roots0 <= k_hi + slack)
-    ks = roots0[keep]
-    encls = encl0[keep]
+    keep = (roots >= k_lo - slack) & (roots <= k_hi + slack)
+    ks = roots[keep]
+    encls = encl[keep]
     entries = tuple(
         SpectrumEntry(index=i + 1, wavenumber=float(k), energy=float(k) * float(k), enclosure=float(e))
         for i, (k, e) in enumerate(zip(ks, encls))
@@ -376,7 +339,7 @@ def descend_with_trace(
     trace = DescentTrace(
         padded_window=(lo_pad, hi_pad),
         separators=seps,
-        level_roots=tuple(level_roots[m] for m in range(top + 1)),
+        level_roots=tuple(reversed(level_roots)),
     )
     return Spectrum(entries=entries), trace
 

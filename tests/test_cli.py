@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +224,41 @@ class TestMain:
         path = write_config(tmp_path, doc)
         assert main(["solve", path]) == 3
         assert "degenerate" in capsys.readouterr().err.lower()
+
+    def test_unregularizable_series_exit_2(self, tmp_path, capsys):
+        # Amplitude 2 at action ratio 1 - 1e-13 would need ~7e12 levels.
+        doc = {
+            "series": {"s0": 1.0, "phi0": 0.0, "terms": [[0.9999999999999, 2.0, 0.0]]},
+            "window": {"kmin": 0.0, "kmax": 10.0},
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["solve", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "derivative levels" in err
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # About 400 kB of CSV, far more than a pipe buffers.
+        doc = {
+            "series": {"s0": 1.0, "phi0": 0.0, "terms": []},
+            "window": {"kmin": 0.0, "kmax": 2e4},
+        }
+        path = write_config(tmp_path, doc)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qgspectra", "solve", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"n,k_n,E_n,enclosure\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert err == ""  # in particular, no traceback
 
     def test_window_flags(self, tmp_path, capsys):
         doc = {"series": {"s0": 1.0, "phi0": 0.0, "terms": []}}

@@ -1,6 +1,7 @@
 """Canonical series algebra: construction, evaluation, derivative chain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qgspectra import (
     regularity_sum,
     regularization_order,
 )
+from qgspectra.series import EVAL_BLOCK
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,6 +114,21 @@ class TestEvaluate:
         vals = evaluate_array(s, ks)
         for k, v in zip(ks, vals):
             assert v == pytest.approx(evaluate(s, float(k)), abs=1e-12)
+
+    @pytest.mark.parametrize("n_terms, n_points", [(100, 100_000), (EVAL_BLOCK + 1, 64)])
+    def test_memory_is_bounded(self, n_terms, n_points):
+        terms = [(0.99 * j / n_terms, 1.0 / n_terms, 0.1 * j) for j in range(n_terms)]
+        s = canonicalize(1.0, 0.3, terms)
+        ks = np.linspace(0.0, 1000.0, n_points)
+        tracemalloc.start()
+        try:
+            vals = evaluate_array(s, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        for i in (0, 1, n_points // 2, n_points - 1):
+            assert vals[i] == pytest.approx(evaluate(s, float(ks[i])), abs=1e-12)
 
 
 class TestDerivative:

@@ -1,4 +1,4 @@
-"""Separator grids, certified cell extraction and the descent."""
+"""Separator grids, the derivative chain and the descent."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qgspectra import (
-    DegenerateEndpoint,
     DegenerateSpectrum,
     EmptyWindow,
     NotRegular,
@@ -15,10 +14,8 @@ from qgspectra import (
     canonicalize,
     descend,
     descend_with_trace,
-    derivative_series,
     evaluate,
     regularity_sum,
-    root_in_cell,
     scan_roots,
     solve_graph,
 )
@@ -77,43 +74,6 @@ class TestBaseSeparators:
             assert abs(value) >= 1.0 - regularity_sum(s) - 1e-9
 
 
-class TestRootInCell:
-    def test_pure_cosine_cell(self):
-        s = canonicalize(1.0, 0.0)
-        cell = root_in_cell(s, 0.0 + 1e-6, math.pi - 1e-6)
-        assert cell.root == pytest.approx(math.pi / 2, abs=1e-12)
-        assert cell.enclosure <= 1e-12
-
-    def test_dressed_cell_matches_bisection_oracle(self):
-        s = canonicalize(1.0, 0.0, [(0.5, 0.5, 0.0)])
-        assert evaluate(s, 0.0) == pytest.approx(0.5, abs=1e-16)
-        assert evaluate(s, math.pi) == pytest.approx(-1.0, abs=1e-15)
-        expected = bisect_oracle(lambda k: math.cos(k) - 0.5 * math.cos(0.5 * k), 0.0, math.pi)
-        cell = root_in_cell(s, 1e-9, math.pi)
-        assert cell.root == pytest.approx(expected, abs=1e-10)
-        assert expected == pytest.approx(1.135, abs=1e-3)
-
-    def test_equal_signs_mean_empty_cell(self):
-        s = canonicalize(1.0, 0.0)
-        cell = root_in_cell(s, 2 * math.pi - 0.5, 2 * math.pi + 0.5)
-        assert cell.root is None
-
-    def test_degenerate_endpoint_detected(self):
-        s = canonicalize(1.0, 0.0)
-        with pytest.raises(DegenerateEndpoint):
-            root_in_cell(s, math.pi / 2, math.pi)
-
-    def test_root_is_enclosed(self):
-        s = canonicalize(1.4, 0.3, [(0.8, 0.45, 2.2)])
-        seps = base_separators(s, 0.0, 20.0)
-        for lo, hi in zip(seps[:-1], seps[1:]):
-            cell = root_in_cell(s, float(lo), float(hi))
-            assert cell.root is not None
-            assert lo < cell.root < hi
-            assert abs(evaluate(s, cell.root)) <= 1e-10
-            assert cell.enclosure <= 1e-12 * max(1.0, abs(cell.root)) * 2
-
-
 class TestBuildChain:
     def test_regular_input_is_single_level(self):
         chain = build_chain(canonicalize(1.0, 0.0, [(0.5, 0.8, 0.0)]))
@@ -162,6 +122,7 @@ class TestDescend:
         assert [e.index for e in spectrum] == [1, 2, 3]
         for e in spectrum:
             assert e.energy == e.wavenumber * e.wavenumber
+            assert e.enclosure <= 1e-12
 
     def test_sine_window_excludes_origin(self):
         chain = build_chain(canonicalize(1.0, 3 * math.pi / 2))
@@ -169,13 +130,22 @@ class TestDescend:
         assert np.allclose(spectrum.wavenumbers, [math.pi, 2 * math.pi, 3 * math.pi], atol=1e-12)
 
     def test_irregular_series_first_root(self):
-        series = canonicalize(1.0, 0.0, [(0.6, 1.2, 0.0)])
-        assert evaluate(series, 0.0) == pytest.approx(-0.2, abs=1e-15)
-        chain = build_chain(series)
-        spectrum = descend(chain, (0.0, 10.0))
-        expected = bisect_oracle(lambda k: math.cos(k) - 1.2 * math.cos(0.6 * k), 3.0, 4.0)
-        assert spectrum.wavenumbers[0] == pytest.approx(expected, abs=1e-10)
-        assert expected == pytest.approx(3.81, abs=5e-3)
+        # (term, g(0), bracket of the first root, its approximate value, M)
+        cases = [
+            ((0.6, 1.2, 0.0), -0.2, (3.0, 4.0), 3.81, 1),
+            ((0.5, 0.5, 0.0), 0.5, (0.0, math.pi), 1.135, 0),
+        ]
+        for (action, amp, phase), g0, (a, b), approx, order in cases:
+            series = canonicalize(1.0, 0.0, [(action, amp, phase)])
+            assert evaluate(series, 0.0) == pytest.approx(g0, abs=1e-15)
+            chain = build_chain(series)
+            assert chain.order == order
+            spectrum = descend(chain, (0.0, 10.0))
+            expected = bisect_oracle(
+                lambda k: math.cos(k) - amp * math.cos(action * k + phase), a, b
+            )
+            assert spectrum.wavenumbers[0] == pytest.approx(expected, abs=1e-10)
+            assert expected == pytest.approx(approx, abs=5e-3)
 
     def test_window_validation(self):
         chain = build_chain(canonicalize(1.0, 0.0))
@@ -203,29 +173,6 @@ class TestDescend:
         assert np.array_equal(first.wavenumbers, second.wavenumbers)
         assert [e.index for e in first] == [e.index for e in second]
 
-    def test_matches_per_cell_extraction(self):
-        # Driving root_in_cell by hand over the same cells must reproduce
-        # the descent output.
-        series = canonicalize(1.2, 0.4, [(0.7, 0.52, 1.3), (0.3, 0.41, 4.2)])
-        chain = build_chain(series)
-        assert chain.order == 0
-        window = (0.0, 30.0)
-        spectrum, trace = descend_with_trace(chain, window)
-        lo, hi = trace.padded_window
-        seps = base_separators(series, lo, hi)
-        manual = []
-        deriv = derivative_series(series)
-        bounds = [lo, *map(float, seps), hi]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b <= a:
-                continue
-            cell = root_in_cell(series, a, b, deriv=deriv)
-            if cell.root is not None and window[0] <= cell.root <= window[1]:
-                manual.append(cell.root)
-        # Lanes never interact, so per-cell extraction reproduces the
-        # batched descent bit for bit.
-        assert np.array_equal(spectrum.wavenumbers, np.array(manual))
-
     def test_descent_soundness(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -233,6 +180,8 @@ class TestDescend:
             chain = build_chain(series)
             spectrum, trace = descend_with_trace(chain, standard_window(series, 20))
             assert np.all(np.diff(spectrum.wavenumbers) > 0)
+            for e in spectrum:
+                assert e.enclosure <= 2e-12 * max(1.0, e.wavenumber)
             for m in range(chain.order + 1):
                 roots = trace.level_roots[m]
                 for r in roots:
