@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     DegenerateEndpoint,
-    DegenerateLeadingTerm,
     DegenerateSpectrum,
     DegreeMismatch,
     EmptyWindow,
@@ -67,7 +66,6 @@ __all__ = [
     "ConfigDoc",
     "DEFAULT_MARGIN",
     "DegenerateEndpoint",
-    "DegenerateLeadingTerm",
     "DegenerateSpectrum",
     "DegreeMismatch",
     "DescentChain",

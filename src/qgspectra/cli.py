@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .errors import (
     DegenerateEndpoint,
-    DegenerateLeadingTerm,
     DegenerateSpectrum,
     NotRegular,
     ParseError,
@@ -56,13 +55,22 @@ EXIT_BROKEN_PIPE = 141
 
 @dataclass(frozen=True)
 class ConfigDoc:
-    """Validated run configuration: one model, a window and options."""
+    """Validated run configuration: one model, a window and options.
+
+    ``given_oversampling`` is None unless the document or a flag sets
+    ``options.oversampling``; ``sample`` then uses its own grid density.
+    """
 
     graph: QuantumGraph | None
     series: SpectralSeries | None
     window: tuple[float, float]
     margin: float
-    oversampling: int
+    given_oversampling: int | None
+
+    @property
+    def oversampling(self) -> int:
+        """Scan grid density of the oracle: the given value or the default."""
+        return self.given_oversampling or DEFAULT_OVERSAMPLING
 
     def secular(self) -> SpectralSeries:
         if self.series is not None:
@@ -226,7 +234,7 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
         series=series,
         window=(float(kmin), float(kmax)),
         margin=float(margin),
-        oversampling=int(oversampling),
+        given_oversampling=int(oversampling) if "oversampling" in options else None,
     )
 
 
@@ -240,6 +248,9 @@ def _write_solve(config: ConfigDoc, out: TextIO) -> int:
 
 def _write_series(config: ConfigDoc, out: TextIO) -> int:
     series = config.secular()
+    options = {"margin": config.margin}
+    if config.given_oversampling is not None:
+        options["oversampling"] = config.given_oversampling
     doc = {
         "series": {
             "s0": series.leading_action,
@@ -247,7 +258,7 @@ def _write_series(config: ConfigDoc, out: TextIO) -> int:
             "terms": [[t.action, t.amplitude, t.phase] for t in series.terms],
         },
         "window": {"kmin": config.window[0], "kmax": config.window[1]},
-        "options": {"margin": config.margin, "oversampling": config.oversampling},
+        "options": options,
         "report": {
             "M": regularization_order(series, config.margin),
             "regularity_sum": regularity_sum(series),
@@ -279,7 +290,7 @@ def _write_verify(config: ConfigDoc, out: TextIO) -> int:
 def _write_sample(config: ConfigDoc, out: TextIO) -> int:
     chain = build_chain(config.secular(), config.margin)
     s0 = chain.levels[0].leading_action
-    points = config.oversampling if config.oversampling != DEFAULT_OVERSAMPLING else _SAMPLE_POINTS_PER_HALF_PERIOD
+    points = config.given_oversampling or _SAMPLE_POINTS_PER_HALF_PERIOD
     step = math.pi / (s0 * points)
     k_lo, k_hi = config.window
     n = max(1, math.ceil((k_hi - k_lo) / step))
@@ -371,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DegenerateSpectrum, DegenerateEndpoint) as exc:
         print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
         return 3
-    except (RealificationFailure, DegenerateLeadingTerm, ValidationError, NotRegular) as exc:
+    except (RealificationFailure, ValidationError, NotRegular) as exc:
         print(f"error: unsupported model: {exc}", file=sys.stderr)
         return 2
 

@@ -39,10 +39,6 @@ class RealificationFailure(SpectralError):
     """Determinant coefficients do not pair into a real cosine sum."""
 
 
-class DegenerateLeadingTerm(SpectralError):
-    """The extreme-action coefficient cancelled below tolerance."""
-
-
 class NotRegular(SpectralError):
     """Separator grid requested for a series whose term sum is not below 1."""
 

@@ -11,9 +11,11 @@ the unitary bond-to-bond scattering matrix, is therefore a finite sum of
 exponentials in k with constant coefficients.  Both directions of bond b
 carry the same factor z_b = exp(i S_b k), so the determinant is a
 polynomial of degree at most 2 in each z_b; its coefficients follow exactly
-from its values on the grid of cube roots of unity.  Centering the
-occurring total actions and rotating the result onto the real axis turns it
-into the canonical cosine series consumed by the solver.
+from its values on the grid of cube roots of unity.  Because Sigma is
+unitary, the coefficients come in mirror pairs c_(2-n) = det Sigma *
+conj(c_n), so centering the total actions on S0 = sum_b S_b and rotating by
+one unimodular constant folds each pair into a real cosine: the result is
+the canonical cosine series consumed by the solver.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Literal
 import numpy as np
 
 from .errors import (
-    DegenerateLeadingTerm,
     DegreeMismatch,
     RealificationFailure,
     SizeCapExceeded,
@@ -94,12 +95,6 @@ class QuantumGraph:
             if any("directed bonds" in v for v in violations):
                 raise SizeCapExceeded(violations)
             raise ValidationError(violations)
-
-    def vertex(self, vertex_id: int) -> VertexSpec:
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v
-        raise KeyError(vertex_id)
 
     def degree(self, vertex_id: int) -> int:
         d = 0
@@ -299,123 +294,67 @@ class SecularExpansion:
 
     series: SpectralSeries
     theta: float
-    rotation: complex
-    scale: float
+    normalization: complex
     expo: ExpoPolynomial
-
-    @property
-    def normalization(self) -> complex:
-        return self.rotation / self.scale
-
-
-def _cluster_actions(expo: ExpoPolynomial) -> list[tuple[float, complex]]:
-    """Group monomials whose total actions agree within MERGE_TOL."""
-    items = sorted(
-        ((expo.total_action(n), coeff) for n, coeff in expo.coefficients.items()),
-        key=lambda t: t[0],
-    )
-    groups: list[tuple[float, complex]] = []
-    for action, coeff in items:
-        if groups and action - groups[-1][0] <= MERGE_TOL:
-            groups[-1] = (groups[-1][0], groups[-1][1] + coeff)
-        else:
-            groups.append((action, coeff))
-    return [(a, c) for a, c in groups if abs(c) >= expo.floor]
 
 
 def expand_secular(graph: QuantumGraph) -> SecularExpansion:
     """Full secular construction: expansion, centering, realification.
 
-    The occurring total actions are centered on theta = (K_max + K_min)/2,
-    the whole sum is rotated by a unimodular constant so that mirror pairs
-    become complex conjugate (the leading phase is placed within a quarter
-    turn of the real axis), conjugate exponentials are folded into cosines
-    and the leading amplitude is normalized to one.
+    Sigma is unitary, so det(I - U) = det U * conj(det(I - U)) for U = D Sigma,
+    which reads c_(2-n) = det Sigma * conj(c_n) coefficient by coefficient.
+    c_0 = 1 and c_(2,...,2) = det Sigma are unimodular mirrors, so the total
+    actions are centered on theta = S0 = sum_b S_b.  A unimodular rotation
+    makes every mirror pair complex conjugate (the leading phase is placed
+    within a quarter turn of the real axis); each coefficient at centered
+    action kappa >= 0 is averaged with its conjugated mirror, clusters of
+    equal kappa are summed into cosines, kappa = 0 into the constant, and
+    the leading amplitude is normalized to one.
     """
     expo = transfer_determinant(graph)
-    groups = _cluster_actions(expo)
-    if len(groups) < 2:
-        raise RealificationFailure(
-            "secular determinant has no oscillatory content after cancellation"
-        )
-    k_min, c_min = groups[0]
-    k_max, c_max = groups[-1]
-    theta = 0.5 * (k_max + k_min)
-    s0 = theta - k_min
+    coefficients = expo.coefficients
+    n_bonds = len(expo.actions)
+    theta = math.fsum(expo.actions)
 
-    if abs(abs(c_max) - abs(c_min)) > CONJUGATE_TOL:
-        raise RealificationFailure(
-            f"extreme coefficients have unequal magnitude: {abs(c_min):g} vs {abs(c_max):g}"
-        )
-
-    # c_max must rotate onto conj(c_min): two unimodular solutions, pi apart.
-    gamma = 0.5 * cmath.phase(c_min.conjugate() / c_max)
-    rotation = cmath.exp(1j * gamma)
-    lead = rotation * c_max
+    # c_top must rotate onto conj(c_0): two unimodular solutions, pi apart.
+    c_0 = coefficients[(0,) * n_bonds]
+    c_top = coefficients[(2,) * n_bonds]
+    rotation = cmath.exp(0.5j * cmath.phase(c_0.conjugate() / c_top))
+    lead = rotation * c_top
     # Keep the leading phase within a quarter turn of zero; on the pure
     # imaginary boundary prefer the phase -pi/2.
     boundary = 1e-12 * abs(lead)
     if lead.real < -boundary or (abs(lead.real) <= boundary and lead.imag > 0.0):
         rotation = -rotation
-        lead = -lead
 
-    centered: list[tuple[float, complex]] = [(a - theta, c) for a, c in groups]
-    minus = {}
-    plus = []
-    zero_coeff = 0.0 + 0.0j
-    for kappa, coeff in centered:
-        if kappa > MERGE_TOL:
-            plus.append((kappa, coeff))
-        elif kappa < -MERGE_TOL:
-            minus[-kappa] = coeff
-        else:
-            zero_coeff += coeff
-
-    paired: list[tuple[float, complex]] = []
-    for kappa, c_plus in plus:
-        partner = None
-        for cand in minus:
-            if abs(cand - kappa) <= 10 * MERGE_TOL:
-                partner = cand
-                break
-        c_minus = minus.pop(partner) if partner is not None else 0.0 + 0.0j
-        p = rotation * c_plus
-        q = (rotation * c_minus).conjugate()
+    centered = sorted((expo.total_action(n) - theta, n) for n in coefficients)
+    clusters: list[list] = []  # [smallest kappa, summed rotated coefficient]
+    for kappa, n in centered:
+        if kappa < -MERGE_TOL:
+            continue  # looked up as the mirror of 2 - n
+        p = rotation * coefficients[n]
+        q = (rotation * coefficients.get(tuple(2 - b for b in n), 0.0)).conjugate()
         if abs(p - q) > CONJUGATE_TOL:
             raise RealificationFailure(
-                f"coefficients at actions +-{kappa:g} are not conjugate: {p!r} vs {q!r}"
+                f"coefficients of exponents {n} and their mirror are not conjugate: {p!r} vs {q!r}"
             )
-        paired.append((kappa, 0.5 * (p + q)))
-    if minus:
-        smallest = min(minus)
-        raise RealificationFailure(f"unpaired coefficient at centered action -{smallest:g}")
+        if clusters and kappa - clusters[-1][0] <= MERGE_TOL:
+            clusters[-1][1] += 0.5 * (p + q)
+        else:
+            clusters.append([kappa, 0.5 * (p + q)])
+    clusters = [(kappa, r) for kappa, r in clusters if abs(r) >= expo.floor]
 
-    r0 = rotation * zero_coeff
-    if abs(r0.imag) > CONJUGATE_TOL:
-        raise RealificationFailure(f"constant term is not real: {r0!r}")
-
-    r_lead = paired[-1][1]
+    _, r_lead = clusters.pop()
     lead_amp = abs(r_lead)
-    if lead_amp < 1e-12:
-        raise DegenerateLeadingTerm(
-            f"leading cosine amplitude {lead_amp:g} vanished after cancellation"
-        )
-    phi0 = math.atan2(r_lead.imag, r_lead.real)
     scale = 2.0 * lead_amp
-
-    raw_terms: list[tuple[float, float, float]] = []
-    for kappa, r in paired[:-1]:
-        raw_terms.append((kappa, -abs(r) / lead_amp, math.atan2(r.imag, r.real)))
-    if abs(r0.real) > 0.0:
-        raw_terms.append((0.0, -r0.real / scale, 0.0))
-
-    series = canonicalize(s0, phi0, raw_terms)
+    raw_terms = [
+        (0.0, -r.real / scale, 0.0) if abs(kappa) <= MERGE_TOL
+        else (kappa, -abs(r) / lead_amp, math.atan2(r.imag, r.real))
+        for kappa, r in clusters
+    ]
+    series = canonicalize(theta, math.atan2(r_lead.imag, r_lead.real), raw_terms)
     return SecularExpansion(
-        series=series,
-        theta=theta,
-        rotation=rotation,
-        scale=scale,
-        expo=expo,
+        series=series, theta=theta, normalization=rotation / scale, expo=expo
     )
 
 

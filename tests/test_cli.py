@@ -185,6 +185,31 @@ class TestCommands:
         assert first[0] == 0.0
         assert first[1] == pytest.approx(1.0 - 1.2, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "options,overrides,rows",
+        [({}, {}, 21), ({}, {"oversampling": 50}, 51), ({"oversampling": 50}, {}, 51)],
+        ids=["default", "flag", "document"],
+    )
+    def test_sample_density_given_or_default(self, options, overrides, rows):
+        # 20 points per half-period unless an oversampling is given, even
+        # one equal to the oracle default; the config printed by `series`
+        # keeps that choice.
+        doc = {
+            "series": {"s0": 1.0, "phi0": 0.0, "terms": []},
+            "window": {"kmin": 0.0, "kmax": math.pi},
+            "options": options,
+        }
+        config = load_config(json.dumps(doc), overrides)
+        sample = io.StringIO()
+        run("sample", config, sample)
+        assert len(sample.getvalue().splitlines()) - 1 == rows
+
+        emitted = io.StringIO()
+        run("series", config, emitted)
+        resampled = io.StringIO()
+        run("sample", load_config(emitted.getvalue()), resampled)
+        assert resampled.getvalue() == sample.getvalue()
+
     def test_unknown_command(self):
         config = load_config(json.dumps(BOND_DD))
         with pytest.raises(ValueError):

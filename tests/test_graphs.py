@@ -9,6 +9,7 @@ import pytest
 from qgspectra import (
     BondSpec,
     QuantumGraph,
+    RealificationFailure,
     SizeCapExceeded,
     ValidationError,
     VertexSpec,
@@ -20,6 +21,7 @@ from qgspectra import (
     secular_series,
     transfer_determinant,
     transfer_matrix,
+    verify_spectrum,
     vertex_scattering,
 )
 
@@ -36,6 +38,58 @@ def dirichlet_star(lengths):
     vertices += [VertexSpec(i, "dirichlet") for i in range(1, len(lengths) + 1)]
     bonds = tuple(BondSpec((0, i), length) for i, length in enumerate(lengths, 1))
     return QuantumGraph(vertices=tuple(vertices), bonds=bonds)
+
+
+CONDITIONS = ("dirichlet", "kirchhoff", "scaling_delta")
+
+
+def random_graph(rng):
+    """Connected graph on 1-4 vertices with at most 6 bonds.
+
+    A random spanning tree is topped up with bonds between random ends, so
+    loops and parallel bonds occur.  A Kirchhoff vertex of degree 2 is
+    transparent and can close a ring, whose levels are double (a cosine and
+    a sine mode); such a vertex gets a delta coupler instead.
+    """
+    n_vertices = int(rng.integers(1, 5))
+    n_bonds = int(rng.integers(max(1, n_vertices - 1), 7))
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, n_vertices)]
+    while len(edges) < n_bonds:
+        u, w = rng.integers(0, n_vertices, size=2)
+        edges.append((int(u), int(w)))
+    vertices = []
+    for v in range(n_vertices):
+        condition = CONDITIONS[int(rng.integers(0, 3))]
+        if condition == "kirchhoff" and sum(e.count(v) for e in edges) == 2:
+            condition = "scaling_delta"
+        strength = float(rng.uniform(0.5, 3.0)) if condition == "scaling_delta" else 0.0
+        vertices.append(VertexSpec(v, condition, strength))
+    bonds = [BondSpec(e, float(rng.uniform(0.2, 1.0)), float(rng.uniform(-0.5, 0.5))) for e in edges]
+    return QuantumGraph(vertices=tuple(vertices), bonds=tuple(bonds))
+
+
+_FUZZ_RNG = np.random.default_rng(2024)
+FUZZ_GRAPHS = [random_graph(_FUZZ_RNG) for _ in range(60)]
+
+
+def assert_mirror_identity(expansion, graph):
+    """Sigma is unitary, so det(I - U) = det U * conj(det(I - U)) for
+    U = D(k) Sigma: c_(2-n) = det Sigma * conj(c_n), and the leading action
+    is the total bond action."""
+    coefficients = expansion.expo.coefficients
+    det_sigma = np.linalg.det(bond_scattering_matrix(graph))
+    for n, c in coefficients.items():
+        mirror = coefficients.get(tuple(2 - b for b in n), 0.0)
+        assert abs(mirror - det_sigma * c.conjugate()) <= 1e-12, n
+    assert expansion.series.leading_action == math.fsum(b.action for b in graph.bonds)
+
+
+def assert_reconstructs(expansion, graph, ks):
+    """The series is the rotated, centred, normalized determinant."""
+    for k in ks:
+        recon = expansion.normalization * np.exp(-1j * expansion.theta * k) * numeric_det(graph, k)
+        assert abs(evaluate(expansion.series, k) - recon.real) <= 1e-9
+        assert abs(recon.imag) <= 1e-9
 
 
 def principal_minor_coefficients(graph):
@@ -183,12 +237,11 @@ class TestSecularSeries:
 
     def test_reconstruction_residual(self, any_graph):
         expansion = expand_secular(any_graph)
-        rng = np.random.default_rng(11)
-        ks = rng.uniform(0.05, 50.0, size=200)
-        for k in ks:
-            recon = expansion.normalization * np.exp(-1j * expansion.theta * k) * numeric_det(any_graph, k)
-            assert abs(evaluate(expansion.series, k) - recon.real) <= 1e-9
-            assert abs(recon.imag) <= 1e-9
+        ks = np.random.default_rng(11).uniform(0.05, 50.0, size=200)
+        assert_reconstructs(expansion, any_graph, ks)
+
+    def test_mirror_identity(self, any_graph):
+        assert_mirror_identity(expand_secular(any_graph), any_graph)
 
     def test_zero_sets_coincide(self, any_graph):
         # Roots of the realified series against roots of the numeric
@@ -258,11 +311,8 @@ class TestSecularSeries:
 
     def test_nine_bond_star_reconstruction(self):
         graph = dirichlet_star([1.0 - 0.055 * i for i in range(9)])
-        expansion = expand_secular(graph)
-        for k in np.random.default_rng(5).uniform(0.05, 40.0, size=20):
-            recon = expansion.normalization * np.exp(-1j * expansion.theta * k) * numeric_det(graph, k)
-            assert abs(evaluate(expansion.series, k) - recon.real) <= 1e-9
-            assert abs(recon.imag) <= 1e-9
+        ks = np.random.default_rng(5).uniform(0.05, 40.0, size=20)
+        assert_reconstructs(expand_secular(graph), graph, ks)
 
     def test_expo_polynomial_matches_numeric_det(self, any_graph):
         expo = transfer_determinant(any_graph)
@@ -270,22 +320,38 @@ class TestSecularSeries:
             assert expo.evaluate(k) == pytest.approx(numeric_det(any_graph, k), abs=1e-10)
 
     def test_commensurate_actions_merge(self):
-        # Two arms of equal length make several subsets share one total
+        # Arms of equal length make several exponent vectors share one total
         # action; their coefficients must be added, not duplicated.
-        graph = QuantumGraph(
-            vertices=(
-                VertexSpec(0, "kirchhoff"),
-                VertexSpec(1, "dirichlet"),
-                VertexSpec(2, "dirichlet"),
-                VertexSpec(3, "dirichlet"),
-            ),
-            bonds=(BondSpec((0, 1), 1.0), BondSpec((0, 2), 1.0), BondSpec((0, 3), 0.5)),
-        )
-        series = secular_series(graph)
-        actions = [t.action for t in series.terms]
-        assert len(actions) == len(set(actions))
-        rng = np.random.default_rng(3)
+        for lengths in (
+            [1.0, 1.0, 0.5],
+            [1.0, 1.5, 1.0, 1.5, 1.5, 1.0, 1.0, 1.5],
+            [0.5, 1.0, 1.5, 1.0, 0.5, 1.5, 1.5, 0.5, 1.0, 1.0],
+        ):
+            graph = dirichlet_star(lengths)
+            expansion = expand_secular(graph)
+            actions = [t.action for t in expansion.series.terms]
+            assert len(actions) == len(set(actions))
+            assert_reconstructs(expansion, graph, np.random.default_rng(3).uniform(0.1, 30.0, size=50))
+
+
+    def test_non_unitary_scattering_is_refused(self, monkeypatch):
+        # Without unitarity the coefficients have no conjugate mirrors.
+        import qgspectra.graphs as graphs_module
+
+        sigma = bond_scattering_matrix
+        monkeypatch.setattr(graphs_module, "bond_scattering_matrix", lambda g: 0.5 * sigma(g))
+        with pytest.raises(RealificationFailure, match="not conjugate"):
+            expand_secular(make_star3())
+
+
+class TestRandomGraphs:
+    @pytest.mark.parametrize("index", range(len(FUZZ_GRAPHS)))
+    def test_identity_reconstruction_and_oracle(self, index):
+        graph = FUZZ_GRAPHS[index]
         expansion = expand_secular(graph)
-        for k in rng.uniform(0.1, 30.0, size=50):
-            recon = expansion.normalization * np.exp(-1j * expansion.theta * k) * numeric_det(graph, k)
-            assert abs(evaluate(series, k) - recon.real) <= 1e-9
+        assert_mirror_identity(expansion, graph)
+        assert_reconstructs(expansion, graph, np.linspace(0.05, 30.0, 20))
+        # 1000 points per half-period: the default scan grid steps over
+        # close root pairs of some of these graphs.
+        report = verify_spectrum(expansion.series, (0.0, 30.0), oversampling=1000)
+        assert report.clean, (graph, report)

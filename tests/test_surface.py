@@ -4,9 +4,21 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import qgspectra
+from qgspectra import build_chain, descend, evaluate_array, expand_secular, transfer_determinant
+
+from conftest import make_star3
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_exported_names_resolve():
@@ -17,13 +29,31 @@ def test_exported_names_resolve():
 def test_traced_targets_resolve():
     # The traced benchmark pass replaces each of these module attributes;
     # a rename or removal would otherwise surface only there.
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
     missing = [
         f"{module_name}.{attr}"
-        for module_name, names in spans.TARGETS.items()
+        for module_name, names in load_spans().TARGETS.items()
         for attr in names
         if not hasattr(importlib.import_module(module_name), attr)
     ]
     assert missing == []
+
+
+def test_span_counters_read_real_results():
+    # The traced pass counts work by reading fields of these results; a
+    # renamed field would otherwise surface only there.
+    graph = make_star3()
+    expansion = expand_secular(graph)
+    chain = build_chain(expansion.series)
+    results = {
+        "evaluate_array": evaluate_array(expansion.series, np.linspace(0.0, 10.0, 7)),
+        "transfer_determinant": transfer_determinant(graph),
+        "expand_secular": expansion,
+        "build_chain": chain,
+        "descend": descend(chain, (0.0, 10.0)),
+    }
+    counters = load_spans().COUNTERS
+    assert counters.keys() == results.keys()
+    counts = {name: counter(results[name]) for name, counter in counters.items()}
+    assert counts["evaluate_array"] == 7
+    assert counts["expand_secular"] == 3
+    assert all(isinstance(c, int) and c > 0 for c in counts.values()), counts
