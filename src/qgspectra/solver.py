@@ -7,9 +7,12 @@ separators: the series sign there is pinned by the leading term, so every
 separator cell brackets exactly one simple root.  Walking back down, the
 roots of each level are the extrema of the level below and therefore
 separate its roots.  One loop handles every level the same way: it probes
-each cell for a sign change, and each cell yields at most one root.  Every
-root is returned inside a certified bracket obtained by bisection and a
-bracket-safeguarded Newton polish.
+each cell for a sign change, and each cell yields at most one root.  Each
+sign-change bracket is shrunk by Newton steps on the analytic derivative
+(the next level times the leading action) that never leave the bracket,
+falling back to bisection; the converged point is certified by one pair of
+sign probes just around it.  Every root is returned inside a bracket whose
+two ends were evaluated with opposite signs.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ MAX_ORDER = 100_000
 POSITIVE_FLOOR = 1e-9
 # |g| at or below this at a cell endpoint signals a (near-)double root.
 ENDPOINT_TOL = 1e-12
-# Bisection stops once the bracket width falls below this, relative to |k|.
+# Target bracket width, relative to max(1, |k|): refinement stops below it.
 BRACKET_REL_WIDTH = 1e-13
 # Window membership slack for roots sitting on a float window edge.
 EDGE_SLACK_REL = 1e-11
@@ -159,39 +162,94 @@ def _refine_brackets(
     b: np.ndarray,
     fa: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect sign-change brackets to relative width, then Newton-polish.
+    """Shrink sign-change brackets onto their roots by Newton inside the bracket.
 
-    Lanes are updated only while active, and each lane's bracket follows
-    its own sign tests alone.  The Newton step uses the
-    analytic derivative leading_action * deriv(k) and never leaves its
-    bracket, which keeps the returned enclosure certified.
+    Each step evaluates the open lanes only, at one point each, together
+    with the analytic derivative ``leading_action * deriv``.  The sign of
+    the value there moves one end of the lane's bracket.  The Newton point
+    is taken when it lies strictly inside the bracket and its step is at
+    most half the lane's previous step; otherwise the lane bisects.  A lane
+    whose Newton step is at most a quarter of the target width
+    ``BRACKET_REL_WIDTH * max(1, |x|)`` stops at that point, clipped to the
+    bracket, and is certified by one probe pair half the target width on
+    either side.  A probe on a bracket end takes the sign recorded for
+    that end instead of a fresh evaluation, which could flip a noise-level
+    sign.  A pair that does not straddle the root shrinks the bracket, and
+    the lane bisects on to the target width.  Every bracket end was
+    evaluated, with opposite signs at the two ends, so the returned
+    enclosure ``max(x - a, b - x)`` is certified.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     sa = np.sign(fa)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        tol = BRACKET_REL_WIDTH * np.maximum(1.0, np.abs(mid))
-        active = (b - a) > tol
-        if not active.any():
-            break
-        fm = evaluate_array(series, mid)
-        go_left = active & (np.sign(fm) == sa)
-        go_right = active & ~go_left
-        a = np.where(go_left, mid, a)
-        b = np.where(go_right, mid, b)
-
     s0 = series.leading_action
     x = 0.5 * (a + b)
-    for _ in range(3):
-        fx = evaluate_array(series, x)
-        dfx = s0 * evaluate_array(deriv, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = x - fx / dfx
-        ok = np.isfinite(cand) & (cand > a) & (cand < b)
-        x = np.where(ok, cand, x)
+    step = b - a  # each lane's last step
+    newton = np.ones(x.size, dtype=bool)
+    open_ = np.ones(x.size, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        narrow = open_ & (b - a <= BRACKET_REL_WIDTH * np.maximum(1.0, np.abs(mid)))
+        x[narrow] = mid[narrow]
+        open_ &= ~narrow
+        lanes = np.flatnonzero(open_)
+        if lanes.size == 0:
+            break
+        xl, sl = x[lanes], sa[lanes]
+        f = evaluate_array(series, xl)
+        left = np.sign(f) == sl
+        al = np.where(left, xl, a[lanes])
+        bl = np.where(left, b[lanes], xl)
+        xn = 0.5 * (al + bl)
+        near = np.zeros(lanes.size, dtype=bool)
+        nt = newton[lanes]
+        if nt.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dx = f[nt] / (s0 * evaluate_array(deriv, xl[nt]))
+            cand = xl[nt] - dx
+            take = (cand > al[nt]) & (cand < bl[nt]) & (np.abs(dx) <= 0.5 * step[lanes[nt]])
+            near[nt] = np.abs(dx) <= 0.25 * BRACKET_REL_WIDTH * np.maximum(1.0, np.abs(xl[nt]))
+            xn[nt] = np.where(take, cand, xn[nt])
+            xn[near] = np.clip(cand[near[nt]], al[near], bl[near])
+        if near.any():
+            al[near], bl[near], held = _probe_pair(series, xn[near], al[near], bl[near], sl[near])
+            xn[near] = np.where(held, xn[near], 0.5 * (al[near] + bl[near]))
+            newton[lanes[near]] = False
+            open_[lanes[near][held]] = False
+        step[lanes] = np.abs(xn - xl)
+        x[lanes], a[lanes], b[lanes] = xn, al, bl
     enclosure = np.maximum(x - a, b - x)
     return x, enclosure
+
+
+def _probe_pair(
+    series: SpectralSeries,
+    x: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    sa: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Test the signs half the target width either side of converged points.
+
+    A probe beyond a bracket end moves onto it and takes the sign recorded
+    there.  Returns the brackets shrunk by the probe signs and whether each
+    pair straddled the root, in which case its bracket is the pair.
+    """
+    h = 0.5 * BRACKET_REL_WIDTH * np.maximum(1.0, np.abs(x))
+    lo = np.maximum(x - h, a)
+    hi = np.minimum(x + h, b)
+    s_lo, s_hi = sa.copy(), -sa
+    fresh_lo, fresh_hi = lo > a, hi < b
+    if fresh_lo.any() or fresh_hi.any():
+        signs = np.sign(evaluate_array(series, np.concatenate((lo[fresh_lo], hi[fresh_hi]))))
+        n_lo = np.count_nonzero(fresh_lo)
+        s_lo[fresh_lo] = signs[:n_lo]
+        s_hi[fresh_hi] = signs[n_lo:]
+    lo_left = s_lo == sa
+    hi_left = s_hi == sa
+    a = np.where(lo_left, np.where(hi_left, hi, lo), a)
+    b = np.where(lo_left, np.where(hi_left, b, hi), lo)
+    return a, b, lo_left & ~hi_left
 
 
 def _floor_escape(series: SpectralSeries, start: float, cap: float) -> tuple[float, float]:

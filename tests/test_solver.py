@@ -5,18 +5,24 @@ import math
 import numpy as np
 import pytest
 
+from qgspectra import solver
 from qgspectra import (
+    BondSpec,
     DegenerateSpectrum,
     EmptyWindow,
     NotRegular,
+    QuantumGraph,
+    VertexSpec,
     base_separators,
     build_chain,
     canonicalize,
     descend,
     descend_with_trace,
     evaluate,
+    evaluate_array,
     regularity_sum,
     scan_roots,
+    secular_series,
     solve_graph,
 )
 from qgspectra.fuzz import random_series, standard_window
@@ -215,6 +221,31 @@ class TestDescend:
             count = int(np.sum((top >= a) & (top <= b)))
             assert abs(count - s0 * (b - a) / math.pi) <= 2
 
+    @pytest.mark.parametrize(
+        "wrong_deriv",
+        [
+            # -g itself: every Newton step points the wrong way.
+            canonicalize(1.0, math.pi, [(0.5, 0.5, math.pi)]),
+            # g' ~ 1e3: every step stays inside the bracket but barely moves.
+            canonicalize(1.0, 0.0, [(0.0, -1e3, 0.0)]),
+            # g' ~ 1e15: the first step claims convergence, the probe pair refutes it.
+            canonicalize(1.0, 0.0, [(0.0, -1e15, 0.0)]),
+        ],
+        ids=["flipped", "sluggish", "huge"],
+    )
+    def test_refinement_survives_a_wrong_derivative(self, wrong_deriv):
+        series = canonicalize(1.0, 0.0, [(0.5, 0.5, 0.0)])
+        # Below k = 18 the target width is under 1e-12 (2 * 18 * BRACKET_REL_WIDTH).
+        seps = base_separators(series, 0.0, 18.0)
+        a, b = seps[:-1], seps[1:]
+        ks, encl = solver._refine_brackets(
+            series, wrong_deriv, a, b, evaluate_array(series, a)
+        )
+        for k, e, lo, hi in zip(ks, encl, a, b):
+            expected = bisect_oracle(lambda x: math.cos(x) - 0.5 * math.cos(0.5 * x), lo, hi)
+            assert k == pytest.approx(expected, abs=1e-12)
+            assert 0.0 < e <= solver.BRACKET_REL_WIDTH * max(1.0, k)
+
     def test_degenerate_double_root_detected(self):
         # cos k - cos(k/2 + pi/2) has a tangential zero at k = pi.
         series = canonicalize(1.0, 0.0, [(0.5, 1.0, math.pi / 2)])
@@ -243,6 +274,29 @@ class TestSolveGraph:
         oracle = scan_roots(secular_series(graph), (0.0, 40.0))
         assert len(spectrum) == len(oracle)
         assert np.max(np.abs(spectrum.wavenumbers - oracle)) <= 1e-8
+
+    def test_evaluation_budget_per_root(self, monkeypatch):
+        # 8-bond Dirichlet star: 9 derivative levels, about 196 roots each.
+        lengths = (1.0, 0.913, 0.847, 0.771, 0.706, 0.633, 0.571, 0.502)
+        graph = QuantumGraph(
+            vertices=(VertexSpec(0, "kirchhoff"),)
+            + tuple(VertexSpec(i + 1, "dirichlet") for i in range(len(lengths))),
+            bonds=tuple(BondSpec((0, i + 1), L) for i, L in enumerate(lengths)),
+        )
+        chain = build_chain(secular_series(graph))
+        points = []
+
+        def counted(series, ks):
+            points.append(np.asarray(ks).size)
+            return evaluate_array(series, ks)
+
+        monkeypatch.setattr(solver, "evaluate_array", counted)
+        spectrum = descend(chain, (0.0, 100.0))
+        monkeypatch.undo()
+        _, trace = descend_with_trace(chain, (0.0, 100.0))
+        level_roots = sum(len(r) for r in trace.level_roots)
+        assert chain.order >= 5 and len(spectrum) > 100
+        assert sum(points) <= 16 * level_roots
 
     def test_solvable_graphs_verify(self, solvable_graph):
         from qgspectra import secular_series, verify_spectrum
