@@ -51,6 +51,8 @@ COMMANDS = ("solve", "series", "verify", "sample")
 _BC_MAP = {"dirichlet": "dirichlet", "kirchhoff": "kirchhoff", "delta": "scaling_delta"}
 _SAMPLE_POINTS_PER_HALF_PERIOD = 20
 EXIT_BROKEN_PIPE = 141
+# Rows formatted per write, which bounds the memory of the CSV writers.
+_WRITE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -76,10 +78,6 @@ class ConfigDoc:
         if self.series is not None:
             return self.series
         return secular_series(self.graph)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _is_number(x: Any) -> bool:
@@ -238,11 +236,23 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
     )
 
 
+def _write_rows(out: TextIO, template: str, rows) -> None:
+    """Write ``template % row`` for every row, at most ``_WRITE_BLOCK`` rows
+    per write; numpy rows go through ``tolist`` a block at a time.
+    ``%.17g`` prints a float exactly as ``format(x, ".17g")`` does.
+    """
+    for start in range(0, len(rows), _WRITE_BLOCK):
+        block = rows[start:start + _WRITE_BLOCK]
+        if isinstance(block, np.ndarray):
+            block = block.tolist()
+        out.write("".join(template % tuple(row) for row in block))
+
+
 def _write_solve(config: ConfigDoc, out: TextIO) -> int:
     spectrum = descend(build_chain(config.secular(), config.margin), config.window)
     out.write("n,k_n,E_n,enclosure\n")
-    for e in spectrum:
-        out.write(f"{e.index},{_fmt(e.wavenumber)},{_fmt(e.energy)},{_fmt(e.enclosure)}\n")
+    rows = [(e.index, e.wavenumber, e.energy, e.enclosure) for e in spectrum]
+    _write_rows(out, "%d,%.17g,%.17g,%.17g\n", rows)
     return 0
 
 
@@ -295,10 +305,12 @@ def _write_sample(config: ConfigDoc, out: TextIO) -> int:
     k_lo, k_hi = config.window
     n = max(1, math.ceil((k_hi - k_lo) / step))
     ks = np.linspace(k_lo, k_hi, n + 1)
-    columns = [evaluate_array(level, ks) for level in chain.levels]
-    out.write("k," + ",".join(f"g{m}" for m in range(len(columns))) + "\n")
-    for i, k in enumerate(ks):
-        out.write(_fmt(k) + "," + ",".join(_fmt(col[i]) for col in columns) + "\n")
+    table = np.empty((ks.size, 1 + len(chain.levels)))
+    table[:, 0] = ks
+    for m, level in enumerate(chain.levels):
+        table[:, 1 + m] = evaluate_array(level, ks)
+    out.write("k," + ",".join(f"g{m}" for m in range(len(chain.levels))) + "\n")
+    _write_rows(out, ",".join(["%.17g"] * table.shape[1]) + "\n", table)
     return 0
 
 

@@ -11,7 +11,9 @@ the unitary bond-to-bond scattering matrix, is therefore a finite sum of
 exponentials in k with constant coefficients.  Both directions of bond b
 carry the same factor z_b = exp(i S_b k), so the determinant is a
 polynomial of degree at most 2 in each z_b; its coefficients follow exactly
-from its values on the grid of cube roots of unity.  Because Sigma is
+from its values on the grid of cube roots of unity.  A bond ending at a
+vertex that only reflects (degree 1, or Dirichlet) enters through z_b^2
+alone, so its axis of the grid needs two nodes, not three.  Because Sigma is
 unitary, the coefficients come in mirror pairs c_(2-n) = det Sigma *
 conj(c_n), so centering the total actions on S0 = sum_b S_b and rotating by
 one unimodular constant folds each pair into a real cosine: the result is
@@ -36,8 +38,10 @@ from .errors import (
 from .series import MERGE_TOL, SpectralSeries, canonicalize
 
 # Cap on directed bonds (2 per undirected bond).  The determinant is
-# interpolated on 3^B grid points: a 9-bond star takes about 0.15 s and a
-# 10-bond star about 0.7 s on a 2-vCPU Xeon VM.
+# interpolated on 2^R * 3^(B - R) grid points for R reflecting bonds: on a
+# 2-vCPU Xeon VM a 10-bond Dirichlet star (R = B) expands in about 0.02 s,
+# an 8-bond wheel (R = 0) in about 0.04 s, so a 10-bond graph without
+# leaves (3^10 points) takes about 0.5 s.
 MAX_DIRECTED_BONDS = 20
 # Coefficients below FLOOR_UNITS * 2B * eps * max|det| over the grid are
 # exact zeros.  On stars, wheels and the test graphs (B <= 8) the
@@ -199,12 +203,6 @@ class ExpoPolynomial:
     def total_action(self, exponents: tuple[int, ...]) -> float:
         return math.fsum(n * s for n, s in zip(exponents, self.actions))
 
-    def evaluate(self, k: float) -> complex:
-        return sum(
-            c * cmath.exp(1j * self.total_action(n) * k)
-            for n, c in self.coefficients.items()
-        )
-
 
 def bond_scattering_matrix(graph: QuantumGraph) -> np.ndarray:
     """The 2B x 2B unitary map from incoming to outgoing directed bonds.
@@ -234,6 +232,10 @@ _OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
 # _INV_DFT[j, n] = omega^(j*(2 - n)) / 3: the inverse DFT of length 3 times
 # the factor z_b^2 that det D contributes per bond (see transfer_determinant).
 _INV_DFT = np.exp(2j * np.pi / 3 * np.outer(np.arange(3), 2 - np.arange(3))) / 3
+# A reflecting bond's axis has the nodes z_b in {1, i}, so w_b = z_b^2 is
+# +-1; rows are the nodes, columns n_b = 0, 2, with z_b^-2 folded in.
+_REFLECT_NODES = np.array([1.0, 1j])
+_INV_DFT_REFLECT = np.array([[0.5, 0.5], [-0.5, 0.5]])
 
 
 def transfer_determinant(graph: QuantumGraph) -> ExpoPolynomial:
@@ -241,37 +243,50 @@ def transfer_determinant(graph: QuantumGraph) -> ExpoPolynomial:
 
     z_b sits on the two rows of D(z) Sigma that belong to bond b, so the
     determinant has degree at most 2 in every z_b, and its values on the
-    3^B grid z_b in {1, omega, omega^2}, omega = exp(2 pi i / 3), determine
-    it exactly: an inverse DFT of length 3 along each bond's axis returns
-    every coefficient c_n, n in {0,1,2}^B.  The grid values come from
-    batched LU determinants of det(D^-1 - Sigma) = det(I - D Sigma) / det D,
-    which spares a complex product per matrix entry; det D = prod_b z_b^2
-    is folded into the per-axis transform.
+    grid z_b in {1, omega, omega^2}, omega = exp(2 pi i / 3), determine it
+    exactly: an inverse DFT of length 3 along each bond's axis returns every
+    coefficient c_n, n in {0,1,2}^B.  A bond is reflecting when Sigma sends
+    one of its directions only into its reverse (a degree-1 or Dirichlet
+    vertex at that end); every directed cycle through that direction runs
+    back along the bond, so n_b is 0 or 2 and the determinant is linear in
+    z_b^2.  Such an axis needs only the two nodes z_b in {1, i} and a
+    length-2 transform, so R reflecting bonds shrink the grid to
+    2^R * 3^(B - R) points.  The grid values come from batched LU
+    determinants of det(D^-1 - Sigma) = det(I - D Sigma) / det D, which
+    spares a complex product per matrix entry; det D = prod_b z_b^2 is
+    folded into the per-axis transforms.
     """
     sigma = bond_scattering_matrix(graph)
     actions = tuple(b.action for b in graph.bonds)
     n_bonds = len(actions)
     n = 2 * n_bonds
-    # Grid point p has digit (p // place[b]) % 3 on bond b's axis.
-    place = 3 ** np.arange(n_bonds - 1, -1, -1)
-    diagonal = np.arange(n)
-    grid = np.empty(3**n_bonds, dtype=complex)
-    for start in range(0, grid.size, GRID_CHUNK):
-        points = np.arange(start, min(start + GRID_CHUNK, grid.size))
-        inverse_z = np.repeat(_OMEGA[points[:, None] // place % 3].conj(), 2, axis=1)
+    directed = np.arange(n)
+    lone = np.count_nonzero(sigma, axis=0) == 1
+    reflects = (lone & (sigma[directed ^ 1, directed] != 0)).reshape(n_bonds, 2).any(axis=1)
+    radix = np.where(reflects, 2, 3)
+    step = np.where(reflects, 2, 1)  # n_b = 2 * digit on a reflecting axis
+    inverse_nodes = np.where(reflects[:, None], np.append(_REFLECT_NODES, 0.0), _OMEGA).conj()
+    # Grid point p has digit (p // place[b]) % radix[b] on bond b's axis.
+    place = np.cumprod(np.append(1, radix[:0:-1]))[::-1]
+    size = int(np.prod(radix))
+    grid = np.empty(size, dtype=complex)
+    for start in range(0, size, GRID_CHUNK):
+        points = np.arange(start, min(start + GRID_CHUNK, size))
+        digits = points[:, None] // place % radix
+        inverse_z = np.repeat(inverse_nodes[np.arange(n_bonds), digits], 2, axis=1)
         mats = np.empty((points.size, n, n), dtype=complex)
         mats[:] = -sigma
-        mats[:, diagonal, diagonal] += inverse_z
+        mats[:, directed, directed] += inverse_z
         grid[start:start + points.size] = np.linalg.det(mats)
 
     # Each pass transforms the leading axis and rotates it to the back.
     coeffs = grid
-    for _ in range(n_bonds):
-        coeffs = coeffs.reshape(3, -1).T @ _INV_DFT
+    for b in range(n_bonds):
+        coeffs = coeffs.reshape(radix[b], -1).T @ (_INV_DFT_REFLECT if reflects[b] else _INV_DFT)
     coeffs = coeffs.ravel()
     floor = FLOOR_UNITS * n * np.finfo(float).eps * float(np.abs(grid).max())
     kept = np.flatnonzero(np.abs(coeffs) >= floor)
-    exponents = (kept[:, None] // place % 3).tolist()
+    exponents = (kept[:, None] // place % radix * step).tolist()
     coefficients = dict(zip(map(tuple, exponents), coeffs[kept].tolist()))
     return ExpoPolynomial(coefficients=coefficients, actions=actions, floor=floor)
 

@@ -252,6 +252,19 @@ def _probe_pair(
     return a, b, lo_left & ~hi_left
 
 
+def _first_resolvable(
+    series: SpectralSeries, candidates: list[float], failure: str
+) -> tuple[float, float]:
+    """First candidate whose series value exceeds ``ENDPOINT_TOL``, all
+    evaluated in one call; ``DegenerateEndpoint(failure)`` if there is none."""
+    values = evaluate_array(series, np.array(candidates))
+    resolvable = np.flatnonzero(np.abs(values) > ENDPOINT_TOL)
+    if resolvable.size == 0:
+        raise DegenerateEndpoint(failure)
+    i = int(resolvable[0])
+    return candidates[i], float(values[i])
+
+
 def _floor_escape(series: SpectralSeries, start: float, cap: float) -> tuple[float, float]:
     """Climb geometrically from ``start`` until the series value is resolvable.
 
@@ -260,18 +273,14 @@ def _floor_escape(series: SpectralSeries, start: float, cap: float) -> tuple[flo
     true value sits below double-precision noise, so points there carry no
     usable sign.  Both the solver and the dense-scan oracle skip that
     region through this one helper, which keeps their window semantics
-    identical.
+    identical.  The climb multiplies by 4 up to ``cap``.
     """
-    x = start
-    value = float(evaluate_array(series, np.array([x]))[0])
-    while abs(value) <= ENDPOINT_TOL:
-        if x >= cap:
-            raise DegenerateEndpoint(
-                f"series is numerically zero on [{start:g}, {cap:g}]"
-            )
-        x = min(x * 4.0, cap)
-        value = float(evaluate_array(series, np.array([x]))[0])
-    return x, value
+    candidates = [start]
+    while candidates[-1] < cap:
+        candidates.append(min(candidates[-1] * 4.0, cap))
+    return _first_resolvable(
+        series, candidates, f"series is numerically zero on [{start:g}, {cap:g}]"
+    )
 
 
 def _safe_edge(
@@ -308,12 +317,8 @@ def _safe_edge(
     else:
         candidates.extend(edge + j * cell / 16.0 for j in range(1, 9))
 
-    for x in candidates:
-        value = float(evaluate_array(series, np.array([x]))[0])
-        if abs(value) > ENDPOINT_TOL:
-            return x, value
-    raise DegenerateEndpoint(
-        f"could not move the padded window edge {edge:g} off a zero of the series"
+    return _first_resolvable(
+        series, candidates, f"could not move the padded window edge {edge:g} off a zero of the series"
     )
 
 

@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgspectra import ParseError, ValidationError, load_config
+from qgspectra import (
+    ParseError,
+    ValidationError,
+    build_chain,
+    descend,
+    evaluate_array,
+    load_config,
+)
 from qgspectra.cli import main, run
 
 BOND_DD = {
@@ -299,3 +306,43 @@ class TestMain:
         for row in rows:
             _, k, e, _ = row.split(",")
             assert float(e) == float(k) ** 2  # 17 digits survive the trip
+
+
+def reference_csv(command, config):
+    """The CSV text of ``solve`` or ``sample`` formatted field by field."""
+    chain = build_chain(config.secular(), config.margin)
+    if command == "solve":
+        lines = ["n,k_n,E_n,enclosure"]
+        for e in descend(chain, config.window):
+            fields = (e.wavenumber, e.energy, e.enclosure)
+            lines.append(",".join([str(e.index)] + [format(x, ".17g") for x in fields]))
+    else:
+        step = math.pi / (chain.levels[0].leading_action * 20)
+        k_lo, k_hi = config.window
+        ks = np.linspace(k_lo, k_hi, math.ceil((k_hi - k_lo) / step) + 1)
+        columns = [evaluate_array(level, ks) for level in chain.levels]
+        lines = ["k," + ",".join(f"g{m}" for m in range(len(columns)))]
+        for i, k in enumerate(ks):
+            lines.append(",".join(format(float(x), ".17g") for x in [k] + [c[i] for c in columns]))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvText:
+    SERIES = {"s0": 1.0, "phi0": 0.3, "terms": [[0.6, 1.2, 0.1], [0.25, 0.4, 2.0]]}
+
+    @pytest.mark.parametrize("command,kmax", [("solve", 2.5e4), ("sample", 1.5e3)])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_matches_per_field_format(self, tmp_path, capsys, command, kmax, to_file):
+        # More rows than one block of the writers, and two derivative levels.
+        doc = {"series": self.SERIES, "window": {"kmin": 0.0, "kmax": kmax}}
+        path = write_config(tmp_path, doc)
+        want = reference_csv(command, load_config(json.dumps(doc)))
+        assert want.count("\n") > 4096 + 1
+        if to_file:
+            out_path = tmp_path / "result.csv"
+            assert main([command, path, "--out", str(out_path)]) == 0
+            got = out_path.read_bytes()
+        else:
+            assert main([command, path]) == 0
+            got = capsys.readouterr().out.encode()
+        assert got == want.encode()

@@ -25,12 +25,17 @@ from qgspectra import (
     vertex_scattering,
 )
 
-from conftest import ALL_GRAPHS, make_star3
+from conftest import ALL_GRAPHS, make_path4, make_star3
 
 
 def numeric_det(graph, k):
     n = 2 * len(graph.bonds)
     return np.linalg.det(np.eye(n) - transfer_matrix(graph, k))
+
+
+def expo_value(expo, k):
+    """The exponential sum sum_n c_n exp(i k <n, actions>) at wavenumber k."""
+    return sum(c * np.exp(1j * expo.total_action(n) * k) for n, c in expo.coefficients.items())
 
 
 def dirichlet_star(lengths):
@@ -108,6 +113,45 @@ def principal_minor_coefficients(graph):
             key = tuple(exponents)
             out[key] = out.get(key, 0.0) + (-1) ** size * minor
     return out
+
+
+def reflecting_bonds(graph):
+    """Bonds with an end at a Dirichlet or degree-1 vertex: waves arriving
+    there only turn back, so the bond's exponent is 0 or 2."""
+    conditions = {v.id: v.condition for v in graph.vertices}
+    return [
+        b for b in graph.bonds
+        if any(conditions[e] == "dirichlet" or graph.degree(e) == 1 for e in b.endpoints)
+    ]
+
+
+# Small enough for the brute-force minor expansion: the conftest graphs
+# and the random graphs with a reflecting bond.
+REFLECTING_FUZZ = [
+    i for i, g in enumerate(FUZZ_GRAPHS) if len(g.bonds) <= 5 and reflecting_bonds(g)
+]
+MINOR_GRAPHS = {n: f() for n, f in ALL_GRAPHS.items() if len(f().bonds) <= 4}
+MINOR_GRAPHS.update({f"fuzz{i}": FUZZ_GRAPHS[i] for i in REFLECTING_FUZZ})
+
+
+# Eight arm lengths from 0.5 to 1.0, none commensurate.
+ARMS8 = [0.5, 0.93, 0.71, 0.57, 1.0, 0.64, 0.86, 0.78]
+
+
+def delta_star(lengths):
+    vertices = [VertexSpec(0, "kirchhoff")]
+    vertices += [VertexSpec(i, "scaling_delta", 1.2 + 0.05 * i) for i in range(1, len(lengths) + 1)]
+    bonds = tuple(BondSpec((0, i), length) for i, length in enumerate(lengths, 1))
+    return QuantumGraph(vertices=tuple(vertices), bonds=bonds)
+
+
+def wheel():
+    """A Kirchhoff hub joined to a ring of four delta vertices: 8 bonds, no leaf."""
+    edges = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1))
+    vertices = [VertexSpec(0, "kirchhoff")]
+    vertices += [VertexSpec(i, "scaling_delta", 1.2 + 0.1 * i) for i in range(1, 5)]
+    bonds = tuple(BondSpec(e, length) for e, length in zip(edges, ARMS8))
+    return QuantumGraph(vertices=tuple(vertices), bonds=bonds)
 
 
 class TestVertexScattering:
@@ -289,11 +333,9 @@ class TestSecularSeries:
             assert set(exponents) <= {0, 1, 2}
         assert all(abs(c) >= expo.floor for c in expo.coefficients.values())
 
-    @pytest.mark.parametrize(
-        "name", sorted(n for n, f in ALL_GRAPHS.items() if len(f().bonds) <= 4)
-    )
+    @pytest.mark.parametrize("name", sorted(MINOR_GRAPHS))
     def test_coefficients_match_principal_minors(self, name):
-        graph = ALL_GRAPHS[name]()
+        graph = MINOR_GRAPHS[name]
         expo = transfer_determinant(graph)
         oracle = principal_minor_coefficients(graph)
         for exponents in oracle.keys() | expo.coefficients.keys():
@@ -317,7 +359,7 @@ class TestSecularSeries:
     def test_expo_polynomial_matches_numeric_det(self, any_graph):
         expo = transfer_determinant(any_graph)
         for k in (0.17, 1.3, 6.9):
-            assert expo.evaluate(k) == pytest.approx(numeric_det(any_graph, k), abs=1e-10)
+            assert expo_value(expo, k) == pytest.approx(numeric_det(any_graph, k), abs=1e-10)
 
     def test_commensurate_actions_merge(self):
         # Arms of equal length make several exponent vectors share one total
@@ -342,6 +384,83 @@ class TestSecularSeries:
         monkeypatch.setattr(graphs_module, "bond_scattering_matrix", lambda g: 0.5 * sigma(g))
         with pytest.raises(RealificationFailure, match="not conjugate"):
             expand_secular(make_star3())
+
+
+def mp_principal_minor_coefficients(graph, mp):
+    """principal_minor_coefficients in mpmath arithmetic, for graphs whose
+    every bond reflects; Sigma is rebuilt from the vertex conditions at the
+    working precision.  A directed-bond subset holding one direction of a
+    reflecting bond but not the other has a zero row in Sigma[T, T], so only
+    the 2^B subsets of whole bonds are summed."""
+    assert len(reflecting_bonds(graph)) == len(graph.bonds)
+    tails = {v.id: [] for v in graph.vertices}
+    for bi, b in enumerate(graph.bonds):
+        tails[b.endpoints[0]].append(2 * bi)
+        tails[b.endpoints[1]].append(2 * bi + 1)
+    sigma = {}
+    for v in graph.vertices:
+        outgoing = tails[v.id]
+        c = 2 / (len(outgoing) + 1j * mp.mpf(v.delta_strength))
+        for pi, i in enumerate(outgoing):
+            for pj, rev_j in enumerate(outgoing):
+                diagonal = 1 if pi == pj else 0
+                sigma[i, rev_j ^ 1] = -diagonal if v.condition == "dirichlet" else c - diagonal
+    out = {}
+    for whole in itertools.product((0, 1), repeat=len(graph.bonds)):
+        subset = [d for b, w in enumerate(whole) if w for d in (2 * b, 2 * b + 1)]
+        rows = [[sigma.get((i, j), 0) for j in subset] for i in subset]
+        minor = mp.det(mp.matrix(rows)) if subset else mp.mpf(1)
+        out[tuple(2 * w for w in whole)] = (-1) ** len(subset) * minor
+    return out
+
+
+class TestReflectingAxes:
+    """A reflecting bond's axis takes two grid nodes instead of three."""
+
+    @pytest.mark.parametrize("make,points", [
+        (lambda: dirichlet_star(ARMS8), 2**8),
+        (lambda: delta_star(ARMS8), 2**8),
+        (wheel, 3**8),
+        (make_path4, 2**2 * 3),
+    ], ids=["star8_dirichlet", "star8_delta", "wheel", "path4"])
+    def test_grid_size(self, monkeypatch, make, points):
+        graph = make()
+        reflecting = len(reflecting_bonds(graph))
+        assert points == 2**reflecting * 3 ** (len(graph.bonds) - reflecting)
+        import qgspectra.graphs as graphs_module
+
+        det = np.linalg.det
+        counted = []
+
+        def counting_det(mats):
+            counted.append(len(mats))
+            return det(mats)
+
+        monkeypatch.setattr(graphs_module.np.linalg, "det", counting_det)
+        transfer_determinant(graph)
+        assert sum(counted) == points
+
+    def test_fuzz_corpus_has_dirichlet_hub(self):
+        # A Dirichlet vertex of degree >= 2 makes several bonds reflecting
+        # at one vertex; the random graphs that
+        # test_coefficients_match_principal_minors takes must include one.
+        assert any(
+            v.condition == "dirichlet" and FUZZ_GRAPHS[i].degree(v.id) >= 2
+            for i in REFLECTING_FUZZ
+            for v in FUZZ_GRAPHS[i].vertices
+        )
+
+    @pytest.mark.parametrize("make", [dirichlet_star, delta_star], ids=["dirichlet", "delta"])
+    def test_star8_coefficients_at_40_digits(self, make):
+        mpmath = pytest.importorskip("mpmath")
+        graph = make(ARMS8)
+        expo = transfer_determinant(graph)
+        with mpmath.workdps(40):
+            oracle = mp_principal_minor_coefficients(graph, mpmath.mp)
+            assert expo.coefficients.keys() <= oracle.keys()
+            for exponents, want in oracle.items():
+                got = mpmath.mpc(expo.coefficients.get(exponents, 0.0))
+                assert abs(got - want) <= 1e-15, exponents
 
 
 class TestRandomGraphs:

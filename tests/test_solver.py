@@ -27,7 +27,7 @@ from qgspectra import (
 )
 from qgspectra.fuzz import random_series, standard_window
 
-from conftest import make_bond_dd, make_bond_dk, make_star3
+from conftest import SOLVABLE_GRAPHS, make_bond_dd, make_bond_dk, make_star3
 
 
 def bisect_oracle(f, a, b, iters=200):
@@ -304,3 +304,78 @@ class TestSolveGraph:
         report = verify_spectrum(secular_series(solvable_graph), (0.0, 30.0))
         assert report.clean
         assert report.max_deviation <= 1e-8
+
+
+def sequential_safe_edge(series, edge, cell, side, floor=None, climbs=None):
+    """Reference edge nudge: the candidates of ``solver._safe_edge`` tried
+    one evaluation at a time, stopping at the first resolvable one."""
+
+    def value(x):
+        return float(evaluate_array(series, np.array([x]))[0])
+
+    v = value(edge)
+    if abs(v) > solver.ENDPOINT_TOL:
+        return edge, v
+    if climbs is not None:
+        climbs.append(edge)
+    if side == "lower" and floor is not None and edge <= floor * (1.0 + 1e-9):
+        x, cap = edge, edge + 0.25 * cell
+        v = value(x)
+        while abs(v) <= solver.ENDPOINT_TOL:
+            if x >= cap:
+                raise solver.DegenerateEndpoint("zero on the climb")
+            x = min(x * 4.0, cap)
+            v = value(x)
+        return x, v
+    for j in range(1, 9):
+        x = edge - j * cell / 16.0 if side == "lower" else edge + j * cell / 16.0
+        if side == "lower" and floor is not None and x < floor:
+            x = floor
+        v = value(x)
+        if abs(v) > solver.ENDPOINT_TOL:
+            return x, v
+        if x == floor:
+            break
+    raise solver.DegenerateEndpoint("no resolvable nudge")
+
+
+class TestEdgeClimb:
+    WINDOWS = [(0.0, 60.0), (17.3, 41.9)]
+
+    def test_batched_climb_matches_sequential(self, monkeypatch):
+        # One evaluation call per climb must pick the same edge points as
+        # one call per point: same padded windows, level roots and spectra.
+        batched = {}
+        for name, make in SOLVABLE_GRAPHS.items():
+            chain = build_chain(secular_series(make()))
+            for window in self.WINDOWS:
+                batched[name, window] = descend_with_trace(chain, window)
+        climbs = []
+        monkeypatch.setattr(
+            solver, "_safe_edge", lambda *a, **kw: sequential_safe_edge(*a, **kw, climbs=climbs)
+        )
+        for (name, window), (spectrum, trace) in batched.items():
+            chain = build_chain(secular_series(SOLVABLE_GRAPHS[name]()))
+            ref_spectrum, ref_trace = descend_with_trace(chain, window)
+            assert spectrum.entries == ref_spectrum.entries, (name, window)
+            assert trace.padded_window == ref_trace.padded_window
+            assert np.array_equal(trace.separators, ref_trace.separators)
+            assert len(trace.level_roots) == len(ref_trace.level_roots)
+            for got, want in zip(trace.level_roots, ref_trace.level_roots):
+                assert np.array_equal(got, want), (name, window)
+        assert climbs  # some edge had to be moved off a zero
+
+    @pytest.mark.parametrize("edge,side,floor", [
+        (1.5 * math.pi, "upper", None),
+        (1.5 * math.pi, "lower", None),
+        (1.5 * math.pi, "lower", 1.5 * math.pi - 0.1),
+        (solver.POSITIVE_FLOOR, "lower", solver.POSITIVE_FLOOR),
+    ])
+    def test_nudges_match_sequential(self, edge, side, floor):
+        # cos k on its root, and cos k - cos(k/2), even with a double zero at
+        # k = 0, at the floor: every branch of the nudge.
+        series = canonicalize(1.0, 0.0, [] if edge > 1.0 else [(0.5, 1.0, 0.0)])
+        climbs = []
+        want = sequential_safe_edge(series, edge, math.pi, side, floor, climbs=climbs)
+        assert climbs
+        assert solver._safe_edge(series, edge, math.pi, side, floor) == want
