@@ -397,6 +397,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RealificationFailure, ValidationError, NotRegular) as exc:
         print(f"error: unsupported model: {exc}", file=sys.stderr)
         return 2
+    except SpectralError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

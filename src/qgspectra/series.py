@@ -16,7 +16,9 @@ builds the chain of levels and finds its regularization order.
 
 A series keeps its terms as a tuple and, built once on first use, as
 arrays of actions, amplitudes and phases; :func:`evaluate_array` sums the
-terms with one matrix product per block of points.
+terms with one matrix product per block of points, and
+:func:`taylor_array` gives the Taylor coefficients about each point from
+the same blocks.
 """
 
 from __future__ import annotations
@@ -178,14 +180,52 @@ def evaluate_array(series: SpectralSeries, ks: np.ndarray) -> np.ndarray:
     the number of points.
     """
     ks = np.asarray(ks, dtype=float)
-    flat = ks.ravel()
-    acc = np.cos(series.leading_action * flat + series.leading_phase)
+    return taylor_array(series, ks, 0)[0].reshape(ks.shape)
+
+
+def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int) -> np.ndarray:
+    """Taylor coefficients of the series about each point of ``ks``, flattened.
+
+    Row n holds ``c_n = g^(n)(x) / (s0**n * n!)``, so that
+    ``g(x + u/s0) = sum_n c_n * u**n`` up to a remainder of at most
+    ``(1 + sum a) * |u|**(order+1) / (order+1)!``.  With ``r_j = s_j/s0``,
+    even rows are ``+-(cos t0 - sum a_j r_j**n cos t_j) / n!`` and odd rows
+    ``+-(sin t0 - sum a_j r_j**n sin t_j) / n!``, the signs following n mod
+    4, so one cosine and one sine of each term angle give every row.  Row 0
+    is the ``evaluate_array`` value, computed by the same product over the
+    same ``EVAL_BLOCK`` blocks.
+    """
+    x = np.asarray(ks, dtype=float).ravel()
+    s0 = series.leading_action
     actions, amps, phases = series.arrays
+    out = np.empty((order + 1, x.size))
+    # The leading angle is built in row 0, so a long array of points is
+    # held once, not three times.
+    np.multiply(s0, x, out=out[0])
+    out[0] += series.leading_phase
+    if order:
+        n = np.arange(1, order + 1)
+        weights = amps * (actions / s0) ** n[:, None]  # row n - 1 scales order n
+        out[1::2] = np.sin(out[0])
+    np.cos(out[0], out=out[0])
+    if order:
+        out[2::2] = out[0]
     step = max(1, EVAL_BLOCK // max(1, len(amps)))
-    for start in range(0, flat.size, step):
-        block = flat[start : start + step]
-        acc[start : start + step] -= amps @ np.cos(np.outer(actions, block) + phases[:, None])
-    return acc.reshape(ks.shape)
+    for start in range(0, x.size, step):
+        block = slice(start, start + step)
+        angles = np.outer(actions, x[block])
+        angles += phases[:, None]
+        cosines = np.cos(angles)
+        out[0, block] -= amps @ cosines
+        if order:
+            out[2::2, block] -= weights[1::2] @ cosines
+            out[1::2, block] -= weights[0::2] @ np.sin(angles, out=angles)
+        del angles, cosines  # free this block's arrays before the next one's
+    if order:
+        # cos(t + n*pi/2) is -sin t, -cos t, +sin t, +cos t for n = 1, 2, 3, 4 mod 4.
+        scale = np.where((n - 1) % 4 < 2, -1.0, 1.0) / np.cumprod(n.astype(float))
+        out[1:] *= scale[:, None]
+    return out
 
 
 def derivative_series(series: SpectralSeries) -> SpectralSeries:

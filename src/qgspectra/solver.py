@@ -8,17 +8,20 @@ separator cell brackets exactly one simple root.  Walking back down, the
 roots of each level are the extrema of the level below and therefore
 separate its roots.  One loop handles every level the same way: it probes
 each cell for a sign change, and each cell yields at most one root.  Each
-sign-change bracket is shrunk by Newton steps on the analytic derivative
-(the next level times the leading action) that never leave the bracket,
-falling back to bisection; the converged point is certified by one pair of
-sign probes just around it.  Every root is returned inside a bracket whose
-two ends were evaluated with opposite signs.
+sign-change bracket is shrunk by Newton steps on a Taylor model of the
+series about the current point (the family is closed under d/dk, so one
+cosine and one sine per term give every derivative there) that never
+leave the bracket, falling back to bisection; the model's root is
+certified by one pair of sign probes of the series just around it.  Every
+root is returned inside a bracket whose two ends were evaluated with
+opposite signs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +34,12 @@ from .errors import (
 from .graphs import QuantumGraph, secular_series
 from .series import (
     DEFAULT_MARGIN,
+    EVAL_BLOCK,
     SpectralSeries,
     derivative_series,
     evaluate_array,
     regularity_sum,
+    taylor_array,
 )
 
 # Deepest derivative level build_chain materializes before giving up.
@@ -48,6 +53,16 @@ ENDPOINT_TOL = 1e-12
 BRACKET_REL_WIDTH = 1e-13
 # Window membership slack for roots sitting on a float window edge.
 EDGE_SLACK_REL = 1e-11
+# Degree N of the Taylor model that refinement steps on.  Its remainder at
+# u = s0 * (k - x) is at most (1 + sum a) * |u|**17 / 17!: about 6e-12 *
+# (1 + sum a) half a leading cell from x (|u| = pi/2), so the first model
+# about a cell midpoint already pins most roots to the target width.
+MODEL_ORDER = 16
+# Newton steps on the Taylor polynomial per evaluation of the model.
+MODEL_NEWTON_STEPS = 7
+# Points per Taylor model block: its (N+1)-row arrays hold half an EVAL_BLOCK,
+# so a block costs no more memory than one of evaluate_array's.
+MODEL_BLOCK = EVAL_BLOCK // (2 * (MODEL_ORDER + 1))
 
 
 @dataclass(frozen=True)
@@ -62,8 +77,9 @@ class DescentChain:
         return len(self.levels) - 1
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
+    """One eigen-wavenumber: its 1-based index, k, k**2 and enclosure."""
+
     index: int
     wavenumber: float
     energy: float
@@ -155,37 +171,83 @@ def base_separators(
     return (qs * math.pi - phi0) / s0
 
 
+def _model_roots(
+    series: SpectralSeries, x: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Series values at ``x`` and the roots of its Taylor models there.
+
+    Runs ``MODEL_NEWTON_STEPS`` Newton steps on each polynomial
+    ``sum_n c_n u**n`` (:func:`taylor_array`, ``u = s0 * (k - x)``) from
+    u = 0; an iterate that leaves the bracket ``[a, b]`` is clipped back,
+    so no polynomial is evaluated far outside the cell it models.  Returns
+    the values (row 0), the roots as wavenumbers, and bounds on their
+    distance from a root of the series: the last step plus the Lagrange
+    remainder over the slope.  Level N+1 of the series is at most
+    ``1 + sum a_j r_j**(N+1)`` in magnitude, which bounds the remainder by
+    that times ``|u|**(N+1) / (N+1)!``.  Points go through ``MODEL_BLOCK``
+    at a time.
+    """
+    actions, amps, _ = series.arrays
+    s0 = series.leading_action
+    top = MODEL_ORDER + 1
+    tail = (1.0 + amps @ (actions / s0) ** top) / math.factorial(top)
+    n = np.arange(1, top)[:, None]
+    f, root, error = np.empty(x.size), np.empty(x.size), np.empty(x.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, x.size, MODEL_BLOCK):
+            block = slice(start, start + MODEL_BLOCK)
+            xb = x[block]
+            lo, hi = s0 * (a[block] - xb), s0 * (b[block] - xb)
+            c = taylor_array(series, xb, MODEL_ORDER)
+            f[block] = c[0]
+            powers = np.ones_like(c)
+            u = np.zeros(xb.size)
+            for _ in range(MODEL_NEWTON_STEPS):
+                powers[1:] = u
+                np.cumprod(powers[1:], axis=0, out=powers[1:])
+                p = np.einsum("ij,ij->j", c, powers)
+                dp = np.einsum("ij,ij,ij->j", n, c[1:], powers[:-1])
+                new = np.clip(u - p / dp, lo, hi)
+                du = np.abs(new - u)
+                u = new
+            root[block] = xb + u / s0
+            error[block] = (du + tail * np.abs(u) ** top / np.abs(dp)) / s0
+            del c, powers  # free this block's arrays before the next one's
+    return f, root, error
+
+
 def _refine_brackets(
     series: SpectralSeries,
-    deriv: SpectralSeries,
     a: np.ndarray,
     b: np.ndarray,
     fa: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink sign-change brackets onto their roots by Newton inside the bracket.
+    """Shrink sign-change brackets onto their roots by Newton on a Taylor model.
 
-    Each step evaluates the open lanes only, at one point each, together
-    with the analytic derivative ``leading_action * deriv``.  The sign of
-    the value there moves one end of the lane's bracket.  The Newton point
-    is taken when it lies strictly inside the bracket and its step is at
-    most half the lane's previous step; otherwise the lane bisects.  A lane
-    whose Newton step is at most a quarter of the target width
-    ``BRACKET_REL_WIDTH * max(1, |x|)`` stops at that point, clipped to the
-    bracket, and is certified by one probe pair half the target width on
-    either side.  A probe on a bracket end takes the sign recorded for
-    that end instead of a fresh evaluation, which could flip a noise-level
-    sign.  A pair that does not straddle the root shrinks the bracket, and
-    the lane bisects on to the target width.  Every bracket end was
-    evaluated, with opposite signs at the two ends, so the returned
-    enclosure ``max(x - a, b - x)`` is certified.
+    Each step evaluates the open lanes only, at one point each.  A lane
+    still on the model gets the Taylor model of the series there
+    (:func:`_model_roots`): its row 0 is the series value, whose sign
+    moves one end of the lane's bracket, and Newton on the polynomial gives
+    a candidate root with a bound on its distance from the series root.
+    When the candidate lies in the bracket and that bound is at most a
+    quarter of the target width ``BRACKET_REL_WIDTH * max(1, |x|)``, the
+    lane stops there and is certified by one probe pair half the target
+    width on either side.  Otherwise the candidate is taken when it lies
+    strictly inside the bracket at most half the lane's previous step
+    away, and the lane bisects when it does not.  A probe on a bracket end
+    takes the sign recorded for that end instead of a fresh evaluation,
+    which could flip a noise-level sign.  A pair that does not straddle
+    the root shrinks the bracket and turns the model off: the lane
+    evaluates the series alone and bisects on to the target width.  Every
+    bracket end was evaluated, with opposite signs at the two ends, so the
+    returned enclosure ``max(x - a, b - x)`` is certified.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     sa = np.sign(fa)
-    s0 = series.leading_action
     x = 0.5 * (a + b)
     step = b - a  # each lane's last step
-    newton = np.ones(x.size, dtype=bool)
+    model = np.ones(x.size, dtype=bool)
     open_ = np.ones(x.size, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (a + b)
@@ -195,26 +257,25 @@ def _refine_brackets(
         lanes = np.flatnonzero(open_)
         if lanes.size == 0:
             break
-        xl, sl = x[lanes], sa[lanes]
-        f = evaluate_array(series, xl)
+        xl, sl, mt = x[lanes], sa[lanes], model[lanes]
+        # A lane off the model keeps its own point as candidate: an end of
+        # the updated bracket, which is never taken.
+        f, cand, error = np.empty(lanes.size), xl.copy(), np.full(lanes.size, np.inf)
+        if not mt.all():
+            f[~mt] = evaluate_array(series, xl[~mt])
+        if mt.any():
+            f[mt], cand[mt], error[mt] = _model_roots(series, xl[mt], a[lanes[mt]], b[lanes[mt]])
         left = np.sign(f) == sl
         al = np.where(left, xl, a[lanes])
         bl = np.where(left, b[lanes], xl)
-        xn = 0.5 * (al + bl)
-        near = np.zeros(lanes.size, dtype=bool)
-        nt = newton[lanes]
-        if nt.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dx = f[nt] / (s0 * evaluate_array(deriv, xl[nt]))
-            cand = xl[nt] - dx
-            take = (cand > al[nt]) & (cand < bl[nt]) & (np.abs(dx) <= 0.5 * step[lanes[nt]])
-            near[nt] = np.abs(dx) <= 0.25 * BRACKET_REL_WIDTH * np.maximum(1.0, np.abs(xl[nt]))
-            xn[nt] = np.where(take, cand, xn[nt])
-            xn[near] = np.clip(cand[near[nt]], al[near], bl[near])
+        near = (cand >= al) & (cand <= bl)
+        near &= error <= 0.25 * BRACKET_REL_WIDTH * np.maximum(1.0, np.abs(cand))
+        take = (cand > al) & (cand < bl) & (np.abs(cand - xl) <= 0.5 * step[lanes])
+        xn = np.where(near | take, cand, 0.5 * (al + bl))
         if near.any():
             al[near], bl[near], held = _probe_pair(series, xn[near], al[near], bl[near], sl[near])
             xn[near] = np.where(held, xn[near], 0.5 * (al[near] + bl[near]))
-            newton[lanes[near]] = False
+            model[lanes[near]] = False
             open_[lanes[near][held]] = False
         step[lanes] = np.abs(xn - xl)
         x[lanes], a[lanes], b[lanes] = xn, al, bl
@@ -324,7 +385,6 @@ def _safe_edge(
 
 def _level_pass(
     series: SpectralSeries,
-    deriv: SpectralSeries,
     bounds: np.ndarray,
     values: np.ndarray,
     *,
@@ -343,9 +403,7 @@ def _level_pass(
         raise AssertionError("regular-level cell without a sign change; separator logic broken")
     if not change.any():
         return np.empty(0), np.empty(0)
-    return _refine_brackets(
-        series, deriv, bounds[:-1][change], bounds[1:][change], values[:-1][change]
-    )
+    return _refine_brackets(series, bounds[:-1][change], bounds[1:][change], values[:-1][change])
 
 
 def descend_with_trace(
@@ -368,7 +426,6 @@ def descend_with_trace(
     lo_pad = max(k_lo - pad, POSITIVE_FLOOR)
     hi_pad = k_hi + pad
 
-    derivs = list(levels[1:]) + [derivative_series(levels[top])]
     level_roots: list[np.ndarray] = []  # top level first
     width_tol = 1e-9 * cell
 
@@ -386,7 +443,7 @@ def descend_with_trace(
             bounds = np.concatenate(([lo_edge], inner, [hi_edge]))
             values = evaluate_array(series, bounds)
             interior = slice(1, -1) if m == top and len(bounds) > 3 else None
-            roots, encl = _level_pass(series, derivs[m], bounds, values, interior=interior)
+            roots, encl = _level_pass(series, bounds, values, interior=interior)
             level_roots.append(roots)
     except DegenerateEndpoint as exc:
         raise DegenerateSpectrum(str(exc)) from exc
@@ -396,8 +453,7 @@ def descend_with_trace(
     ks = roots[keep]
     encls = encl[keep]
     entries = tuple(
-        SpectrumEntry(index=i + 1, wavenumber=float(k), energy=float(k) * float(k), enclosure=float(e))
-        for i, (k, e) in enumerate(zip(ks, encls))
+        map(SpectrumEntry, range(1, len(ks) + 1), ks.tolist(), (ks * ks).tolist(), encls.tolist())
     )
     trace = DescentTrace(
         padded_window=(lo_pad, hi_pad),

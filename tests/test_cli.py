@@ -269,6 +269,22 @@ class TestMain:
         assert err.startswith("error:")
         assert "derivative levels" in err
 
+    def test_other_library_errors_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Config validation keeps an empty window from reaching the solver,
+        # but any SpectralError the library raises must still map to exit 2.
+        import qgspectra.cli as cli_module
+        from qgspectra import EmptyWindow
+
+        def empty(chain, window):
+            raise EmptyWindow("window [5.0, 5.0] contains no interval")
+
+        monkeypatch.setattr(cli_module, "descend", empty)
+        path = write_config(tmp_path, BOND_DD)
+        assert main(["solve", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "contains no interval" in err
+        assert "Traceback" not in err
+
     def test_closed_pipe_exits_quietly(self, tmp_path):
         # About 400 kB of CSV, far more than a pipe buffers.
         doc = {

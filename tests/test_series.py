@@ -19,7 +19,8 @@ from qgspectra import (
     regularity_sum,
     regularization_order,
 )
-from qgspectra.series import EVAL_BLOCK
+from qgspectra.fuzz import random_series, standard_window
+from qgspectra.series import EVAL_BLOCK, taylor_array
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,6 +130,56 @@ class TestEvaluate:
         assert peak < 16 * 2**20
         for i in (0, 1, n_points // 2, n_points - 1):
             assert vals[i] == pytest.approx(evaluate(s, float(ks[i])), abs=1e-12)
+
+
+class TestTaylorModel:
+    ORDER = 16
+
+    def draws(self, seed, count=20):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            series = random_series(rng, max_terms=60)
+            window = standard_window(series, 100)
+            yield series, rng.uniform(*window, size=int(rng.integers(1, 3 * EVAL_BLOCK // 60)))
+
+    def test_row_zero_is_evaluate_array(self):
+        # Same product over the same blocks: bit for bit, whatever the order.
+        for series, ks in self.draws(41):
+            for order in (0, 1, self.ORDER):
+                assert np.array_equal(taylor_array(series, ks, order)[0], evaluate_array(series, ks))
+
+    def test_rows_are_scaled_derivative_levels(self):
+        # n! * c_n is level n of the derivative chain at the same point.
+        for series, ks in self.draws(43):
+            rows = taylor_array(series, ks, self.ORDER)
+            level = series
+            for n in range(self.ORDER + 1):
+                assert np.max(np.abs(math.factorial(n) * rows[n] - evaluate_array(level, ks))) <= 1e-13
+                level = derivative_series(level)
+
+    def test_polynomial_within_remainder_bound(self):
+        # g(x + u/s0) = sum c_n u**n up to (1 + sum a) |u|**(N+1) / (N+1)!.
+        n = self.ORDER
+        for series, ks in self.draws(47, count=5):
+            rows = taylor_array(series, ks[:200], n)
+            for u in (-1.6, -0.4, 0.05, 0.9, 1.6):
+                model = np.polynomial.polynomial.polyval(u, rows)
+                exact = evaluate_array(series, ks[:200] + u / series.leading_action)
+                bound = (1.0 + regularity_sum(series)) * abs(u) ** (n + 1) / math.factorial(n + 1)
+                assert np.max(np.abs(model - exact)) <= bound + 1e-13
+
+    def test_memory_is_bounded(self):
+        terms = [(0.99 * j / 100, 0.01, 0.1 * j) for j in range(100)]
+        s = canonicalize(1.0, 0.3, terms)
+        ks = np.linspace(0.0, 1000.0, 20_000)
+        tracemalloc.start()
+        try:
+            rows = taylor_array(s, ks, self.ORDER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The result itself, plus a few EVAL_BLOCK-sized blocks.
+        assert peak < rows.nbytes + 8 * 8 * EVAL_BLOCK
 
 
 class TestDerivative:

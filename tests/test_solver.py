@@ -26,6 +26,7 @@ from qgspectra import (
     solve_graph,
 )
 from qgspectra.fuzz import random_series, standard_window
+from qgspectra.series import taylor_array
 
 from conftest import SOLVABLE_GRAPHS, make_bond_dd, make_bond_dk, make_star3
 
@@ -224,23 +225,30 @@ class TestDescend:
     @pytest.mark.parametrize(
         "wrong_deriv",
         [
-            # -g itself: every Newton step points the wrong way.
+            # -g itself: every model step points the wrong way, so lanes bisect.
             canonicalize(1.0, math.pi, [(0.5, 0.5, math.pi)]),
-            # g' ~ 1e3: every step stays inside the bracket but barely moves.
+            # g' ~ 1e3: model roots barely move off the iterate; probe pairs
+            # refute the ones that look converged.
             canonicalize(1.0, 0.0, [(0.0, -1e3, 0.0)]),
-            # g' ~ 1e15: the first step claims convergence, the probe pair refutes it.
+            # g' ~ 1e15: the first model root claims convergence, the probe pair refutes it.
             canonicalize(1.0, 0.0, [(0.0, -1e15, 0.0)]),
         ],
         ids=["flipped", "sluggish", "huge"],
     )
-    def test_refinement_survives_a_wrong_derivative(self, wrong_deriv):
+    def test_refinement_survives_a_wrong_derivative(self, wrong_deriv, monkeypatch):
         series = canonicalize(1.0, 0.0, [(0.5, 0.5, 0.0)])
+
+        def wrong_model(s, ks, order):
+            # Row 0 from the true series; rows n >= 1 from the wrong series
+            # standing in for g'/s0, whose row n - 1 over n is row n of g.
+            rows = taylor_array(wrong_deriv, ks, order - 1) / np.arange(1, order + 1)[:, None]
+            return np.vstack((taylor_array(s, ks, 0), rows))
+
+        monkeypatch.setattr(solver, "taylor_array", wrong_model)
         # Below k = 18 the target width is under 1e-12 (2 * 18 * BRACKET_REL_WIDTH).
         seps = base_separators(series, 0.0, 18.0)
         a, b = seps[:-1], seps[1:]
-        ks, encl = solver._refine_brackets(
-            series, wrong_deriv, a, b, evaluate_array(series, a)
-        )
+        ks, encl = solver._refine_brackets(series, a, b, evaluate_array(series, a))
         for k, e, lo, hi in zip(ks, encl, a, b):
             expected = bisect_oracle(lambda x: math.cos(x) - 0.5 * math.cos(0.5 * x), lo, hi)
             assert k == pytest.approx(expected, abs=1e-12)
@@ -290,13 +298,21 @@ class TestSolveGraph:
             points.append(np.asarray(ks).size)
             return evaluate_array(series, ks)
 
+        def counted_model(series, ks, order):
+            # One cosine and one sine per term: two points' worth of trig.
+            points.append(2 * np.asarray(ks).size)
+            return taylor_array(series, ks, order)
+
         monkeypatch.setattr(solver, "evaluate_array", counted)
+        monkeypatch.setattr(solver, "taylor_array", counted_model)
         spectrum = descend(chain, (0.0, 100.0))
         monkeypatch.undo()
         _, trace = descend_with_trace(chain, (0.0, 100.0))
         level_roots = sum(len(r) for r in trace.level_roots)
         assert chain.order >= 5 and len(spectrum) > 100
         assert sum(points) <= 16 * level_roots
+        # Taylor-model refinement: about 3 series points and one model per root.
+        assert sum(points) <= 8 * level_roots
 
     def test_solvable_graphs_verify(self, solvable_graph):
         from qgspectra import secular_series, verify_spectrum
