@@ -8,7 +8,8 @@ verify  solver-versus-scan diff as JSON; exit 0 only on an empty diff
 sample  grid values of every derivative level as CSV, for plotting
 
 Exit codes: 0 success, 2 invalid configuration or unsupported model (a
-series whose action gap is too small to regularize included),
+series whose action gap is too small to regularize, an unreadable config
+and an unwritable ``--out`` path included),
 3 degenerate spectrum, 4 verification mismatch, 141 output pipe closed
 early (as for ``| head``; 128 + SIGPIPE, the code a shell reports for a
 writer ended by that signal).
@@ -359,8 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = open(args.config, encoding="utf-8").read()
-    except OSError as exc:
+        with open(args.config, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
     overrides = {
@@ -391,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
         # at interpreter exit cannot raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'standard output'}: {exc}", file=sys.stderr)
+        return 2
     except (DegenerateSpectrum, DegenerateEndpoint) as exc:
         print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
         return 3

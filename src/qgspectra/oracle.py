@@ -68,7 +68,7 @@ def scan_roots(
         # Same origin handling as the solver: skip the region where the
         # systematic k = 0 zero drowns the series in float noise.
         try:
-            lo, _ = _floor_escape(series, lo, lo + 0.25 * math.pi / series.leading_action)
+            lo = _floor_escape(series, lo, lo + 0.25 * math.pi / series.leading_action)
         except DegenerateEndpoint:
             pass
     if hi <= lo:

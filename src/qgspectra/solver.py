@@ -15,6 +15,13 @@ leave the bracket, falling back to bisection; the model's root is
 certified by one pair of sign probes of the series just around it.  Every
 root is returned inside a bracket whose two ends were evaluated with
 opposite signs.
+
+Every level runs between the same two edges, the window padded by M + 1
+leading cells (the lower edge clamped at ``POSITIVE_FLOOR`` and, there,
+climbed off the systematic zero at k = 0).  The edges are arbitrary
+points: an edge value at noise level counts as positive, since a wrong
+edge sign can only change the roots of the edge cells, and each level
+spreads that at most one cell further inward, inside the padding.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ MAX_ORDER = 100_000
 
 # Roots are never reported below this wavenumber; padding is clamped here.
 POSITIVE_FLOOR = 1e-9
-# |g| at or below this at a cell endpoint signals a (near-)double root.
+# |g| at or below this at a separator signals a (near-)double root.
 ENDPOINT_TOL = 1e-12
 # Target bracket width, relative to max(1, |k|): refinement stops below it.
 BRACKET_REL_WIDTH = 1e-13
@@ -313,97 +320,52 @@ def _probe_pair(
     return a, b, lo_left & ~hi_left
 
 
-def _first_resolvable(
-    series: SpectralSeries, candidates: list[float], failure: str
-) -> tuple[float, float]:
-    """First candidate whose series value exceeds ``ENDPOINT_TOL``, all
-    evaluated in one call; ``DegenerateEndpoint(failure)`` if there is none."""
-    values = evaluate_array(series, np.array(candidates))
-    resolvable = np.flatnonzero(np.abs(values) > ENDPOINT_TOL)
-    if resolvable.size == 0:
-        raise DegenerateEndpoint(failure)
-    i = int(resolvable[0])
-    return candidates[i], float(values[i])
-
-
-def _floor_escape(series: SpectralSeries, start: float, cap: float) -> tuple[float, float]:
-    """Climb geometrically from ``start`` until the series value is resolvable.
+def _floor_escape(series: SpectralSeries, start: float, cap: float) -> float:
+    """First point of a geometric climb from ``start`` whose value is resolvable.
 
     Near k = 0 a series with an even symmetry (every secular series of a
     graph with real couplings, for instance) has a systematic zero whose
     true value sits below double-precision noise, so points there carry no
     usable sign.  Both the solver and the dense-scan oracle skip that
     region through this one helper, which keeps their window semantics
-    identical.  The climb multiplies by 4 up to ``cap``.
+    identical.  The climb multiplies by 4 up to ``cap``; all of its points
+    are evaluated in one call, and the first whose value exceeds
+    ``ENDPOINT_TOL`` is returned.
     """
     candidates = [start]
     while candidates[-1] < cap:
         candidates.append(min(candidates[-1] * 4.0, cap))
-    return _first_resolvable(
-        series, candidates, f"series is numerically zero on [{start:g}, {cap:g}]"
-    )
-
-
-def _safe_edge(
-    series: SpectralSeries,
-    edge: float,
-    cell: float,
-    side: str,
-    floor: float | None = None,
-) -> tuple[float, float]:
-    """Nudge a padded-window edge off a (near-)zero of the series.
-
-    The padding edges are arbitrary points, so landing on a root there is
-    an accident of the window, not a degeneracy of the spectrum.  Edges
-    move outward by up to half a cell; the lower edge, when pinned at the
-    positive floor, instead moves inward geometrically (an even series has
-    a systematic zero at k = 0, and roots that close to zero are excluded
-    from spectra anyway).
-    """
-    value = float(evaluate_array(series, np.array([edge]))[0])
-    if abs(value) > ENDPOINT_TOL:
-        return edge, value
-
-    candidates: list[float] = []
-    at_floor = floor is not None and edge <= floor * (1.0 + 1e-9)
-    if side == "lower" and at_floor:
-        return _floor_escape(series, edge, edge + 0.25 * cell)
-    if side == "lower":
-        for j in range(1, 9):
-            x = edge - j * cell / 16.0
-            if floor is not None and x < floor:
-                candidates.append(floor)
-                break
-            candidates.append(x)
-    else:
-        candidates.extend(edge + j * cell / 16.0 for j in range(1, 9))
-
-    return _first_resolvable(
-        series, candidates, f"could not move the padded window edge {edge:g} off a zero of the series"
-    )
+    values = evaluate_array(series, np.array(candidates))
+    resolvable = np.flatnonzero(np.abs(values) > ENDPOINT_TOL)
+    if resolvable.size == 0:
+        raise DegenerateEndpoint(f"series is numerically zero on [{start:g}, {cap:g}]")
+    return candidates[int(resolvable[0])]
 
 
 def _level_pass(
-    series: SpectralSeries,
-    bounds: np.ndarray,
-    values: np.ndarray,
-    *,
-    interior: slice | None = None,
+    series: SpectralSeries, bounds: np.ndarray, *, interior: slice | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Probe consecutive cells of one level; return roots and enclosures."""
-    small = np.abs(values) <= ENDPOINT_TOL
+    """Probe consecutive cells of one level; return roots and enclosures.
+
+    ``bounds`` are the two padded edges and the separators between them,
+    evaluated in one call.  A separator value at noise level
+    (``ENDPOINT_TOL``) signals a (near-)double root and raises; an edge
+    value at noise level counts as positive (see the module docstring).
+    """
+    values = evaluate_array(series, bounds)
+    small = np.abs(values[1:-1]) <= ENDPOINT_TOL
     if small.any():
-        where = float(bounds[int(np.argmax(small))])
+        where = float(bounds[1 + int(np.argmax(small))])
         raise DegenerateEndpoint(
             f"series value at separator {where:.12g} is consistent with a double root"
         )
-    signs = np.sign(values)
+    signs = np.where(np.abs(values) > ENDPOINT_TOL, np.sign(values), 1.0)
     change = signs[:-1] != signs[1:]
     if interior is not None and not change[interior].all():
         raise AssertionError("regular-level cell without a sign change; separator logic broken")
     if not change.any():
         return np.empty(0), np.empty(0)
-    return _refine_brackets(series, bounds[:-1][change], bounds[1:][change], values[:-1][change])
+    return _refine_brackets(series, bounds[:-1][change], bounds[1:][change], signs[:-1][change])
 
 
 def descend_with_trace(
@@ -420,30 +382,25 @@ def descend_with_trace(
 
     levels = chain.levels
     top = chain.order
-    s0 = levels[0].leading_action
-    cell = math.pi / s0
+    cell = math.pi / levels[0].leading_action
     pad = (top + 1) * cell
     lo_pad = max(k_lo - pad, POSITIVE_FLOOR)
     hi_pad = k_hi + pad
-
-    level_roots: list[np.ndarray] = []  # top level first
     width_tol = 1e-9 * cell
-
+    # The regular level is separated by the extrema of its leading cosine,
+    # every level below by the roots of the level above.
+    seps = roots = base_separators(levels[top], lo_pad, hi_pad, chain.margin)
+    level_roots: list[np.ndarray] = []  # top level first
     try:
         for m in range(top, -1, -1):
             series = levels[m]
-            lo_edge, _ = _safe_edge(series, lo_pad, cell, "lower", floor=POSITIVE_FLOOR)
-            hi_edge, _ = _safe_edge(series, hi_pad, cell, "upper")
-            # The regular level is separated by the extrema of its leading
-            # cosine, every level below by the roots of the level above.
-            prev = base_separators(series, lo_edge, hi_edge, chain.margin) if m == top else roots
-            inner = prev[(prev > lo_edge + width_tol) & (prev < hi_edge - width_tol)]
-            if m == top:
-                seps = inner
-            bounds = np.concatenate(([lo_edge], inner, [hi_edge]))
-            values = evaluate_array(series, bounds)
+            lo_edge = lo_pad
+            if lo_pad == POSITIVE_FLOOR:
+                lo_edge = _floor_escape(series, lo_pad, lo_pad + 0.25 * cell)
+            inner = roots[(roots > lo_edge + width_tol) & (roots < hi_pad - width_tol)]
+            bounds = np.concatenate(([lo_edge], inner, [hi_pad]))
             interior = slice(1, -1) if m == top and len(bounds) > 3 else None
-            roots, encl = _level_pass(series, bounds, values, interior=interior)
+            roots, encl = _level_pass(series, bounds, interior=interior)
             level_roots.append(roots)
     except DegenerateEndpoint as exc:
         raise DegenerateSpectrum(str(exc)) from exc

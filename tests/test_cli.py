@@ -235,6 +235,19 @@ class TestMain:
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2
 
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, BOND_DD)
+        out_path = tmp_path / "missing" / "result.csv"
+        assert main(["solve", path, "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out_path}")
+        assert not out_path.parent.exists()
+
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BOND_DD))
         doc["graph"]["bonds"][0]["potential_lambda"] = 1.2

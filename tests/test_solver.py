@@ -322,37 +322,24 @@ class TestSolveGraph:
         assert report.max_deviation <= 1e-8
 
 
-def sequential_safe_edge(series, edge, cell, side, floor=None, climbs=None):
-    """Reference edge nudge: the candidates of ``solver._safe_edge`` tried
-    one evaluation at a time, stopping at the first resolvable one."""
+def sequential_floor_escape(series, start, cap, climbs=None):
+    """Reference floor climb: the candidates of ``solver._floor_escape``
+    tried one evaluation at a time, stopping at the first resolvable one."""
+    x = start
+    while abs(float(evaluate_array(series, np.array([x]))[0])) <= solver.ENDPOINT_TOL:
+        if x >= cap:
+            raise solver.DegenerateEndpoint("zero on the climb")
+        x = min(x * 4.0, cap)
+    if climbs is not None and x != start:
+        climbs.append(start)
+    return x
 
-    def value(x):
-        return float(evaluate_array(series, np.array([x]))[0])
 
-    v = value(edge)
-    if abs(v) > solver.ENDPOINT_TOL:
-        return edge, v
-    if climbs is not None:
-        climbs.append(edge)
-    if side == "lower" and floor is not None and edge <= floor * (1.0 + 1e-9):
-        x, cap = edge, edge + 0.25 * cell
-        v = value(x)
-        while abs(v) <= solver.ENDPOINT_TOL:
-            if x >= cap:
-                raise solver.DegenerateEndpoint("zero on the climb")
-            x = min(x * 4.0, cap)
-            v = value(x)
-        return x, v
-    for j in range(1, 9):
-        x = edge - j * cell / 16.0 if side == "lower" else edge + j * cell / 16.0
-        if side == "lower" and floor is not None and x < floor:
-            x = floor
-        v = value(x)
-        if abs(v) > solver.ENDPOINT_TOL:
-            return x, v
-        if x == floor:
-            break
-    raise solver.DegenerateEndpoint("no resolvable nudge")
+def assert_matches_oracle(series, window):
+    spectrum = descend(build_chain(series), window)
+    oracle = scan_roots(series, window)
+    assert len(spectrum) == len(oracle) > 0
+    assert np.max(np.abs(spectrum.wavenumbers - oracle)) <= 1e-9
 
 
 class TestEdgeClimb:
@@ -368,7 +355,7 @@ class TestEdgeClimb:
                 batched[name, window] = descend_with_trace(chain, window)
         climbs = []
         monkeypatch.setattr(
-            solver, "_safe_edge", lambda *a, **kw: sequential_safe_edge(*a, **kw, climbs=climbs)
+            solver, "_floor_escape", lambda *a: sequential_floor_escape(*a, climbs=climbs)
         )
         for (name, window), (spectrum, trace) in batched.items():
             chain = build_chain(secular_series(SOLVABLE_GRAPHS[name]()))
@@ -379,19 +366,36 @@ class TestEdgeClimb:
             assert len(trace.level_roots) == len(ref_trace.level_roots)
             for got, want in zip(trace.level_roots, ref_trace.level_roots):
                 assert np.array_equal(got, want), (name, window)
-        assert climbs  # some edge had to be moved off a zero
+        assert climbs  # some lower edge had to climb off the floor
 
-    @pytest.mark.parametrize("edge,side,floor", [
-        (1.5 * math.pi, "upper", None),
-        (1.5 * math.pi, "lower", None),
-        (1.5 * math.pi, "lower", 1.5 * math.pi - 0.1),
-        (solver.POSITIVE_FLOOR, "lower", solver.POSITIVE_FLOOR),
-    ])
-    def test_nudges_match_sequential(self, edge, side, floor):
-        # cos k on its root, and cos k - cos(k/2), even with a double zero at
-        # k = 0, at the floor: every branch of the nudge.
-        series = canonicalize(1.0, 0.0, [] if edge > 1.0 else [(0.5, 1.0, 0.0)])
+    def test_floor_climb_matches_sequential(self):
+        # cos k - cos(k/2) is even with a double zero at k = 0.
+        series = canonicalize(1.0, 0.0, [(0.5, 1.0, 0.0)])
+        start = solver.POSITIVE_FLOOR
         climbs = []
-        want = sequential_safe_edge(series, edge, math.pi, side, floor, climbs=climbs)
+        want = sequential_floor_escape(series, start, start + 0.25 * math.pi, climbs=climbs)
         assert climbs
-        assert solver._safe_edge(series, edge, math.pi, side, floor) == want
+        assert solver._floor_escape(series, start, start + 0.25 * math.pi) == want
+        with pytest.raises(solver.DegenerateEndpoint):
+            solver._floor_escape(series, start, start)
+
+    def test_padded_edges_on_roots(self):
+        # M = 0 and a one-cell pad: both padded edges, pi/2 and 7pi/2, are roots.
+        series = canonicalize(1.0, 0.0, [])
+        window = (1.5 * math.pi, 2.5 * math.pi)
+        _, trace = descend_with_trace(build_chain(series), window)
+        assert all(abs(evaluate(series, x)) <= solver.ENDPOINT_TOL for x in trace.padded_window)
+        assert_matches_oracle(series, window)
+
+    @pytest.mark.parametrize("level,bracket", [(1, (13.0, 13.7)), (0, (19.3, 19.7))])
+    def test_upper_padded_edge_on_a_level_root(self, level, bracket):
+        # cos k - 1.2 cos(0.6k) has M = 1, so the upper padded edge is
+        # kmax + 2 pi; the window puts it on a root of the given level.
+        series = canonicalize(1.0, 0.0, [(0.6, 1.2, 0.0)])
+        chain = build_chain(series)
+        assert chain.order == 1
+        root = bisect_oracle(lambda x: evaluate(chain.levels[level], x), *bracket)
+        window = (2.0, root - 2.0 * math.pi)
+        _, trace = descend_with_trace(chain, window)
+        assert abs(evaluate(chain.levels[level], trace.padded_window[1])) <= solver.ENDPOINT_TOL
+        assert_matches_oracle(series, window)
