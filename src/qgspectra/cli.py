@@ -7,6 +7,9 @@ series  canonical secular series (s0, phi0, terms) as a reusable JSON config
 verify  solver-versus-scan diff as JSON; exit 0 only on an empty diff
 sample  grid values of every derivative level as CSV, for plotting
 
+With ``--out PATH`` the output replaces PATH only once the command has
+completed (exit 0 or 4); a failed command leaves PATH as it was.
+
 Exit codes: 0 success, 2 invalid configuration or unsupported model (a
 series whose action gap is too small to regularize, an unreadable config
 and an unwritable ``--out`` path included),
@@ -329,6 +332,29 @@ def run(command: str, config: ConfigDoc, out: TextIO | None = None) -> int:
     return writer(config, out)
 
 
+def _run_to_file(command: str, config: ConfigDoc, path: str) -> int:
+    """``run`` into a new file beside ``path``, moved onto ``path`` once the
+    command has completed (exit 0, or 4 for a verify diff).  A command that
+    raises removes the new file, so ``path`` is never left empty, partial or
+    changed by a failed command.  A path that exists but is not a regular
+    file (a pipe, or a device such as /dev/stdout) is written directly, as
+    it cannot be replaced.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            return run(command, config, handle)
+    head, tail = os.path.split(path)
+    partial = os.path.join(head, f".{tail}.{os.getpid()}.partial")
+    try:
+        with open(partial, "x", encoding="utf-8", newline="\n") as handle:
+            code = run(command, config, handle)
+        os.replace(partial, path)
+        return code
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgspectra",
@@ -383,8 +409,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.out is not None:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                return run(args.command, config, handle)
+            return _run_to_file(args.command, config, args.out)
         code = run(args.command, config, sys.stdout)
         sys.stdout.flush()
         return code

@@ -11,9 +11,12 @@ the unitary bond-to-bond scattering matrix, is therefore a finite sum of
 exponentials in k with constant coefficients.  Both directions of bond b
 carry the same factor z_b = exp(i S_b k), so the determinant is a
 polynomial of degree at most 2 in each z_b; its coefficients follow exactly
-from its values on the grid of cube roots of unity.  A bond ending at a
+from its values on a grid of three nodes per bond.  A bond ending at a
 vertex that only reflects (degree 1, or Dirichlet) enters through z_b^2
-alone, so its axis of the grid needs two nodes, not three.  Because Sigma is
+alone, so its axis of the grid needs two nodes, not three.  Every vertex
+matrix has the form c_v J - I, so each grid value is the product of
+prod_b (1 - z_b^2) and a determinant over the vertices that are not
+Dirichlet, far smaller than the 2B x 2B one.  Because Sigma is
 unitary, the coefficients come in mirror pairs c_(2-n) = det Sigma *
 conj(c_n), so centering the total actions on S0 = sum_b S_b and rotating by
 one unimodular constant folds each pair into a real cosine: the result is
@@ -38,10 +41,12 @@ from .errors import (
 from .series import MERGE_TOL, SpectralSeries, canonicalize
 
 # Cap on directed bonds (2 per undirected bond).  The determinant is
-# interpolated on 2^R * 3^(B - R) grid points for R reflecting bonds: on a
-# 2-vCPU Xeon VM a 10-bond Dirichlet star (R = B) expands in about 0.02 s,
-# an 8-bond wheel (R = 0) in about 0.04 s, so a 10-bond graph without
-# leaves (3^10 points) takes about 0.5 s.
+# interpolated on 2^R * 3^(B - R) grid points for R reflecting bonds, one
+# V' x V' determinant each over the V' vertices that are not Dirichlet: on a
+# 2-vCPU Xeon VM (one BLAS thread) a 10-bond Dirichlet star (R = B, V' = 1)
+# expands in about 0.003 s, an 8-bond wheel (R = 0, V' = 5) in about
+# 0.006 s, and a 10-bond graph without leaves (3^10 points, V' = 6) in
+# about 0.065 s.
 MAX_DIRECTED_BONDS = 20
 # Coefficients below FLOOR_UNITS * 2B * eps * max|det| over the grid are
 # exact zeros.  On stars, wheels and the test graphs (B <= 8) the
@@ -169,21 +174,27 @@ def validate_graph(vertices, bonds, path: str = "graph") -> list[str]:
     return problems
 
 
-def vertex_scattering(vertex: VertexSpec, degree: int) -> np.ndarray:
-    """Unitary vertex scattering matrix for a degree-``degree`` vertex.
+def vertex_coupling(vertex: VertexSpec, degree: int) -> complex:
+    """The constant c in the vertex matrix c*J - I of every condition.
 
-    Dirichlet vertices reflect with amplitude -1 on every channel.  A
-    Kirchhoff vertex or a scaling delta coupler of dimensionless strength
-    ``lam`` mixes channels as 2/(degree + i*lam) - delta_ij, which is the
+    Dirichlet vertices reflect with amplitude -1 on every channel, so c = 0.
+    A Kirchhoff vertex has c = 2/degree, and a scaling delta coupler of
+    dimensionless strength ``lam`` has c = 2/(degree + i*lam), the
     k-independent limit of the delta vertex whose physical strength grows
     as lam*k.
     """
     if degree < 1:
         raise DegreeMismatch(f"vertex degree must be >= 1, got {degree}")
     if vertex.condition == "dirichlet":
-        return -np.eye(degree, dtype=complex)
+        return 0.0
     lam = vertex.delta_strength if vertex.condition == "scaling_delta" else 0.0
-    c = 2.0 / (degree + 1j * lam)
+    return 2.0 / (degree + 1j * lam)
+
+
+def vertex_scattering(vertex: VertexSpec, degree: int) -> np.ndarray:
+    """Unitary vertex scattering matrix c*J - I of a degree-``degree``
+    vertex, with c from ``vertex_coupling``."""
+    c = vertex_coupling(vertex, degree)
     return np.full((degree, degree), c, dtype=complex) - np.eye(degree, dtype=complex)
 
 
@@ -228,63 +239,102 @@ def bond_scattering_matrix(graph: QuantumGraph) -> np.ndarray:
     return sigma
 
 
-_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
-# _INV_DFT[j, n] = omega^(j*(2 - n)) / 3: the inverse DFT of length 3 times
-# the factor z_b^2 that det D contributes per bond (see transfer_determinant).
-_INV_DFT = np.exp(2j * np.pi / 3 * np.outer(np.arange(3), 2 - np.arange(3))) / 3
-# A reflecting bond's axis has the nodes z_b in {1, i}, so w_b = z_b^2 is
-# +-1; rows are the nodes, columns n_b = 0, 2, with z_b^-2 folded in.
-_REFLECT_NODES = np.array([1.0, 1j])
-_INV_DFT_REFLECT = np.array([[0.5, 0.5], [-0.5, 0.5]])
+# Grid nodes of an axis as z_b and w_b = z_b^2.  A three-point axis takes
+# z_b in i*{1, omega, omega^2}, omega = exp(2 pi i / 3); a reflecting axis
+# takes w_b in {i, -i}.  Neither meets the poles w_b = 1 of K (see
+# transfer_determinant).  The nodes are written in closed form, so each w_b is
+# the rounded square and not the square of a rounded z_b; against 40-digit
+# coefficients of the small test graphs, squaring in floats instead raised
+# the worst error from 0.9e-15 to 1.4e-15.
+_HALF_SQRT3 = math.sqrt(3.0) / 2
+_Z3 = np.array([1j, -_HALF_SQRT3 - 0.5j, _HALF_SQRT3 - 0.5j])
+_W3 = np.array([-1.0, 0.5 + _HALF_SQRT3 * 1j, 0.5 - _HALF_SQRT3 * 1j])
+_W2 = np.array([1j, -1j])
+_Z2 = np.sqrt(_W2)
+# Inverse transforms, rows the nodes and columns the powers of z_b (of w_b on
+# a reflecting axis): the nodes of an axis are the radix-th roots of one
+# unimodular number, so their inverse Vandermonde matrix is
+# conj(node)^power / radix.
+_INV3 = np.stack([np.ones(3), _Z3.conj(), _W3.conj()], axis=1) / 3
+_INV2 = np.stack([np.ones(2), _W2.conj()], axis=1) / 2
 
 
 def transfer_determinant(graph: QuantumGraph) -> ExpoPolynomial:
     """Coefficients of det(I - D Sigma) as a polynomial in z_b = exp(i S_b k).
 
     z_b sits on the two rows of D(z) Sigma that belong to bond b, so the
-    determinant has degree at most 2 in every z_b, and its values on the
-    grid z_b in {1, omega, omega^2}, omega = exp(2 pi i / 3), determine it
-    exactly: an inverse DFT of length 3 along each bond's axis returns every
-    coefficient c_n, n in {0,1,2}^B.  A bond is reflecting when Sigma sends
-    one of its directions only into its reverse (a degree-1 or Dirichlet
-    vertex at that end); every directed cycle through that direction runs
-    back along the bond, so n_b is 0 or 2 and the determinant is linear in
-    z_b^2.  Such an axis needs only the two nodes z_b in {1, i} and a
-    length-2 transform, so R reflecting bonds shrink the grid to
-    2^R * 3^(B - R) points.  The grid values come from batched LU
-    determinants of det(D^-1 - Sigma) = det(I - D Sigma) / det D, which
-    spares a complex product per matrix entry; det D = prod_b z_b^2 is
-    folded into the per-axis transforms.
+    determinant has degree at most 2 in every z_b, and its values on a grid
+    of three nodes per bond determine it exactly: an inverse transform of
+    length 3 along each bond's axis returns every coefficient c_n, n in
+    {0,1,2}^B.  A bond is reflecting when one of its ends is a Dirichlet or
+    degree-1 vertex: a wave arriving there only turns back, so n_b is 0 or 2
+    and the determinant is linear in w_b = z_b^2.  Such an axis needs two
+    nodes, so R reflecting bonds shrink the grid to 2^R * 3^(B - R) points.
+
+    Each grid value comes from a V' x V' determinant over the V' vertices
+    that are not Dirichlet, not from the 2B x 2B one.  Every vertex matrix is
+    c_v J - I, so Sigma = (U C U^T - I) R, with R reversing each bond, U
+    mapping a directed bond to its tail vertex and C = diag(c_v).  The matrix
+    determinant lemma gives
+
+        det(I - D Sigma) = prod_b (1 - z_b^2) * det(I - C K(z)),
+
+    where K = U^T R (I + D R)^-1 D U gets z_b^2 / (z_b^2 - 1) on the diagonal
+    for each end of bond b and -z_b / (z_b^2 - 1) at (p, q) and (q, p) for a
+    bond p-q (a loop gets all four at (p, p)).  Rows of C vanish at
+    Dirichlet vertices, which therefore drop out.  The nodes keep z_b^2 away
+    from 1; on a reflecting axis w_b is set exactly, and z_b = sqrt(w_b)
+    only enters through the product of a leaf's two off-diagonal entries.
     """
-    sigma = bond_scattering_matrix(graph)
-    actions = tuple(b.action for b in graph.bonds)
+    bonds = graph.bonds
+    actions = tuple(b.action for b in bonds)
     n_bonds = len(actions)
-    n = 2 * n_bonds
-    directed = np.arange(n)
-    lone = np.count_nonzero(sigma, axis=0) == 1
-    reflects = (lone & (sigma[directed ^ 1, directed] != 0)).reshape(n_bonds, 2).any(axis=1)
+    degree = {v.id: graph.degree(v.id) for v in graph.vertices}
+    coupling = {v.id: vertex_coupling(v, degree[v.id]) for v in graph.vertices}
+    slot = {v: i for i, v in enumerate(v for v, c in coupling.items() if c != 0)}
+    order = len(slot)
+    reflects = np.array([
+        any(coupling[e] == 0 or degree[e] == 1 for e in b.endpoints) for b in bonds
+    ], dtype=bool)
+
+    # (C K)[p, q] is linear in the per-bond values diag_b and off_b: row b
+    # (diagonal) and row B + b (off-diagonal) of ``spread`` place them.
+    spread = np.zeros((2 * n_bonds, order * order), dtype=complex)
+    for bi, b in enumerate(bonds):
+        p, q = b.endpoints
+        for e, f in ((p, q), (q, p)):
+            if e in slot:
+                spread[bi, slot[e] * (order + 1)] += coupling[e]
+                if f in slot:
+                    spread[n_bonds + bi, slot[e] * order + slot[f]] += coupling[e]
+
+    # Per-axis tables over the digits; a reflecting axis leaves digit 2 unused.
+    w = np.where(reflects[:, None], np.append(_W2, 0.0), _W3)
+    z = np.where(reflects[:, None], np.append(_Z2, 0.0), _Z3)
+    diag = w / (w - 1.0)
+    off = -z / (w - 1.0)
+    scale = 1.0 - w
     radix = np.where(reflects, 2, 3)
     step = np.where(reflects, 2, 1)  # n_b = 2 * digit on a reflecting axis
-    inverse_nodes = np.where(reflects[:, None], np.append(_REFLECT_NODES, 0.0), _OMEGA).conj()
     # Grid point p has digit (p // place[b]) % radix[b] on bond b's axis.
     place = np.cumprod(np.append(1, radix[:0:-1]))[::-1]
     size = int(np.prod(radix))
+    identity = np.eye(order, dtype=complex).ravel()
+    axes = np.arange(n_bonds)
     grid = np.empty(size, dtype=complex)
     for start in range(0, size, GRID_CHUNK):
         points = np.arange(start, min(start + GRID_CHUNK, size))
         digits = points[:, None] // place % radix
-        inverse_z = np.repeat(inverse_nodes[np.arange(n_bonds), digits], 2, axis=1)
-        mats = np.empty((points.size, n, n), dtype=complex)
-        mats[:] = -sigma
-        mats[:, directed, directed] += inverse_z
-        grid[start:start + points.size] = np.linalg.det(mats)
+        values = np.concatenate((diag[axes, digits], off[axes, digits]), axis=1)
+        mats = (identity - values @ spread).reshape(points.size, order, order)
+        grid[start:start + points.size] = np.prod(scale[axes, digits], axis=1) * np.linalg.det(mats)
 
     # Each pass transforms the leading axis and rotates it to the back.
     coeffs = grid
     for b in range(n_bonds):
-        coeffs = coeffs.reshape(radix[b], -1).T @ (_INV_DFT_REFLECT if reflects[b] else _INV_DFT)
+        coeffs = coeffs.reshape(radix[b], -1).T @ (_INV2 if reflects[b] else _INV3)
     coeffs = coeffs.ravel()
-    floor = FLOOR_UNITS * n * np.finfo(float).eps * float(np.abs(grid).max())
+    floor = FLOOR_UNITS * 2 * n_bonds * np.finfo(float).eps * float(np.abs(grid).max())
     kept = np.flatnonzero(np.abs(coeffs) >= floor)
     exponents = (kept[:, None] // place % radix * step).tolist()
     coefficients = dict(zip(map(tuple, exponents), coeffs[kept].tolist()))

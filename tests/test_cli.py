@@ -232,6 +232,55 @@ class TestMain:
         assert b"\r" not in data
         assert data.decode().splitlines()[0] == "n,k_n,E_n,enclosure"
 
+    @pytest.mark.parametrize("existing", [None, b"n,k_n,E_n,enclosure\n1,3,9,0\n"],
+                             ids=["absent", "present"])
+    def test_failed_command_leaves_out_as_it_was(self, tmp_path, capsys, existing):
+        # cos k - cos(k/2 + pi/2) has a double root at pi: exit 3.
+        doc = {
+            "series": {"s0": 1.0, "phi0": 0.0, "terms": [[0.5, 1.0, math.pi / 2]]},
+            "window": {"kmin": 0.0, "kmax": 10.0},
+        }
+        path = write_config(tmp_path, doc)
+        out_path = tmp_path / "result.csv"
+        if existing is not None:
+            out_path.write_bytes(existing)
+        assert main(["solve", path, "--out", str(out_path)]) == 3
+        assert "degenerate" in capsys.readouterr().err
+        assert (out_path.read_bytes() if out_path.exists() else None) == existing
+        left = {"config.json"} | ({"result.csv"} if existing is not None else set())
+        assert {p.name for p in tmp_path.iterdir()} == left
+
+    def test_verify_mismatch_writes_out(self, tmp_path, monkeypatch):
+        # Exit 4 is a completed command: its diff replaces the old file.
+        import qgspectra.cli as cli_module
+        from qgspectra.oracle import VerificationReport
+
+        def fake_verify(series, window, margin, oversampling):
+            return VerificationReport(2, (1.5,), (), 3e-9)
+
+        monkeypatch.setattr(cli_module, "verify_spectrum", fake_verify)
+        path = write_config(tmp_path, IRREGULAR_SERIES)
+        out_path = tmp_path / "diff.json"
+        out_path.write_text("old", encoding="utf-8")
+        assert main(["verify", path, "--out", str(out_path)]) == 4
+        assert json.loads(out_path.read_text(encoding="utf-8"))["missing"] == [1.5]
+        assert {p.name for p in tmp_path.iterdir()} == {"config.json", "diff.json"}
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_to_a_pipe_is_written_through(self, tmp_path):
+        # A pipe cannot be replaced by a finished file; it is written directly.
+        path = write_config(tmp_path, BOND_DD)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["solve", path, "--out", str(fifo)]) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert data.decode().splitlines()[0] == "n,k_n,E_n,enclosure"
+        assert fifo.is_fifo()
+
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2
 

@@ -25,7 +25,14 @@ from qgspectra import (
     vertex_scattering,
 )
 
-from conftest import ALL_GRAPHS, make_path4, make_star3
+from conftest import (
+    ALL_GRAPHS,
+    make_bond_dd,
+    make_loop,
+    make_path4,
+    make_star3,
+    make_triangle_delta,
+)
 
 
 def numeric_det(graph, k):
@@ -378,21 +385,42 @@ class TestSecularSeries:
 
     def test_non_unitary_scattering_is_refused(self, monkeypatch):
         # Without unitarity the coefficients have no conjugate mirrors.
+        # c*J - I is unitary only for c = 2/(d + i*lam); 0.75*c keeps the
+        # centre invertible (at 0.5*c its eigenvalue d*c - 1 would be 0 and
+        # the top coefficient would vanish instead).
         import qgspectra.graphs as graphs_module
 
-        sigma = bond_scattering_matrix
-        monkeypatch.setattr(graphs_module, "bond_scattering_matrix", lambda g: 0.5 * sigma(g))
+        coupling = graphs_module.vertex_coupling
+        monkeypatch.setattr(graphs_module, "vertex_coupling", lambda v, d: 0.75 * coupling(v, d))
         with pytest.raises(RealificationFailure, match="not conjugate"):
             expand_secular(make_star3())
 
 
+def mp_det(rows):
+    """Determinant by elimination with partial pivoting, in the arithmetic
+    of the entries (mpmath's LU stops on a column of zeros)."""
+    rows = [list(row) for row in rows]
+    det = 1
+    for j in range(len(rows)):
+        p = max(range(j, len(rows)), key=lambda i: abs(rows[i][j]))
+        if rows[p][j] == 0:
+            return 0
+        if p != j:
+            rows[j], rows[p] = rows[p], rows[j]
+            det = -det
+        det *= rows[j][j]
+        for row in rows[j + 1:]:
+            f = row[j] / rows[j][j]
+            row[j + 1:] = [x - f * y for x, y in zip(row[j + 1:], rows[j][j + 1:])]
+    return det
+
+
 def mp_principal_minor_coefficients(graph, mp):
-    """principal_minor_coefficients in mpmath arithmetic, for graphs whose
-    every bond reflects; Sigma is rebuilt from the vertex conditions at the
-    working precision.  A directed-bond subset holding one direction of a
-    reflecting bond but not the other has a zero row in Sigma[T, T], so only
-    the 2^B subsets of whole bonds are summed."""
-    assert len(reflecting_bonds(graph)) == len(graph.bonds)
+    """principal_minor_coefficients in mpmath arithmetic; Sigma is rebuilt
+    from the vertex conditions at the working precision.  A directed-bond
+    subset holding one direction of a reflecting bond but not the other has
+    a zero row or column in Sigma[T, T], so such a bond contributes only its
+    empty and its whole subset: 2^R * 4^(B - R) subsets are summed."""
     tails = {v.id: [] for v in graph.vertices}
     for bi, b in enumerate(graph.bonds):
         tails[b.endpoints[0]].append(2 * bi)
@@ -405,40 +433,52 @@ def mp_principal_minor_coefficients(graph, mp):
             for pj, rev_j in enumerate(outgoing):
                 diagonal = 1 if pi == pj else 0
                 sigma[i, rev_j ^ 1] = -diagonal if v.condition == "dirichlet" else c - diagonal
+    reflecting = reflecting_bonds(graph)
+    choices = [
+        ((), (2 * bi, 2 * bi + 1)) if b in reflecting
+        else ((), (2 * bi,), (2 * bi + 1,), (2 * bi, 2 * bi + 1))
+        for bi, b in enumerate(graph.bonds)
+    ]
     out = {}
-    for whole in itertools.product((0, 1), repeat=len(graph.bonds)):
-        subset = [d for b, w in enumerate(whole) if w for d in (2 * b, 2 * b + 1)]
-        rows = [[sigma.get((i, j), 0) for j in subset] for i in subset]
-        minor = mp.det(mp.matrix(rows)) if subset else mp.mpf(1)
-        out[tuple(2 * w for w in whole)] = (-1) ** len(subset) * minor
+    for parts in itertools.product(*choices):
+        subset = [d for part in parts for d in part]
+        minor = mp_det([[sigma.get((i, j), 0) for j in subset] for i in subset])
+        key = tuple(len(part) for part in parts)
+        out[key] = out.get(key, 0) + (-1) ** len(subset) * minor
     return out
 
 
 class TestReflectingAxes:
     """A reflecting bond's axis takes two grid nodes instead of three."""
 
-    @pytest.mark.parametrize("make,points", [
-        (lambda: dirichlet_star(ARMS8), 2**8),
-        (lambda: delta_star(ARMS8), 2**8),
-        (wheel, 3**8),
-        (make_path4, 2**2 * 3),
-    ], ids=["star8_dirichlet", "star8_delta", "wheel", "path4"])
-    def test_grid_size(self, monkeypatch, make, points):
+    @pytest.mark.parametrize("make,points,order", [
+        (lambda: dirichlet_star(ARMS8), 2**8, 1),
+        (lambda: delta_star(ARMS8), 2**8, 9),
+        (wheel, 3**8, 5),
+        (make_path4, 2**2 * 3, 3),
+        (make_bond_dd, 2, 0),
+        (make_loop, 3, 1),
+    ], ids=["star8_dirichlet", "star8_delta", "wheel", "path4", "bond_dd", "loop"])
+    def test_grid_size(self, monkeypatch, make, points, order):
+        # One determinant per grid point, of order V', the number of
+        # vertices that are not Dirichlet.
         graph = make()
         reflecting = len(reflecting_bonds(graph))
         assert points == 2**reflecting * 3 ** (len(graph.bonds) - reflecting)
+        assert order == sum(v.condition != "dirichlet" for v in graph.vertices)
         import qgspectra.graphs as graphs_module
 
         det = np.linalg.det
         counted = []
 
         def counting_det(mats):
-            counted.append(len(mats))
+            counted.append(mats.shape)
             return det(mats)
 
         monkeypatch.setattr(graphs_module.np.linalg, "det", counting_det)
         transfer_determinant(graph)
-        assert sum(counted) == points
+        assert sum(shape[0] for shape in counted) == points
+        assert {shape[1:] for shape in counted} == {(order, order)}
 
     def test_fuzz_corpus_has_dirichlet_hub(self):
         # A Dirichlet vertex of degree >= 2 makes several bonds reflecting
@@ -452,15 +492,25 @@ class TestReflectingAxes:
 
     @pytest.mark.parametrize("make", [dirichlet_star, delta_star], ids=["dirichlet", "delta"])
     def test_star8_coefficients_at_40_digits(self, make):
-        mpmath = pytest.importorskip("mpmath")
-        graph = make(ARMS8)
-        expo = transfer_determinant(graph)
-        with mpmath.workdps(40):
-            oracle = mp_principal_minor_coefficients(graph, mpmath.mp)
-            assert expo.coefficients.keys() <= oracle.keys()
-            for exponents, want in oracle.items():
-                got = mpmath.mpc(expo.coefficients.get(exponents, 0.0))
-                assert abs(got - want) <= 1e-15, exponents
+        assert_coefficients_at_40_digits(make(ARMS8))
+
+    @pytest.mark.parametrize("make", [make_triangle_delta, make_bond_dd, make_loop],
+                             ids=["triangle_delta", "bond_dd", "loop"])
+    def test_small_graph_coefficients_at_40_digits(self, make):
+        # A leafless triangle (all 4^3 subsets), a bond with no coupled
+        # vertex (V' = 0) and a loop, whose two ends share one vertex.
+        assert_coefficients_at_40_digits(make())
+
+
+def assert_coefficients_at_40_digits(graph):
+    mpmath = pytest.importorskip("mpmath")
+    expo = transfer_determinant(graph)
+    with mpmath.workdps(40):
+        oracle = mp_principal_minor_coefficients(graph, mpmath.mp)
+        assert expo.coefficients.keys() <= oracle.keys()
+        for exponents, want in oracle.items():
+            got = mpmath.mpc(expo.coefficients.get(exponents, 0.0))
+            assert abs(got - want) <= 1e-15, exponents
 
 
 class TestRandomGraphs:
