@@ -18,9 +18,9 @@ from qgspectra import (
     build_chain,
     descend,
     expand_secular,
-    regularity_sum,
     verify_spectrum,
 )
+from qgspectra.series import regularity_sum
 
 
 def build_star(lengths):

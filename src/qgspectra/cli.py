@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    DegenerateEndpoint,
     DegenerateSpectrum,
     NotRegular,
     ParseError,
@@ -51,7 +50,6 @@ from .series import (
 )
 from .solver import build_chain, descend, regularization_order
 
-COMMANDS = ("solve", "series", "verify", "sample")
 _BC_MAP = {"dirichlet": "dirichlet", "kirchhoff": "kirchhoff", "delta": "scaling_delta"}
 _SAMPLE_POINTS_PER_HALF_PERIOD = 20
 EXIT_BROKEN_PIPE = 141
@@ -318,18 +316,21 @@ def _write_sample(config: ConfigDoc, out: TextIO) -> int:
     return 0
 
 
+# Command name -> (help line, writer returning the exit code).
+COMMANDS = {
+    "solve": ("eigenvalue table as CSV", _write_solve),
+    "series": ("canonical secular series as a reusable JSON config", _write_series),
+    "verify": ("diff the solver against the dense-scan oracle", _write_verify),
+    "sample": ("derivative-level values on a uniform grid as CSV", _write_sample),
+}
+
+
 def run(command: str, config: ConfigDoc, out: TextIO | None = None) -> int:
     """Execute one command against a validated config; returns the exit code."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    out = out if out is not None else sys.stdout
-    writer = {
-        "solve": _write_solve,
-        "series": _write_series,
-        "verify": _write_verify,
-        "sample": _write_sample,
-    }[command]
-    return writer(config, out)
+    _, writer = COMMANDS[command]
+    return writer(config, out if out is not None else sys.stdout)
 
 
 def _run_to_file(command: str, config: ConfigDoc, path: str) -> int:
@@ -362,12 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "eigenvalue table as CSV"),
-        ("series", "canonical secular series as a reusable JSON config"),
-        ("verify", "diff the solver against the dense-scan oracle"),
-        ("sample", "derivative-level values on a uniform grid as CSV"),
-    ):
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON configuration file")
         p.add_argument("--kmin", type=float, default=None, help="override window.kmin")
@@ -421,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out or 'standard output'}: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateSpectrum, DegenerateEndpoint) as exc:
+    except DegenerateSpectrum as exc:
         print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
         return 3
     except (RealificationFailure, ValidationError, NotRegular) as exc:

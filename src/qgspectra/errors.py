@@ -43,10 +43,6 @@ class NotRegular(SpectralError):
     """Separator grid requested for a series whose term sum is not below 1."""
 
 
-class DegenerateEndpoint(SpectralError):
-    """Series value at a cell endpoint is consistent with a double root."""
-
-
 class DegenerateSpectrum(SpectralError):
     """Descent hit a (near-)tangential root; the spectrum is not simple."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEndpoint, EmptyWindow
+from .errors import DegenerateSpectrum, EmptyWindow
 from .series import DEFAULT_MARGIN, SpectralSeries, evaluate_array
 from .solver import (
     EDGE_SLACK_REL,
@@ -69,7 +69,7 @@ def scan_roots(
         # systematic k = 0 zero drowns the series in float noise.
         try:
             lo = _floor_escape(series, lo, lo + 0.25 * math.pi / series.leading_action)
-        except DegenerateEndpoint:
+        except DegenerateSpectrum:
             pass
     if hi <= lo:
         return np.empty(0)

@@ -55,7 +55,7 @@ class TrigTerm(NamedTuple):
 
 @dataclass(frozen=True)
 class SpectralSeries:
-    """Canonical cosine series at derivative level ``level``.
+    """Canonical cosine series.
 
     Instances should be built through :func:`canonicalize` (or by
     :func:`derivative_series`), which guarantees positive amplitudes,
@@ -63,7 +63,6 @@ class SpectralSeries:
     duplicate-free terms.
     """
 
-    level: int
     leading_action: float
     leading_phase: float
     terms: tuple[TrigTerm, ...]
@@ -88,8 +87,6 @@ def canonicalize(
     leading_action: float,
     leading_phase: float,
     raw_terms: Iterable[tuple[float, float, float]] = (),
-    *,
-    level: int = 0,
 ) -> SpectralSeries:
     """Build the canonical form of a series from raw term triples.
 
@@ -158,7 +155,6 @@ def canonicalize(
 
     merged.sort(key=lambda t: (t[0], t[2]))
     return SpectralSeries(
-        level=int(level),
         leading_action=s0,
         leading_phase=_wrap_phase(float(leading_phase)),
         terms=tuple(TrigTerm(*t) for t in merged),
@@ -244,7 +240,6 @@ def derivative_series(series: SpectralSeries) -> SpectralSeries:
         if amplitude >= AMPLITUDE_FLOOR:
             terms.append(TrigTerm(t.action, amplitude, _wrap_phase(t.phase + half)))
     return SpectralSeries(
-        level=series.level + 1,
         leading_action=s0,
         leading_phase=_wrap_phase(series.leading_phase + half),
         terms=tuple(terms),

@@ -32,12 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateEndpoint,
-    DegenerateSpectrum,
-    EmptyWindow,
-    NotRegular,
-)
+from .errors import DegenerateSpectrum, EmptyWindow, NotRegular
 from .graphs import QuantumGraph, secular_series
 from .series import (
     DEFAULT_MARGIN,
@@ -328,18 +323,21 @@ def _floor_escape(series: SpectralSeries, start: float, cap: float) -> float:
     true value sits below double-precision noise, so points there carry no
     usable sign.  Both the solver and the dense-scan oracle skip that
     region through this one helper, which keeps their window semantics
-    identical.  The climb multiplies by 4 up to ``cap``; all of its points
-    are evaluated in one call, and the first whose value exceeds
-    ``ENDPOINT_TOL`` is returned.
+    identical.  The climb multiplies by 4 up to ``cap`` and returns its first
+    point whose value exceeds ``ENDPOINT_TOL``.  ``start`` is most often
+    resolvable, so it is evaluated alone; the rest of the climb, in one call.
     """
-    candidates = [start]
-    while candidates[-1] < cap:
-        candidates.append(min(candidates[-1] * 4.0, cap))
-    values = evaluate_array(series, np.array(candidates))
+    if abs(evaluate_array(series, np.array([start]))[0]) > ENDPOINT_TOL:
+        return start
+    climb, x = [], start
+    while x < cap:
+        x = min(x * 4.0, cap)
+        climb.append(x)
+    values = evaluate_array(series, np.array(climb))
     resolvable = np.flatnonzero(np.abs(values) > ENDPOINT_TOL)
     if resolvable.size == 0:
-        raise DegenerateEndpoint(f"series is numerically zero on [{start:g}, {cap:g}]")
-    return candidates[int(resolvable[0])]
+        raise DegenerateSpectrum(f"series is numerically zero on [{start:g}, {cap:g}]")
+    return climb[int(resolvable[0])]
 
 
 def _level_pass(
@@ -356,7 +354,7 @@ def _level_pass(
     small = np.abs(values[1:-1]) <= ENDPOINT_TOL
     if small.any():
         where = float(bounds[1 + int(np.argmax(small))])
-        raise DegenerateEndpoint(
+        raise DegenerateSpectrum(
             f"series value at separator {where:.12g} is consistent with a double root"
         )
     signs = np.where(np.abs(values) > ENDPOINT_TOL, np.sign(values), 1.0)
@@ -391,19 +389,16 @@ def descend_with_trace(
     # every level below by the roots of the level above.
     seps = roots = base_separators(levels[top], lo_pad, hi_pad, chain.margin)
     level_roots: list[np.ndarray] = []  # top level first
-    try:
-        for m in range(top, -1, -1):
-            series = levels[m]
-            lo_edge = lo_pad
-            if lo_pad == POSITIVE_FLOOR:
-                lo_edge = _floor_escape(series, lo_pad, lo_pad + 0.25 * cell)
-            inner = roots[(roots > lo_edge + width_tol) & (roots < hi_pad - width_tol)]
-            bounds = np.concatenate(([lo_edge], inner, [hi_pad]))
-            interior = slice(1, -1) if m == top and len(bounds) > 3 else None
-            roots, encl = _level_pass(series, bounds, interior=interior)
-            level_roots.append(roots)
-    except DegenerateEndpoint as exc:
-        raise DegenerateSpectrum(str(exc)) from exc
+    for m in range(top, -1, -1):
+        series = levels[m]
+        lo_edge = lo_pad
+        if lo_pad == POSITIVE_FLOOR:
+            lo_edge = _floor_escape(series, lo_pad, lo_pad + 0.25 * cell)
+        inner = roots[(roots > lo_edge + width_tol) & (roots < hi_pad - width_tol)]
+        bounds = np.concatenate(([lo_edge], inner, [hi_pad]))
+        interior = slice(1, -1) if m == top and len(bounds) > 3 else None
+        roots, encl = _level_pass(series, bounds, interior=interior)
+        level_roots.append(roots)
 
     slack = EDGE_SLACK_REL * max(1.0, abs(k_lo), abs(k_hi))
     keep = (roots >= k_lo - slack) & (roots <= k_hi + slack)

@@ -17,9 +17,8 @@ from qgspectra import (
     build_chain,
     descend,
     evaluate_array,
-    load_config,
 )
-from qgspectra.cli import main, run
+from qgspectra.cli import load_config, main, run
 
 BOND_DD = {
     "graph": {

@@ -14,16 +14,15 @@ from qgspectra import (
     ValidationError,
     VertexSpec,
     DegreeMismatch,
-    bond_scattering_matrix,
-    evaluate,
     expand_secular,
     scan_roots,
     secular_series,
-    transfer_determinant,
     transfer_matrix,
     verify_spectrum,
     vertex_scattering,
 )
+from qgspectra.graphs import bond_scattering_matrix, transfer_determinant
+from qgspectra.series import evaluate
 
 from conftest import (
     ALL_GRAPHS,
@@ -241,6 +240,16 @@ class TestGraphValidation:
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
             dirichlet_star([1.0 + 0.01 * i for i in range(1, 12)])
+
+    def test_size_cap_decided_by_bond_count(self):
+        # The violation message quotes the condition, which mentions
+        # "directed bonds"; a 1-bond graph is still under the cap.
+        with pytest.raises(ValidationError, match="unknown condition") as info:
+            QuantumGraph(
+                vertices=(VertexSpec(0, "directed bonds"), VertexSpec(1, "dirichlet")),
+                bonds=(BondSpec((0, 1), 1.0),),
+            )
+        assert not isinstance(info.value, SizeCapExceeded)
 
     def test_delta_strength_only_on_delta(self):
         with pytest.raises(ValidationError, match="delta strength"):

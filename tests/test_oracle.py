@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qgspectra import (
-    canonicalize,
-    evaluate,
-    scan_roots,
-    verify_spectrum,
-)
+from qgspectra import canonicalize, scan_roots, verify_spectrum
 from qgspectra.fuzz import random_series, standard_window
+from qgspectra.series import evaluate
 
 
 class TestScanRoots:

@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 from qgspectra import (
     NonpositiveLeadingAction,
     TermActionExceedsLeading,
-    TrigTerm,
     canonicalize,
     derivative_series,
-    evaluate,
     evaluate_array,
-    regularity_sum,
     regularization_order,
 )
 from qgspectra.fuzz import random_series, standard_window
-from qgspectra.series import EVAL_BLOCK, taylor_array
+from qgspectra.series import EVAL_BLOCK, TrigTerm, evaluate, regularity_sum, taylor_array
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,7 +183,6 @@ class TestDerivative:
     def test_single_term_scaling(self):
         s = canonicalize(1.0, 0.0, [(0.5, 0.8, 0.0)])
         d = derivative_series(s)
-        assert d.level == 1
         assert circular_close(d.leading_phase, math.pi / 2)
         assert d.terms[0].amplitude == pytest.approx(0.4, abs=0)
         assert circular_close(d.terms[0].phase, math.pi / 2)
@@ -194,7 +190,6 @@ class TestDerivative:
     def test_twice(self):
         s = canonicalize(1.0, 0.0, [(0.5, 0.8, 0.0)])
         d2 = derivative_series(derivative_series(s))
-        assert d2.level == 2
         assert circular_close(d2.leading_phase, math.pi)
         assert d2.terms[0].amplitude == pytest.approx(0.2, abs=1e-17)
         assert circular_close(d2.terms[0].phase, math.pi)
@@ -261,9 +256,7 @@ def raw_series(draw, max_terms=5):
 def test_canonicalize_idempotent(raw):
     s0, phi0, terms = raw
     once = canonicalize(s0, phi0, terms)
-    twice = canonicalize(
-        once.leading_action, once.leading_phase, once.terms, level=once.level
-    )
+    twice = canonicalize(once.leading_action, once.leading_phase, once.terms)
     assert once == twice
 
 

@@ -13,20 +13,18 @@ from qgspectra import (
     NotRegular,
     QuantumGraph,
     VertexSpec,
-    base_separators,
     build_chain,
     canonicalize,
     descend,
     descend_with_trace,
-    evaluate,
     evaluate_array,
-    regularity_sum,
     scan_roots,
     secular_series,
     solve_graph,
 )
 from qgspectra.fuzz import random_series, standard_window
-from qgspectra.series import taylor_array
+from qgspectra.series import evaluate, regularity_sum, taylor_array
+from qgspectra.solver import base_separators
 
 from conftest import SOLVABLE_GRAPHS, make_bond_dd, make_bond_dk, make_star3
 
@@ -328,7 +326,7 @@ def sequential_floor_escape(series, start, cap, climbs=None):
     x = start
     while abs(float(evaluate_array(series, np.array([x]))[0])) <= solver.ENDPOINT_TOL:
         if x >= cap:
-            raise solver.DegenerateEndpoint("zero on the climb")
+            raise DegenerateSpectrum("zero on the climb")
         x = min(x * 4.0, cap)
     if climbs is not None and x != start:
         climbs.append(start)
@@ -376,8 +374,22 @@ class TestEdgeClimb:
         want = sequential_floor_escape(series, start, start + 0.25 * math.pi, climbs=climbs)
         assert climbs
         assert solver._floor_escape(series, start, start + 0.25 * math.pi) == want
-        with pytest.raises(solver.DegenerateEndpoint):
+        with pytest.raises(DegenerateSpectrum):
             solver._floor_escape(series, start, start)
+
+    def test_resolvable_floor_costs_one_point(self, monkeypatch):
+        # cos k - 0.5 cos(k/2) is 0.5 at k = 0: the climb stops at its start.
+        series = canonicalize(1.0, 0.0, [(0.5, 0.5, 0.0)])
+        points = []
+
+        def counting(s, ks):
+            points.append(np.size(ks))
+            return evaluate_array(s, ks)
+
+        monkeypatch.setattr(solver, "evaluate_array", counting)
+        start = solver.POSITIVE_FLOOR
+        assert solver._floor_escape(series, start, start + 0.25 * math.pi) == start
+        assert points == [1]
 
     def test_padded_edges_on_roots(self):
         # M = 0 and a one-cell pad: both padded edges, pi/2 and 7pi/2, are roots.

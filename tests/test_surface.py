@@ -2,12 +2,15 @@
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 import qgspectra
-from qgspectra import build_chain, descend, evaluate_array, expand_secular, transfer_determinant
+from qgspectra import build_chain, descend, evaluate_array, expand_secular
+from qgspectra.graphs import transfer_determinant
 
 from conftest import make_star3
 
@@ -21,9 +24,31 @@ def load_spans():
     return spans
 
 
+EXPORTED = [
+    "BondSpec", "DegenerateSpectrum", "DegreeMismatch", "EmptyWindow",
+    "NonpositiveLeadingAction", "NotRegular", "ParseError", "QuantumGraph",
+    "RealificationFailure", "SizeCapExceeded", "SpectralError",
+    "TermActionExceedsLeading", "ValidationError", "VertexSpec", "build_chain",
+    "canonicalize", "derivative_series", "descend", "descend_with_trace",
+    "evaluate_array", "expand_secular", "regularization_order", "scan_roots",
+    "secular_series", "solve_graph", "transfer_matrix", "verify_spectrum",
+    "vertex_scattering",
+]
+
+
 def test_exported_names_resolve():
     missing = [name for name in qgspectra.__all__ if not hasattr(qgspectra, name)]
     assert missing == []
+
+
+def test_exported_names_are_the_documented_api():
+    assert sorted(qgspectra.__all__) == EXPORTED
+
+
+def test_import_does_not_load_the_cli():
+    check = "import qgspectra, sys; assert 'qgspectra.cli' not in sys.modules"
+    src = str(Path(qgspectra.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", check], check=True, cwd=src)
 
 
 def test_traced_targets_resolve():
