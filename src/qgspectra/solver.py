@@ -11,10 +11,13 @@ each cell for a sign change, and each cell yields at most one root.  Each
 sign-change bracket is shrunk by Newton steps on a Taylor model of the
 series about the current point (the family is closed under d/dk, so one
 cosine and one sine per term give every derivative there) that never
-leave the bracket, falling back to bisection; the model's root is
-certified by one pair of sign probes of the series just around it.  Every
-root is returned inside a bracket whose two ends were evaluated with
-opposite signs.
+leave the bracket, falling back to bisection.  A root of level 0, the
+reported level, is certified by one pair of sign probes of the series
+just around it.  A root of a level above only separates the roots of the
+level below, so the model's own signs either side of it, clear of the
+model's remainder and rounding, certify it; the lanes the model leaves
+open take the probe pair.  Every root is returned inside a bracket whose
+two ends have certified opposite signs.
 
 Every level runs between the same two edges, the window padded by M + 1
 leading cells (the lower edge clamped at ``POSITIVE_FLOOR`` and, there,
@@ -174,27 +177,38 @@ def base_separators(
 
 
 def _model_roots(
-    series: SpectralSeries, x: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    series: SpectralSeries, x: np.ndarray, a: np.ndarray, b: np.ndarray, half: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Series values at ``x`` and the roots of its Taylor models there.
 
     Runs ``MODEL_NEWTON_STEPS`` Newton steps on each polynomial
     ``sum_n c_n u**n`` (:func:`taylor_array`, ``u = s0 * (k - x)``) from
     u = 0; an iterate that leaves the bracket ``[a, b]`` is clipped back,
     so no polynomial is evaluated far outside the cell it models.  Returns
-    the values (row 0), the roots as wavenumbers, and bounds on their
-    distance from a root of the series: the last step plus the Lagrange
-    remainder over the slope.  Level N+1 of the series is at most
+    the values (row 0), the roots as wavenumbers, bounds on their distance
+    from a root of the series (the last step plus the Lagrange remainder
+    over the slope), and the model's certified signs ``half`` either side
+    of each root.  Level N+1 of the series is at most
     ``1 + sum a_j r_j**(N+1)`` in magnitude, which bounds the remainder by
-    that times ``|u|**(N+1) / (N+1)!``.  Points go through ``MODEL_BLOCK``
-    at a time.
+    that times ``|u|**(N+1) / (N+1)!``.
+
+    With ``half`` > 0 the polynomial is also evaluated at ``u -+ half``.  The
+    last returned array holds, per lane, the sign at ``u - half`` when the
+    two signs differ and each value exceeds the remainder there plus a
+    rounding bound, and 0 otherwise (always 0 with ``half`` = 0).  The
+    rounding bound covers the coefficients' angle errors, which grow with
+    ``s0 * |x|``, the sum over the J terms, and the polynomial sum, at most
+    ``e**|u|`` times the coefficient errors.  Points go through
+    ``MODEL_BLOCK`` at a time, certificate included.
     """
     actions, amps, _ = series.arrays
     s0 = series.leading_action
     top = MODEL_ORDER + 1
     tail = (1.0 + amps @ (actions / s0) ** top) / math.factorial(top)
+    noise = 4.0 * np.finfo(float).eps * (1.0 + amps.sum())
     n = np.arange(1, top)[:, None]
     f, root, error = np.empty(x.size), np.empty(x.size), np.empty(x.size)
+    side = np.zeros(x.size, dtype=np.int8)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, x.size, MODEL_BLOCK):
             block = slice(start, start + MODEL_BLOCK)
@@ -214,8 +228,19 @@ def _model_roots(
                 u = new
             root[block] = xb + u / s0
             error[block] = (du + tail * np.abs(u) ** top / np.abs(dp)) / s0
+            if half:
+                v = np.stack((u - half, u + half))
+                pv = np.zeros_like(v)
+                for row in range(MODEL_ORDER, -1, -1):
+                    pv *= v
+                    pv += c[row]
+                v = np.abs(v)
+                bound = tail * v**top + noise * np.exp(v) * (s0 * np.abs(xb) + len(amps) + 30.0)
+                clear = (np.abs(pv) > bound).all(axis=0) & (pv[0] * pv[1] < 0.0)
+                side[block] = np.where(clear, np.sign(pv[0]), 0.0)
+                del v, pv, bound, clear
             del c, powers  # free this block's arrays before the next one's
-    return f, root, error
+    return f, root, error, side
 
 
 def _refine_brackets(
@@ -223,6 +248,8 @@ def _refine_brackets(
     a: np.ndarray,
     b: np.ndarray,
     fa: np.ndarray,
+    *,
+    separators: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shrink sign-change brackets onto their roots by Newton on a Taylor model.
 
@@ -233,16 +260,29 @@ def _refine_brackets(
     a candidate root with a bound on its distance from the series root.
     When the candidate lies in the bracket and that bound is at most a
     quarter of the target width ``BRACKET_REL_WIDTH * max(1, |x|)``, the
-    lane stops there and is certified by one probe pair half the target
-    width on either side.  Otherwise the candidate is taken when it lies
-    strictly inside the bracket at most half the lane's previous step
-    away, and the lane bisects when it does not.  A probe on a bracket end
-    takes the sign recorded for that end instead of a fresh evaluation,
-    which could flip a noise-level sign.  A pair that does not straddle
-    the root shrinks the bracket and turns the model off: the lane
-    evaluates the series alone and bisects on to the target width.  Every
-    bracket end was evaluated, with opposite signs at the two ends, so the
-    returned enclosure ``max(x - a, b - x)`` is certified.
+    lane stops there and is certified.  Otherwise the candidate is taken
+    when it lies strictly inside the bracket at most half the lane's
+    previous step away, and the lane bisects when it does not.
+
+    A lane of the reported level is certified by one probe pair of the
+    series half the target width on either side.  A lane of a separator
+    level (``separators``) is certified by the model it already holds, when
+    the polynomial's signs ``delta`` either side of the candidate clear its
+    remainder and rounding and ``candidate -+ delta`` lies in the bracket;
+    only the lanes the model leaves open take the probe pair.  Here
+    ``s0 * delta = 0.25 * sqrt(ENDPOINT_TOL / (1 + sum a_j r_j))`` bounds the
+    change of the level below across the enclosure, ``(1 + sum a_j r_j) *
+    (s0 * delta)**2 / 2``, by ``ENDPOINT_TOL / 32``: a separator that passes
+    the level below's ``ENDPOINT_TOL`` guard has the sign of the true
+    extremum, and no root of that level falls between the two.
+
+    A probe on a bracket end takes the sign recorded for that end instead
+    of a fresh evaluation, which could flip a noise-level sign.  A pair
+    that does not straddle the root shrinks the bracket and turns the model
+    off: the lane evaluates the series alone and bisects on to the target
+    width.  Every bracket end was evaluated, by the series or by a
+    certified model, with opposite signs at the two ends, so the returned
+    enclosure ``max(x - a, b - x)`` is certified.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -251,6 +291,11 @@ def _refine_brackets(
     step = b - a  # each lane's last step
     model = np.ones(x.size, dtype=bool)
     open_ = np.ones(x.size, dtype=bool)
+    half = 0.0
+    if separators:
+        actions, amps, _ = series.arrays
+        half = 0.25 * math.sqrt(ENDPOINT_TOL / (1.0 + amps @ (actions / series.leading_action)))
+    delta = half / series.leading_action
     for _ in range(200):
         mid = 0.5 * (a + b)
         narrow = open_ & (b - a <= BRACKET_REL_WIDTH * np.maximum(1.0, np.abs(mid)))
@@ -263,10 +308,13 @@ def _refine_brackets(
         # A lane off the model keeps its own point as candidate: an end of
         # the updated bracket, which is never taken.
         f, cand, error = np.empty(lanes.size), xl.copy(), np.full(lanes.size, np.inf)
+        side = np.zeros(lanes.size, dtype=np.int8)
         if not mt.all():
             f[~mt] = evaluate_array(series, xl[~mt])
         if mt.any():
-            f[mt], cand[mt], error[mt] = _model_roots(series, xl[mt], a[lanes[mt]], b[lanes[mt]])
+            f[mt], cand[mt], error[mt], side[mt] = _model_roots(
+                series, xl[mt], a[lanes[mt]], b[lanes[mt]], half
+            )
         left = np.sign(f) == sl
         al = np.where(left, xl, a[lanes])
         bl = np.where(left, b[lanes], xl)
@@ -274,11 +322,17 @@ def _refine_brackets(
         near &= error <= 0.25 * BRACKET_REL_WIDTH * np.maximum(1.0, np.abs(cand))
         take = (cand > al) & (cand < bl) & (np.abs(cand - xl) <= 0.5 * step[lanes])
         xn = np.where(near | take, cand, 0.5 * (al + bl))
-        if near.any():
-            al[near], bl[near], held = _probe_pair(series, xn[near], al[near], bl[near], sl[near])
-            xn[near] = np.where(held, xn[near], 0.5 * (al[near] + bl[near]))
-            model[lanes[near]] = False
-            open_[lanes[near][held]] = False
+        held = near & (side == sl) & (cand - delta >= al) & (cand + delta <= bl)
+        al[held], bl[held] = cand[held] - delta, cand[held] + delta
+        probe = near & ~held
+        if probe.any():
+            al[probe], bl[probe], paired = _probe_pair(
+                series, xn[probe], al[probe], bl[probe], sl[probe]
+            )
+            xn[probe] = np.where(paired, xn[probe], 0.5 * (al[probe] + bl[probe]))
+            held[probe] = paired
+        model[lanes[near]] = False
+        open_[lanes[held]] = False
         step[lanes] = np.abs(xn - xl)
         x[lanes], a[lanes], b[lanes] = xn, al, bl
     enclosure = np.maximum(x - a, b - x)
@@ -341,7 +395,11 @@ def _floor_escape(series: SpectralSeries, start: float, cap: float) -> float:
 
 
 def _level_pass(
-    series: SpectralSeries, bounds: np.ndarray, *, interior: slice | None = None
+    series: SpectralSeries,
+    bounds: np.ndarray,
+    *,
+    interior: slice | None = None,
+    separators: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe consecutive cells of one level; return roots and enclosures.
 
@@ -363,7 +421,13 @@ def _level_pass(
         raise AssertionError("regular-level cell without a sign change; separator logic broken")
     if not change.any():
         return np.empty(0), np.empty(0)
-    return _refine_brackets(series, bounds[:-1][change], bounds[1:][change], signs[:-1][change])
+    return _refine_brackets(
+        series,
+        bounds[:-1][change],
+        bounds[1:][change],
+        signs[:-1][change],
+        separators=separators,
+    )
 
 
 def descend_with_trace(
@@ -389,15 +453,21 @@ def descend_with_trace(
     # every level below by the roots of the level above.
     seps = roots = base_separators(levels[top], lo_pad, hi_pad, chain.margin)
     level_roots: list[np.ndarray] = []  # top level first
+    # Each level is the derivative of the level below, so a systematic zero
+    # at k = 0 is one order deeper a level down: a separator level's floor
+    # climb starts where the last climb escaped.  Level 0 starts at the
+    # floor, as the oracle's scan does.
+    climbed = lo_pad
     for m in range(top, -1, -1):
         series = levels[m]
         lo_edge = lo_pad
         if lo_pad == POSITIVE_FLOOR:
-            lo_edge = _floor_escape(series, lo_pad, lo_pad + 0.25 * cell)
+            start = climbed if m else lo_pad
+            lo_edge = climbed = _floor_escape(series, start, lo_pad + 0.25 * cell)
         inner = roots[(roots > lo_edge + width_tol) & (roots < hi_pad - width_tol)]
         bounds = np.concatenate(([lo_edge], inner, [hi_pad]))
         interior = slice(1, -1) if m == top and len(bounds) > 3 else None
-        roots, encl = _level_pass(series, bounds, interior=interior)
+        roots, encl = _level_pass(series, bounds, interior=interior, separators=m > 0)
         level_roots.append(roots)
 
     slack = EDGE_SLACK_REL * max(1.0, abs(k_lo), abs(k_hi))

@@ -2,14 +2,19 @@
 
 The series is re-evaluated in 40-digit arithmetic at ``k - enclosure`` and
 ``k + enclosure``; the two signs must differ, so the true root of the
-(exactly represented) series lies inside the enclosure.
+(exactly represented) series lies inside the enclosure.  The separator
+tier checks the roots of every level above the reported one the same way,
+at the half-width ``delta`` that the descent's separator argument needs.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from qgspectra import build_chain, descend, secular_series, solve_graph
+from qgspectra import build_chain, descend, descend_with_trace, secular_series, solve_graph
 from qgspectra.fuzz import random_series, standard_window
+from qgspectra.solver import ENDPOINT_TOL
 
 from conftest import SOLVABLE_GRAPHS
 
@@ -20,8 +25,12 @@ FUZZ_SEED = 20260809
 FUZZ_PREFIX = 100
 
 
-def _misses(series, spectrum) -> list[tuple[float, float]]:
-    """Roots whose enclosure ends have the same 40-digit series sign."""
+# The separator tier solves the conftest graphs on (0, GRAPH_KMAX].
+GRAPH_KMAX = 40.0
+
+
+def _misses(series, roots) -> list[tuple[float, float]]:
+    """(k, half-width) pairs whose two ends have the same 40-digit series sign."""
     mp = mpmath.mp
     s0, phi0 = mp.mpf(series.leading_action), mp.mpf(series.leading_phase)
     terms = [(mp.mpf(t.action), mp.mpf(t.amplitude), mp.mpf(t.phase)) for t in series.terms]
@@ -31,11 +40,36 @@ def _misses(series, spectrum) -> list[tuple[float, float]]:
         return int(mp.sign(value))
 
     misses = []
-    for e in spectrum:
-        k, r = mp.mpf(e.wavenumber), mp.mpf(e.enclosure)
+    for x, h in roots:
+        k, r = mp.mpf(x), mp.mpf(h)
         if sign(k - r) * sign(k + r) >= 0:
-            misses.append((e.wavenumber, e.enclosure))
+            misses.append((x, h))
     return misses
+
+
+def _enclosures(spectrum) -> list[tuple[float, float]]:
+    return [(e.wavenumber, e.enclosure) for e in spectrum]
+
+
+def _separator_misses(chain, window) -> tuple[int, list[tuple[int, float]]]:
+    """Roots of levels 1..M with no 40-digit sign change across +-delta.
+
+    ``delta = 0.25 * sqrt(ENDPOINT_TOL / (1 + sum a_j r_j)) / s0`` for the
+    level's amplitudes a_j and action ratios r_j: the separator half-width
+    within which the level below cannot change sign past its guard.
+    Returns the number of roots checked and the (level, root) misses.
+    """
+    _, trace = descend_with_trace(chain, window)
+    checked, misses = 0, []
+    for m in range(1, chain.order + 1):
+        series = chain.levels[m]
+        s0 = series.leading_action
+        slope = math.fsum(t.amplitude * t.action / s0 for t in series.terms)
+        delta = 0.25 * math.sqrt(ENDPOINT_TOL / (1.0 + slope)) / s0
+        roots = trace.level_roots[m]
+        checked += len(roots)
+        misses += [(m, x) for x, _ in _misses(series, [(float(x), delta) for x in roots])]
+    return checked, misses
 
 
 @pytest.fixture(autouse=True)
@@ -49,7 +83,7 @@ def test_graph_enclosures_hold_at_40_digits(name):
     graph = SOLVABLE_GRAPHS[name]()
     spectrum = solve_graph(graph, (0.0, 200.0))
     assert len(spectrum) > 50
-    assert _misses(secular_series(graph), spectrum) == []
+    assert _misses(secular_series(graph), _enclosures(spectrum)) == []
 
 
 def test_fuzz_enclosures_hold_at_40_digits():
@@ -57,4 +91,23 @@ def test_fuzz_enclosures_hold_at_40_digits():
     for i in range(FUZZ_PREFIX):
         series = random_series(rng)
         spectrum = descend(build_chain(series), standard_window(series, 50))
-        assert _misses(series, spectrum) == [], f"series {i}"
+        assert _misses(series, _enclosures(spectrum)) == [], f"series {i}"
+
+
+@pytest.mark.parametrize("name", sorted(SOLVABLE_GRAPHS))
+def test_graph_separators_hold_at_40_digits(name):
+    chain = build_chain(secular_series(SOLVABLE_GRAPHS[name]()))
+    checked, misses = _separator_misses(chain, (0.0, GRAPH_KMAX))
+    assert checked > 0 or chain.order == 0
+    assert misses == []
+
+
+def test_fuzz_separators_hold_at_40_digits():
+    rng = np.random.default_rng(FUZZ_SEED)
+    total = 0
+    for i in range(FUZZ_PREFIX):
+        series = random_series(rng)
+        checked, misses = _separator_misses(build_chain(series), standard_window(series, 50))
+        assert misses == [], f"series {i}"
+        total += checked
+    assert total > 1000

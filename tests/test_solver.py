@@ -1,6 +1,7 @@
 """Separator grids, the derivative chain and the descent."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +24,22 @@ from qgspectra import (
     solve_graph,
 )
 from qgspectra.fuzz import random_series, standard_window
-from qgspectra.series import evaluate, regularity_sum, taylor_array
+from qgspectra.series import derivative_series, evaluate, regularity_sum, taylor_array
 from qgspectra.solver import base_separators
 
 from conftest import SOLVABLE_GRAPHS, make_bond_dd, make_bond_dk, make_star3
+
+
+STAR_LENGTHS = (1.0, 0.913, 0.847, 0.771, 0.706, 0.633, 0.571, 0.502)
+
+
+def dirichlet_star(lengths):
+    """Kirchhoff centre with one Dirichlet tip per arm length."""
+    return QuantumGraph(
+        vertices=(VertexSpec(0, "kirchhoff"),)
+        + tuple(VertexSpec(i + 1, "dirichlet") for i in range(len(lengths))),
+        bonds=tuple(BondSpec((0, i + 1), L) for i, L in enumerate(lengths)),
+    )
 
 
 def bisect_oracle(f, a, b, iters=200):
@@ -252,6 +265,72 @@ class TestDescend:
             assert k == pytest.approx(expected, abs=1e-12)
             assert 0.0 < e <= solver.BRACKET_REL_WIDTH * max(1.0, k)
 
+    @staticmethod
+    def separator_brackets(window):
+        # cos k - 1.2 cos(0.6k + 0.3) has M = 1: level 1 is regular, so the
+        # extrema of its leading cosine bracket its roots one per cell.  The
+        # phase keeps roots off the cell midpoints, where the model's centre
+        # value is at noise level and moves a bracket end onto the root.
+        chain = build_chain(canonicalize(1.0, 0.0, [(0.6, 1.2, 0.3)]))
+        assert chain.order == 1
+        series = chain.levels[1]
+        seps = base_separators(series, *window)
+        return series, seps[:-1], seps[1:], evaluate_array(series, seps[:-1])
+
+    def refine_counting_probes(self, monkeypatch, series, a, b, fa):
+        probes = []
+        probe_pair = solver._probe_pair
+
+        def counted(series, x, *rest):
+            probes.append(x.size)
+            return probe_pair(series, x, *rest)
+
+        monkeypatch.setattr(solver, "_probe_pair", counted)
+        got = solver._refine_brackets(series, a, b, fa, separators=True)
+        monkeypatch.undo()
+        return got, probes
+
+    def test_separator_model_certificate_accepts(self, monkeypatch):
+        series, a, b, fa = self.separator_brackets((0.0, 60.0))
+        (ks, encl), probes = self.refine_counting_probes(monkeypatch, series, a, b, fa)
+        assert probes == []
+        # The same roots as the probe-pair path, enclosed by the model's
+        # half-width, across which the series changes sign.
+        ref, _ = solver._refine_brackets(series, a, b, fa)
+        assert np.array_equal(ks, ref)
+        slope = regularity_sum(derivative_series(series))
+        delta = 0.25 * math.sqrt(solver.ENDPOINT_TOL / (1.0 + slope)) / series.leading_action
+        assert np.allclose(encl, delta, rtol=1e-6)
+        for k, e in zip(ks, encl):
+            assert evaluate(series, k - e) * evaluate(series, k + e) < 0.0
+
+    def test_separator_model_certificate_declines(self, monkeypatch):
+        # Near k = 1e9 the model's coefficients carry angle errors of about
+        # eps * 1e9, above the polynomial's values delta either side of a
+        # root, so every lane falls back to the series probe pair.
+        series, a, b, fa = self.separator_brackets((1e9, 1e9 + 30.0))
+        (ks, encl), probes = self.refine_counting_probes(monkeypatch, series, a, b, fa)
+        assert sum(probes) == len(ks) > 5
+        ref, ref_encl = solver._refine_brackets(series, a, b, fa)
+        assert np.array_equal(ks, ref) and np.array_equal(encl, ref_encl)
+
+    def test_model_certificate_declines_far_from_its_centre(self):
+        # cos k - 2 cos(k/2) has one root in [10, 17], near 16.46.  Its degree-16
+        # model about k = 12 puts the root about 6e-5 off, far beyond the
+        # half-width: only the remainder term, about 3e-4 there, keeps the
+        # certificate from accepting it.
+        series = canonicalize(1.0, 0.0, [(0.5, 2.0, 0.0)])
+        root = bisect_oracle(lambda x: evaluate(series, x), 10.0, 17.0)
+        half = 0.25 * math.sqrt(solver.ENDPOINT_TOL / 2.0)
+        a, b = np.array([10.0]), np.array([17.0])
+        _, far, _, side = solver._model_roots(series, np.array([12.0]), a, b, half)
+        assert abs(far[0] - root) > 100 * half
+        assert side[0] == 0
+        # About a point near the root the model certifies the sign below it.
+        _, close, _, side = solver._model_roots(series, np.array([16.3]), a, b, half)
+        assert abs(close[0] - root) < 1e-12
+        assert side[0] == -1
+
     def test_degenerate_double_root_detected(self):
         # cos k - cos(k/2 + pi/2) has a tangential zero at k = pi.
         series = canonicalize(1.0, 0.0, [(0.5, 1.0, math.pi / 2)])
@@ -283,13 +362,7 @@ class TestSolveGraph:
 
     def test_evaluation_budget_per_root(self, monkeypatch):
         # 8-bond Dirichlet star: 9 derivative levels, about 196 roots each.
-        lengths = (1.0, 0.913, 0.847, 0.771, 0.706, 0.633, 0.571, 0.502)
-        graph = QuantumGraph(
-            vertices=(VertexSpec(0, "kirchhoff"),)
-            + tuple(VertexSpec(i + 1, "dirichlet") for i in range(len(lengths))),
-            bonds=tuple(BondSpec((0, i + 1), L) for i, L in enumerate(lengths)),
-        )
-        chain = build_chain(secular_series(graph))
+        chain = build_chain(secular_series(dirichlet_star(STAR_LENGTHS)))
         points = []
 
         def counted(series, ks):
@@ -311,6 +384,25 @@ class TestSolveGraph:
         assert sum(points) <= 16 * level_roots
         # Taylor-model refinement: about 3 series points and one model per root.
         assert sum(points) <= 8 * level_roots
+        # Separator levels certify from the model, with no probe pair.
+        assert sum(points) <= 4 * level_roots
+
+    def test_descent_memory_peak(self):
+        # 7-bond Dirichlet star, about 1,700 roots on each of 7 levels.  The
+        # bound is about 5% above the 842 KiB peak that per-block model
+        # arrays gave before separator certificates.
+        chain = build_chain(secular_series(dirichlet_star(STAR_LENGTHS[:7])))
+        descend(chain, (0.0, 10.0))  # build the cached term arrays
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            spectrum = descend(chain, (0.0, 1000.0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(spectrum) > 1500
+        assert peak <= 880 * 1024
 
     def test_solvable_graphs_verify(self, solvable_graph):
         from qgspectra import secular_series, verify_spectrum
