@@ -179,7 +179,9 @@ def evaluate_array(series: SpectralSeries, ks: np.ndarray) -> np.ndarray:
     return taylor_array(series, ks, 0)[0].reshape(ks.shape)
 
 
-def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int) -> np.ndarray:
+def taylor_array(
+    series: SpectralSeries, ks: np.ndarray, order: int, below: np.ndarray | None = None
+) -> np.ndarray:
     """Taylor coefficients of the series about each point of ``ks``, flattened.
 
     Row n holds ``c_n = g^(n)(x) / (s0**n * n!)``, so that
@@ -190,37 +192,48 @@ def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int) -> np.ndarr
     4, so one cosine and one sine of each term angle give every row.  Row 0
     is the ``evaluate_array`` value, computed by the same product over the
     same ``EVAL_BLOCK`` blocks.
+
+    With ``below``, one amplitude per term (``order`` >= 1), one more row
+    holds ``sin t0 - sum below_j sin t_j`` from the same sines: the value of
+    the series with these amplitudes whose angles trail these by a quarter
+    period, as the level this one was differentiated from does.
     """
     x = np.asarray(ks, dtype=float).ravel()
     s0 = series.leading_action
     actions, amps, phases = series.arrays
-    out = np.empty((order + 1, x.size))
+    out = np.empty((order + 1 + (below is not None), x.size))
+    c = out[: order + 1]
     # The leading angle is built in row 0, so a long array of points is
     # held once, not three times.
-    np.multiply(s0, x, out=out[0])
-    out[0] += series.leading_phase
+    np.multiply(s0, x, out=c[0])
+    c[0] += series.leading_phase
     if order:
         n = np.arange(1, order + 1)
         weights = amps * (actions / s0) ** n[:, None]  # row n - 1 scales order n
-        out[1::2] = np.sin(out[0])
-    np.cos(out[0], out=out[0])
+        c[1::2] = np.sin(c[0])
+        if below is not None:
+            out[-1] = c[1]
+    np.cos(c[0], out=c[0])
     if order:
-        out[2::2] = out[0]
+        c[2::2] = c[0]
     step = max(1, EVAL_BLOCK // max(1, len(amps)))
     for start in range(0, x.size, step):
         block = slice(start, start + step)
         angles = np.outer(actions, x[block])
         angles += phases[:, None]
         cosines = np.cos(angles)
-        out[0, block] -= amps @ cosines
+        c[0, block] -= amps @ cosines
         if order:
-            out[2::2, block] -= weights[1::2] @ cosines
-            out[1::2, block] -= weights[0::2] @ np.sin(angles, out=angles)
+            c[2::2, block] -= weights[1::2] @ cosines
+            np.sin(angles, out=angles)
+            c[1::2, block] -= weights[0::2] @ angles
+            if below is not None:
+                out[-1, block] -= below @ angles
         del angles, cosines  # free this block's arrays before the next one's
     if order:
         # cos(t + n*pi/2) is -sin t, -cos t, +sin t, +cos t for n = 1, 2, 3, 4 mod 4.
         scale = np.where((n - 1) % 4 < 2, -1.0, 1.0) / np.cumprod(n.astype(float))
-        out[1:] *= scale[:, None]
+        c[1:] *= scale[:, None]
     return out
 
 

@@ -6,18 +6,25 @@ M.  At that regular level the extrema of the leading cosine are root
 separators: the series sign there is pinned by the leading term, so every
 separator cell brackets exactly one simple root.  Walking back down, the
 roots of each level are the extrema of the level below and therefore
-separate its roots.  One loop handles every level the same way: it probes
-each cell for a sign change, and each cell yields at most one root.  Each
-sign-change bracket is shrunk by Newton steps on a Taylor model of the
-series about the current point (the family is closed under d/dk, so one
-cosine and one sine per term give every derivative there) that never
-leave the bracket, falling back to bisection.  A root of level 0, the
-reported level, is certified by one pair of sign probes of the series
-just around it.  A root of a level above only separates the roots of the
-level below, so the model's own signs either side of it, clear of the
-model's remainder and rounding, certify it; the lanes the model leaves
-open take the probe pair.  Every root is returned inside a bracket whose
-two ends have certified opposite signs.
+separate its roots.  One loop handles every level the same way: it reads
+the series sign at each separator, and each cell whose ends differ in sign
+yields one root.  Each sign-change bracket is shrunk by Newton steps on a
+Taylor model of the series about the current point (the family is closed
+under d/dk, so one cosine and one sine per term give every derivative
+there) that never leave the bracket, falling back to bisection.  A root of
+level 0, the reported level, is certified by one pair of sign probes of
+the series just around it.  A root of a level above only separates the
+roots of the level below, so the model's own signs either side of it,
+clear of the model's remainder and rounding, certify it; the lanes the
+model leaves open take the probe pair.  Every root is returned inside a
+bracket whose two ends have certified opposite signs.
+
+The level below has the same terms a quarter period behind, so the model
+that closes a lane also gives that level's value at the root: from the
+sines it already took, carried to the root by the model's integral.  The
+level below reads its sign at such a separator from that value when the
+value clears its error bound by ``ENDPOINT_TOL``, and evaluates the series
+at every other separator and at the edges.
 
 Every level runs between the same two edges, the window padded by M + 1
 leading cells (the lower edge clamped at ``POSITIVE_FLOOR`` and, there,
@@ -38,6 +45,7 @@ import numpy as np
 from .errors import DegenerateSpectrum, EmptyWindow, NotRegular
 from .graphs import QuantumGraph, secular_series
 from .series import (
+    AMPLITUDE_FLOOR,
     DEFAULT_MARGIN,
     EVAL_BLOCK,
     SpectralSeries,
@@ -63,7 +71,8 @@ EDGE_SLACK_REL = 1e-11
 # (1 + sum a) half a leading cell from x (|u| = pi/2), so the first model
 # about a cell midpoint already pins most roots to the target width.
 MODEL_ORDER = 16
-# Newton steps on the Taylor polynomial per evaluation of the model.
+# Newton steps on the Taylor polynomial per evaluation of the model, the
+# first (from the model's centre, u = 0) in closed form.
 MODEL_NEWTON_STEPS = 7
 # Points per Taylor model block: its (N+1)-row arrays hold half an EVAL_BLOCK,
 # so a block costs no more memory than one of evaluate_array's.
@@ -177,29 +186,46 @@ def base_separators(
 
 
 def _model_roots(
-    series: SpectralSeries, x: np.ndarray, a: np.ndarray, b: np.ndarray, half: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    series: SpectralSeries,
+    x: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    half: float = 0.0,
+    below: SpectralSeries | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Series values at ``x`` and the roots of its Taylor models there.
 
     Runs ``MODEL_NEWTON_STEPS`` Newton steps on each polynomial
-    ``sum_n c_n u**n`` (:func:`taylor_array`, ``u = s0 * (k - x)``) from
-    u = 0; an iterate that leaves the bracket ``[a, b]`` is clipped back,
-    so no polynomial is evaluated far outside the cell it models.  Returns
-    the values (row 0), the roots as wavenumbers, bounds on their distance
-    from a root of the series (the last step plus the Lagrange remainder
-    over the slope), and the model's certified signs ``half`` either side
-    of each root.  Level N+1 of the series is at most
-    ``1 + sum a_j r_j**(N+1)`` in magnitude, which bounds the remainder by
-    that times ``|u|**(N+1) / (N+1)!``.
+    ``p(u) = sum_n c_n u**n`` (:func:`taylor_array`, ``u = s0 * (k - x)``)
+    from u = 0, the first in closed form (``p = c_0``, ``p' = c_1`` there);
+    an iterate that leaves the bracket ``[a, b]`` is clipped back, so no
+    polynomial is evaluated far outside the cell it models.  Returns the
+    values (row 0), the roots as wavenumbers, bounds on their distance from
+    a root of the series (the last step plus the Lagrange remainder over
+    the slope), the model's certified signs ``half`` either side of each
+    root, and the values of the level ``below`` at the roots.  Level N+1 of
+    the series is at most ``1 + sum a_j r_j**(N+1)`` in magnitude, which
+    bounds the remainder by that times ``|u|**(N+1) / (N+1)!``.
 
     With ``half`` > 0 the polynomial is also evaluated at ``u -+ half``.  The
-    last returned array holds, per lane, the sign at ``u - half`` when the
+    fourth returned array holds, per lane, the sign at ``u - half`` when the
     two signs differ and each value exceeds the remainder there plus a
     rounding bound, and 0 otherwise (always 0 with ``half`` = 0).  The
     rounding bound covers the coefficients' angle errors, which grow with
     ``s0 * |x|``, the sum over the J terms, and the polynomial sum, at most
-    ``e**|u|`` times the coefficient errors.  Points go through
-    ``MODEL_BLOCK`` at a time, certificate included.
+    ``e**|u|`` times the coefficient errors.
+
+    ``below`` is the level this series was differentiated from (None at
+    level 0, and then so is the last returned item).  Its value at ``x``
+    comes from the sines the model takes, with that level's amplitudes,
+    plus the terms this level dropped below ``AMPLITUDE_FLOOR``; the model's
+    integral ``sum_n c_n u**(n+1) / (n+1)`` carries it to the root.  Its
+    error is at most the integrated remainder ``tail * |u|**(N+2) / (N+2)``,
+    the dropped terms' slope times ``|u|``, and the rounding bound with the
+    amplitudes of ``below``.  The last item holds, per lane, that value
+    moved toward zero by its error bound (0 when the bound exceeds it):
+    nearer zero than the true value, with its sign.  Points go through
+    ``MODEL_BLOCK`` at a time, certificate and level below included.
     """
     actions, amps, _ = series.arrays
     s0 = series.leading_action
@@ -209,20 +235,30 @@ def _model_roots(
     n = np.arange(1, top)[:, None]
     f, root, error = np.empty(x.size), np.empty(x.size), np.empty(x.size)
     side = np.zeros(x.size, dtype=np.int8)
+    below_amps, level_below = (), None
+    if below is not None:
+        b_actions, b_amps, b_phases = below.arrays
+        kept = b_amps * (b_actions / s0) >= AMPLITUDE_FLOOR  # as derivative_series keeps
+        gone = ~kept
+        slope = b_amps[gone] @ (b_actions[gone] / s0)
+        b_noise = 4.0 * np.finfo(float).eps * (1.0 + b_amps.sum())
+        integral = 1.0 / np.arange(1, top + 1)[:, None]
+        below_amps, level_below = (b_amps[kept],), np.empty(x.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, x.size, MODEL_BLOCK):
             block = slice(start, start + MODEL_BLOCK)
             xb = x[block]
             lo, hi = s0 * (a[block] - xb), s0 * (b[block] - xb)
-            c = taylor_array(series, xb, MODEL_ORDER)
+            c = taylor_array(series, xb, MODEL_ORDER, *below_amps)
             f[block] = c[0]
-            powers = np.ones_like(c)
-            u = np.zeros(xb.size)
-            for _ in range(MODEL_NEWTON_STEPS):
-                powers[1:] = u
-                np.cumprod(powers[1:], axis=0, out=powers[1:])
-                p = np.einsum("ij,ij->j", c, powers)
-                dp = np.einsum("ij,ij,ij->j", n, c[1:], powers[:-1])
+            dc = n * c[1:top]
+            u = np.clip(0.0 - c[0] / c[1], lo, hi)
+            du, dp = np.abs(u), c[1]
+            powers = np.ones((top, xb.size))
+            for _ in range(MODEL_NEWTON_STEPS - 1):
+                _fill_powers(powers, u)
+                p = np.einsum("ij,ij->j", c[:top], powers)
+                dp = np.einsum("ij,ij->j", dc, powers[:-1])
                 new = np.clip(u - p / dp, lo, hi)
                 du = np.abs(new - u)
                 u = new
@@ -239,8 +275,31 @@ def _model_roots(
                 clear = (np.abs(pv) > bound).all(axis=0) & (pv[0] * pv[1] < 0.0)
                 side[block] = np.where(clear, np.sign(pv[0]), 0.0)
                 del v, pv, bound, clear
-            del c, powers  # free this block's arrays before the next one's
-    return f, root, error, side
+            if below is not None:
+                _fill_powers(powers, u)
+                powers *= integral
+                value = np.einsum("ij,ij->j", c[:top], powers)
+                value *= u
+                value += c[top]
+                if gone.any():
+                    angles = np.outer(b_actions[gone], xb) + b_phases[gone, None]
+                    value -= b_amps[gone] @ np.cos(angles)
+                v = np.abs(u)
+                bound = (
+                    tail * v ** (top + 1) / (top + 1)
+                    + slope * v
+                    + b_noise * np.exp(v) * (s0 * np.abs(xb) + len(b_amps) + 30.0)
+                )
+                level_below[block] = np.copysign(np.maximum(np.abs(value) - bound, 0.0), value)
+            del c, dc, dp, powers  # free this block's arrays before the next one's
+    return f, root, error, side, level_below
+
+
+def _fill_powers(powers: np.ndarray, u: np.ndarray) -> None:
+    """Rows 1.. of ``powers`` become u, u**2, ..., one row multiply each."""
+    powers[1] = u
+    for row in range(2, len(powers)):
+        np.multiply(powers[row - 1], u, out=powers[row])
 
 
 def _refine_brackets(
@@ -250,6 +309,8 @@ def _refine_brackets(
     fa: np.ndarray,
     *,
     separators: bool = False,
+    below: SpectralSeries | None = None,
+    values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shrink sign-change brackets onto their roots by Newton on a Taylor model.
 
@@ -275,6 +336,11 @@ def _refine_brackets(
     (s0 * delta)**2 / 2``, by ``ENDPOINT_TOL / 32``: a separator that passes
     the level below's ``ENDPOINT_TOL`` guard has the sign of the true
     extremum, and no root of that level falls between the two.
+
+    With ``below``, the level the series was differentiated from, each
+    lane the model certifies also gets that level's value at its root from
+    the same model (:func:`_model_roots`), moved toward zero by its error
+    bound, in ``values``; the other lanes' entries are left as they are.
 
     A probe on a bracket end takes the sign recorded for that end instead
     of a fresh evaluation, which could flip a noise-level sign.  A pair
@@ -311,9 +377,10 @@ def _refine_brackets(
         side = np.zeros(lanes.size, dtype=np.int8)
         if not mt.all():
             f[~mt] = evaluate_array(series, xl[~mt])
+        level_below = None
         if mt.any():
-            f[mt], cand[mt], error[mt], side[mt] = _model_roots(
-                series, xl[mt], a[lanes[mt]], b[lanes[mt]], half
+            f[mt], cand[mt], error[mt], side[mt], level_below = _model_roots(
+                series, xl[mt], a[lanes[mt]], b[lanes[mt]], half, below
             )
         left = np.sign(f) == sl
         al = np.where(left, xl, a[lanes])
@@ -324,6 +391,9 @@ def _refine_brackets(
         xn = np.where(near | take, cand, 0.5 * (al + bl))
         held = near & (side == sl) & (cand - delta >= al) & (cand + delta <= bl)
         al[held], bl[held] = cand[held] - delta, cand[held] + delta
+        if level_below is not None:
+            closed = held[mt]
+            values[lanes[mt][closed]] = level_below[closed]
         probe = near & ~held
         if probe.any():
             al[probe], bl[probe], paired = _probe_pair(
@@ -397,18 +467,28 @@ def _floor_escape(series: SpectralSeries, start: float, cap: float) -> float:
 def _level_pass(
     series: SpectralSeries,
     bounds: np.ndarray,
+    values: np.ndarray,
     *,
     interior: slice | None = None,
-    separators: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probe consecutive cells of one level; return roots and enclosures.
+    below: SpectralSeries | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Sign-test consecutive cells of one level; return roots and enclosures.
 
-    ``bounds`` are the two padded edges and the separators between them,
-    evaluated in one call.  A separator value at noise level
-    (``ENDPOINT_TOL``) signals a (near-)double root and raises; an edge
-    value at noise level counts as positive (see the module docstring).
+    ``bounds`` are the two padded edges and the separators between them.
+    ``values`` holds, per bound, NaN or a value with the series' sign that
+    is no farther from zero than the series there: the model of the level
+    above supplies these at the roots it closed.  The entries at most
+    ``ENDPOINT_TOL`` in magnitude, the NaN ones and so the edges among them,
+    are evaluated by the series in one call.  A separator value at noise
+    level (``ENDPOINT_TOL``) signals a (near-)double root and raises; an
+    edge value at noise level counts as positive (see the module
+    docstring).  With ``below``, the level this one was differentiated
+    from, the third returned array holds that level's values at the roots
+    in the same form, written over ``values`` once their signs are read;
+    at level 0 it is None.
     """
-    values = evaluate_array(series, bounds)
+    fresh = ~(np.abs(values) > ENDPOINT_TOL)
+    values[fresh] = evaluate_array(series, bounds[fresh])
     small = np.abs(values[1:-1]) <= ENDPOINT_TOL
     if small.any():
         where = float(bounds[1 + int(np.argmax(small))])
@@ -419,15 +499,22 @@ def _level_pass(
     change = signs[:-1] != signs[1:]
     if interior is not None and not change[interior].all():
         raise AssertionError("regular-level cell without a sign change; separator logic broken")
+    known = None
+    if below is not None:
+        known = values[: np.count_nonzero(change)]
+        known.fill(np.nan)
     if not change.any():
-        return np.empty(0), np.empty(0)
-    return _refine_brackets(
+        return np.empty(0), np.empty(0), known
+    roots, encl = _refine_brackets(
         series,
         bounds[:-1][change],
         bounds[1:][change],
         signs[:-1][change],
-        separators=separators,
+        separators=below is not None,
+        below=below,
+        values=known,
     )
+    return roots, encl, known
 
 
 def descend_with_trace(
@@ -452,6 +539,7 @@ def descend_with_trace(
     # The regular level is separated by the extrema of its leading cosine,
     # every level below by the roots of the level above.
     seps = roots = base_separators(levels[top], lo_pad, hi_pad, chain.margin)
+    known = np.full(roots.size, np.nan)  # the grid's values are evaluated
     level_roots: list[np.ndarray] = []  # top level first
     # Each level is the derivative of the level below, so a systematic zero
     # at k = 0 is one order deeper a level down: a separator level's floor
@@ -464,10 +552,14 @@ def descend_with_trace(
         if lo_pad == POSITIVE_FLOOR:
             start = climbed if m else lo_pad
             lo_edge = climbed = _floor_escape(series, start, lo_pad + 0.25 * cell)
-        inner = roots[(roots > lo_edge + width_tol) & (roots < hi_pad - width_tol)]
-        bounds = np.concatenate(([lo_edge], inner, [hi_pad]))
+        inside = (roots > lo_edge + width_tol) & (roots < hi_pad - width_tol)
+        bounds = np.concatenate(([lo_edge], roots[inside], [hi_pad]))
+        values = np.concatenate(([np.nan], known[inside], [np.nan]))
+        del known  # the level above's array: free it for this level's pass
         interior = slice(1, -1) if m == top and len(bounds) > 3 else None
-        roots, encl = _level_pass(series, bounds, interior=interior, separators=m > 0)
+        roots, encl, known = _level_pass(
+            series, bounds, values, interior=interior, below=levels[m - 1] if m else None
+        )
         level_roots.append(roots)
 
     slack = EDGE_SLACK_REL * max(1.0, abs(k_lo), abs(k_hi))

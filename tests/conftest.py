@@ -1,8 +1,9 @@
 """Shared fixtures: the small graph corpus used across test modules."""
 
+import numpy as np
 import pytest
 
-from qgspectra import BondSpec, QuantumGraph, VertexSpec
+from qgspectra import BondSpec, QuantumGraph, VertexSpec, descend_with_trace, solver
 
 
 def make_bond_dd() -> QuantumGraph:
@@ -143,3 +144,25 @@ def any_graph(request):
 @pytest.fixture(params=sorted(SOLVABLE_GRAPHS))
 def solvable_graph(request):
     return SOLVABLE_GRAPHS[request.param]()
+
+
+def model_separator_values(monkeypatch, chain, window):
+    """Descend, recording the separator values each level pass takes from
+    the model of the level above rather than evaluating them.
+
+    Returns the descent's result and, per level pass, the level's series,
+    the separators whose value came from the model, and those values.
+    """
+    passes = []
+    level_pass = solver._level_pass
+
+    def recording(series, bounds, values, **kwargs):
+        known = np.abs(values) > solver.ENDPOINT_TOL
+        passes.append((series, bounds[known], values[known]))
+        return level_pass(series, bounds, values, **kwargs)
+
+    monkeypatch.setattr(solver, "_level_pass", recording)
+    try:
+        return descend_with_trace(chain, window), passes
+    finally:
+        monkeypatch.undo()

@@ -5,6 +5,9 @@ The series is re-evaluated in 40-digit arithmetic at ``k - enclosure`` and
 (exactly represented) series lies inside the enclosure.  The separator
 tier checks the roots of every level above the reported one the same way,
 at the half-width ``delta`` that the descent's separator argument needs.
+The separator-value tier checks the values a level takes from the model
+of the level above instead of evaluating them: each must have the 40-digit
+sign of that level at its separator and lie nearer zero than its value.
 """
 
 import math
@@ -16,7 +19,7 @@ from qgspectra import build_chain, descend, descend_with_trace, secular_series, 
 from qgspectra.fuzz import random_series, standard_window
 from qgspectra.solver import ENDPOINT_TOL
 
-from conftest import SOLVABLE_GRAPHS
+from conftest import SOLVABLE_GRAPHS, model_separator_values
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -29,15 +32,25 @@ FUZZ_PREFIX = 100
 GRAPH_KMAX = 40.0
 
 
-def _misses(series, roots) -> list[tuple[float, float]]:
-    """(k, half-width) pairs whose two ends have the same 40-digit series sign."""
+def _exact(series):
+    """The series as a function of an mpmath wavenumber, at working precision."""
     mp = mpmath.mp
     s0, phi0 = mp.mpf(series.leading_action), mp.mpf(series.leading_phase)
     terms = [(mp.mpf(t.action), mp.mpf(t.amplitude), mp.mpf(t.phase)) for t in series.terms]
 
+    def value(k):
+        return mp.cos(s0 * k + phi0) - mp.fsum(a * mp.cos(s * k + p) for s, a, p in terms)
+
+    return value
+
+
+def _misses(series, roots) -> list[tuple[float, float]]:
+    """(k, half-width) pairs whose two ends have the same 40-digit series sign."""
+    mp = mpmath.mp
+    exact = _exact(series)
+
     def sign(k) -> int:
-        value = mp.cos(s0 * k + phi0) - mp.fsum(a * mp.cos(s * k + p) for s, a, p in terms)
-        return int(mp.sign(value))
+        return int(mp.sign(exact(k)))
 
     misses = []
     for x, h in roots:
@@ -111,3 +124,19 @@ def test_fuzz_separators_hold_at_40_digits():
         assert misses == [], f"series {i}"
         total += checked
     assert total > 1000
+
+
+@pytest.mark.parametrize("name", sorted(SOLVABLE_GRAPHS))
+def test_graph_separator_values_hold_at_40_digits(name, monkeypatch):
+    chain = build_chain(secular_series(SOLVABLE_GRAPHS[name]()))
+    _, passes = model_separator_values(monkeypatch, chain, (0.0, GRAPH_KMAX))
+    checked, wrong = 0, []
+    for series, xs, values in passes:
+        exact = _exact(series)
+        for x, value in zip(xs.tolist(), values.tolist()):
+            true = exact(mpmath.mpf(x))
+            if mpmath.sign(true) != math.copysign(1.0, value) or abs(true) < abs(value):
+                wrong.append((x, value))
+        checked += len(xs)
+    assert checked > 0 or chain.order == 0
+    assert wrong == []

@@ -27,7 +27,13 @@ from qgspectra.fuzz import random_series, standard_window
 from qgspectra.series import derivative_series, evaluate, regularity_sum, taylor_array
 from qgspectra.solver import base_separators
 
-from conftest import SOLVABLE_GRAPHS, make_bond_dd, make_bond_dk, make_star3
+from conftest import (
+    SOLVABLE_GRAPHS,
+    make_bond_dd,
+    make_bond_dk,
+    make_star3,
+    model_separator_values,
+)
 
 
 STAR_LENGTHS = (1.0, 0.913, 0.847, 0.771, 0.706, 0.633, 0.571, 0.502)
@@ -323,11 +329,11 @@ class TestDescend:
         root = bisect_oracle(lambda x: evaluate(series, x), 10.0, 17.0)
         half = 0.25 * math.sqrt(solver.ENDPOINT_TOL / 2.0)
         a, b = np.array([10.0]), np.array([17.0])
-        _, far, _, side = solver._model_roots(series, np.array([12.0]), a, b, half)
+        _, far, _, side, _ = solver._model_roots(series, np.array([12.0]), a, b, half)
         assert abs(far[0] - root) > 100 * half
         assert side[0] == 0
         # About a point near the root the model certifies the sign below it.
-        _, close, _, side = solver._model_roots(series, np.array([16.3]), a, b, half)
+        _, close, _, side, _ = solver._model_roots(series, np.array([16.3]), a, b, half)
         assert abs(close[0] - root) < 1e-12
         assert side[0] == -1
 
@@ -339,6 +345,176 @@ class TestDescend:
         assert chain.order == 1
         with pytest.raises(DegenerateSpectrum):
             descend(chain, (0.0, 10.0))
+
+
+def reference_model_roots(series, x, a, b, half=0.0):
+    """``solver._model_roots`` with the Newton kernel it had before: the
+    power table rebuilt by ``cumprod`` at every step from u = 0, and ``p'``
+    by a three-operand ``einsum``.  The kernel must match it bit for bit."""
+    order = solver.MODEL_ORDER
+    actions, amps, _ = series.arrays
+    s0 = series.leading_action
+    top = order + 1
+    tail = (1.0 + amps @ (actions / s0) ** top) / math.factorial(top)
+    noise = 4.0 * np.finfo(float).eps * (1.0 + amps.sum())
+    n = np.arange(1, top)[:, None]
+    f, root, error = np.empty(x.size), np.empty(x.size), np.empty(x.size)
+    side = np.zeros(x.size, dtype=np.int8)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, x.size, solver.MODEL_BLOCK):
+            block = slice(start, start + solver.MODEL_BLOCK)
+            xb = x[block]
+            lo, hi = s0 * (a[block] - xb), s0 * (b[block] - xb)
+            c = taylor_array(series, xb, order)
+            f[block] = c[0]
+            powers = np.ones_like(c)
+            u = np.zeros(xb.size)
+            for _ in range(solver.MODEL_NEWTON_STEPS):
+                powers[1:] = u
+                np.cumprod(powers[1:], axis=0, out=powers[1:])
+                p = np.einsum("ij,ij->j", c, powers)
+                dp = np.einsum("ij,ij,ij->j", n, c[1:], powers[:-1])
+                new = np.clip(u - p / dp, lo, hi)
+                du = np.abs(new - u)
+                u = new
+            root[block] = xb + u / s0
+            error[block] = (du + tail * np.abs(u) ** top / np.abs(dp)) / s0
+            if half:
+                v = np.stack((u - half, u + half))
+                pv = np.zeros_like(v)
+                for row in range(order, -1, -1):
+                    pv *= v
+                    pv += c[row]
+                v = np.abs(v)
+                bound = tail * v**top + noise * np.exp(v) * (s0 * np.abs(xb) + len(amps) + 30.0)
+                clear = (np.abs(pv) > bound).all(axis=0) & (pv[0] * pv[1] < 0.0)
+                side[block] = np.where(clear, np.sign(pv[0]), 0.0)
+    return f, root, error, side
+
+
+class TestModelKernel:
+    LANES = 3 * solver.MODEL_BLOCK + 17  # several blocks and a ragged last one
+
+    @staticmethod
+    def assert_matches_reference(series, x, a, b, half=0.0, below=None):
+        got = solver._model_roots(series, x, a, b, half, below)
+        want = reference_model_roots(series, x, a, b, half)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        return got
+
+    def lanes(self, rng, series, lo, hi):
+        x = rng.uniform(lo, hi, self.LANES)
+        cell = math.pi / series.leading_action
+        return x, x - rng.uniform(0.0, cell, x.size), x + rng.uniform(0.0, cell, x.size)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_series(self, seed):
+        rng = np.random.default_rng(seed)
+        series = random_series(rng, max_terms=12)
+        self.assert_matches_reference(series, *self.lanes(rng, series, 0.0, 200.0))
+
+    def test_lanes_clipped_at_a_bracket_end(self):
+        rng = np.random.default_rng(5)
+        series = random_series(rng)
+        x, _, _ = self.lanes(rng, series, 0.0, 200.0)
+        width = 1e-3 / series.leading_action
+        a, b = x - width, x + width
+        root = self.assert_matches_reference(series, x, a, b)[1]
+        assert np.count_nonzero((root == a) | (root == b)) > self.LANES // 2
+
+    def test_centres_near_1e9(self):
+        rng = np.random.default_rng(6)
+        series = random_series(rng)
+        self.assert_matches_reference(series, *self.lanes(rng, series, 1e9, 1e9 + 100.0))
+
+    def test_separator_level_with_certificate(self):
+        rng = np.random.default_rng(7)
+        chain = build_chain(random_series(rng, amp_sum_range=(2.0, 3.0)))
+        assert chain.order >= 2
+        series = chain.levels[1]
+        seps = base_separators(chain.levels[-1], 0.0, 1000.0)
+        roots = descend_with_trace(chain, (0.0, 1000.0))[1].level_roots[1]
+        # Centres a little off the roots, in brackets reaching the separators.
+        x = roots + rng.uniform(-0.3, 0.3, roots.size) / series.leading_action
+        i = np.clip(np.searchsorted(seps, roots), 1, seps.size - 1)
+        a, b = np.minimum(seps[i - 1], x), np.maximum(seps[i], x)
+        slope = regularity_sum(derivative_series(series))
+        half = 0.25 * math.sqrt(solver.ENDPOINT_TOL / (1.0 + slope))
+        got = self.assert_matches_reference(series, x, a, b, half, chain.levels[0])
+        assert x.size > solver.MODEL_BLOCK and np.count_nonzero(got[3]) > x.size // 2
+        assert got[4].shape == x.shape
+
+
+class TestSeparatorValues:
+    """Separator values the model of the level above supplies in place of a
+    series evaluation: each is nearer zero than the level's value there and
+    has its sign, so the level pass reads the same signs as from the series."""
+
+    @staticmethod
+    def check(monkeypatch, chain, window):
+        (_, trace), passes = model_separator_values(monkeypatch, chain, window)
+        used = 0
+        for series, xs, values in passes:
+            series_values = evaluate_array(series, xs)
+            assert np.array_equal(np.sign(series_values), np.sign(values))
+            assert np.all(np.abs(series_values) >= np.abs(values))
+            used += xs.size
+        # Only separators found by a level above: the top-level grid and the
+        # padded edges are evaluated.
+        assert passes[0][1].size == 0
+        separators = sum(len(r) for r in trace.level_roots[1:])
+        return used, separators
+
+    def test_graphs(self, monkeypatch):
+        used = separators = 0
+        for name in sorted(SOLVABLE_GRAPHS):
+            chain = build_chain(secular_series(SOLVABLE_GRAPHS[name]()))
+            u, s = self.check(monkeypatch, chain, (0.0, 60.0))
+            used, separators = used + u, separators + s
+        assert used > 0.9 * separators > 150
+
+    def test_fuzz_corpus(self, monkeypatch):
+        rng = np.random.default_rng(20260809)  # criterion 5 of the acceptance suite
+        used = separators = 0
+        for _ in range(100):
+            series = random_series(rng)
+            u, s = self.check(monkeypatch, build_chain(series), standard_window(series, 50))
+            used, separators = used + u, separators + s
+        assert used > 0.9 * separators > 1000
+
+    def test_terms_dropped_a_level_up(self, monkeypatch):
+        # Level 1 drops the constant term and the one whose amplitude falls
+        # below AMPLITUDE_FLOOR; level 0's values still count them.
+        series = canonicalize(1.0, 0.4, [(0.0, 0.4, 0.3), (0.1, 5e-14, 0.7), (0.6, 0.9, 1.0)])
+        chain = build_chain(series)
+        assert chain.order == 1 and len(chain.levels[1].terms) == 1
+        used, separators = self.check(monkeypatch, chain, (0.0, 100.0))
+        assert used > 0.9 * separators > 20
+
+    def test_noise_level_separator_above_level_zero(self, monkeypatch):
+        # cos(k - pi/2) - 2 cos(k/2) has M = 2, and its level 1,
+        # cos k - cos(k/2 + pi/2), a double root at k = pi, where level 2 has
+        # a root.  The model cannot certify a value there: the series is
+        # evaluated and the double-root guard raises.
+        chain = build_chain(canonicalize(1.0, -math.pi / 2, [(0.5, 2.0, 0.0)]))
+        assert chain.order == 2
+        level1 = chain.levels[1]
+        assert evaluate(level1, math.pi) == pytest.approx(0.0, abs=1e-12)
+        evaluated = []
+
+        def recording(series, ks):
+            if series is level1:
+                evaluated.extend(np.asarray(ks).tolist())
+            return evaluate_array(series, ks)
+
+        monkeypatch.setattr(solver, "evaluate_array", recording)
+        with pytest.raises(
+            DegenerateSpectrum,
+            match=r"^series value at separator 3\.14159265\d* is consistent with a double root$",
+        ):
+            descend(chain, (0.0, 10.0))
+        assert any(abs(k - math.pi) < 1e-9 for k in evaluated)
 
 
 class TestSolveGraph:
@@ -369,10 +545,10 @@ class TestSolveGraph:
             points.append(np.asarray(ks).size)
             return evaluate_array(series, ks)
 
-        def counted_model(series, ks, order):
+        def counted_model(series, ks, order, *below):
             # One cosine and one sine per term: two points' worth of trig.
             points.append(2 * np.asarray(ks).size)
-            return taylor_array(series, ks, order)
+            return taylor_array(series, ks, order, *below)
 
         monkeypatch.setattr(solver, "evaluate_array", counted)
         monkeypatch.setattr(solver, "taylor_array", counted_model)
@@ -386,6 +562,8 @@ class TestSolveGraph:
         assert sum(points) <= 8 * level_roots
         # Separator levels certify from the model, with no probe pair.
         assert sum(points) <= 4 * level_roots
+        # The model that finds a separator also gives the level below's value there.
+        assert sum(points) <= 3 * level_roots
 
     def test_descent_memory_peak(self):
         # 7-bond Dirichlet star, about 1,700 roots on each of 7 levels.  The
