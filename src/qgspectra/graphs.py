@@ -38,14 +38,15 @@ from .errors import (
     SizeCapExceeded,
     ValidationError,
 )
-from .series import MERGE_TOL, SpectralSeries, canonicalize
+from .series import MERGE_TOL, BondTerms, SpectralSeries, canonicalize
 
 # Cap on directed bonds (2 per undirected bond).  It bounds the descent and
 # the k = 0 floor, not the determinant: on a 2-vCPU Xeon VM (one BLAS
 # thread) 10-bond graphs without leaves expand in 0.065-0.16 s, while
-# ``descend`` on (20, 100] takes 0.92 s, 6.3 s and 32 s for 12-, 14- and
-# 16-bond Dirichlet stars (1,585, 6,475 and 26,332 terms), and the 14-bond
-# star raises DegenerateSpectrum on any window whose padding reaches k = 0.
+# ``descend`` on (20, 100] takes 0.16-0.24 s and 2.0-2.1 s for 12- and
+# 14-bond Dirichlet stars (1,585 and 6,475 terms; term phasors from bond
+# phasors), and the 14-bond star raises DegenerateSpectrum on any window
+# whose padding reaches k = 0.
 MAX_DIRECTED_BONDS = 20
 # Coefficients below FLOOR_UNITS * 2B * eps * max|det| over the grid are
 # exact zeros.  On stars, wheels and the test graphs (B <= 8) the
@@ -390,7 +391,7 @@ def expand_secular(graph: QuantumGraph) -> SecularExpansion:
         rotation = -rotation
 
     centered = sorted((expo.total_action(n) - theta, n) for n in coefficients)
-    clusters: list[list] = []  # [smallest kappa, summed rotated coefficient]
+    clusters: list[list] = []  # [smallest kappa, summed rotated coefficient, its exponents]
     for kappa, n in centered:
         if kappa < -MERGE_TOL:
             continue  # looked up as the mirror of 2 - n
@@ -403,18 +404,27 @@ def expand_secular(graph: QuantumGraph) -> SecularExpansion:
         if clusters and kappa - clusters[-1][0] <= MERGE_TOL:
             clusters[-1][1] += 0.5 * (p + q)
         else:
-            clusters.append([kappa, 0.5 * (p + q)])
-    clusters = [(kappa, r) for kappa, r in clusters if abs(r) >= expo.floor]
+            clusters.append([kappa, 0.5 * (p + q), n])
+    clusters = [c for c in clusters if abs(c[1]) >= expo.floor]
 
-    _, r_lead = clusters.pop()
+    _, r_lead, _ = clusters.pop()
     lead_amp = abs(r_lead)
     scale = 2.0 * lead_amp
-    raw_terms = [
-        (0.0, -r.real / scale, 0.0) if abs(kappa) <= MERGE_TOL
-        else (kappa, -abs(r) / lead_amp, math.atan2(r.imag, r.real))
-        for kappa, r in clusters
-    ]
+    raw_terms = []
+    # Each term's action is sum_b (n_b - 1) S_b over the exponents of its
+    # smallest kappa; the constant term's row is 0.
+    rows = {0.0: (0,) * n_bonds}
+    for kappa, r, n in clusters:
+        if abs(kappa) <= MERGE_TOL:
+            raw_terms.append((0.0, -r.real / scale, 0.0))
+        else:
+            raw_terms.append((kappa, -abs(r) / lead_amp, math.atan2(r.imag, r.real)))
+            rows[kappa] = tuple(b - 1 for b in n)
     series = canonicalize(theta, math.atan2(r_lead.imag, r_lead.real), raw_terms)
+    bonds = BondTerms.from_rows(
+        expo.actions, [rows[t.action] for t in series.terms], series.arrays[0]
+    )
+    series = SpectralSeries(series.leading_action, series.leading_phase, series.terms, bonds)
     return SecularExpansion(
         series=series, theta=theta, normalization=rotation / scale, expo=expo
     )

@@ -19,13 +19,21 @@ arrays of actions, amplitudes and phases; :func:`evaluate_array` sums the
 terms with one matrix product per block of points, and
 :func:`taylor_array` gives the Taylor coefficients about each point from
 the same blocks.
+
+The secular series of a graph also carries its bond structure
+(:class:`BondTerms`): each term's action is a signed sum of bond actions,
+so each term's phasor is the leading phasor times a product of bond
+phasors.  When the series has more terms than twice its bonds, the
+kernel takes one cosine and one sine per bond and point and builds the
+term phasors by complex multiplies; every other series takes one cosine
+and one sine per term and point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -40,8 +48,9 @@ MERGE_TOL = 1e-12
 AMPLITUDE_FLOOR = 1e-14
 # Default headroom below 1 required of a regular term sum.
 DEFAULT_MARGIN = 1e-6
-# Entries (terms x points) of one cosine block in evaluate_array; bounds its
-# temporary memory whatever the number of points.
+# Entries (terms x points) of one cosine block in evaluate_array, complex
+# entries (plan nodes x points) in the bond kernel; bounds its temporary
+# memory whatever the number of points.
 EVAL_BLOCK = 1 << 14
 
 
@@ -53,6 +62,103 @@ class TrigTerm(NamedTuple):
     phase: float
 
 
+class BondTerms(NamedTuple):
+    """Each term of a graph's secular series as a product of bond phasors.
+
+    Term j has the centred action ``kappa_j = sum_b eps_jb * S_b`` with
+    ``eps_jb`` in {-1, 0, 1} (row j of ``rows``), while the leading action
+    is ``S0 = sum_b S_b``.  So ``exp(i kappa_j k)`` is ``exp(i S0 k)`` times
+    the bond factor ``z_b = exp(-i S_b k)`` for each bond with
+    ``eps_jb = 0`` and ``z_b**2`` for each bond with ``eps_jb = -1``.
+
+    The products form a tree rooted at the all-ones vector, the leading
+    phasor: node 0 is the root and node i > 0 is node ``parents[i]`` times
+    the bond factor ``factors[i]``, ``z_b`` (factor b) or ``z_b**2``
+    (factor B + b).  Nodes are laid out layer by layer, ``layers`` holding
+    each layer's ``(start, stop)``, and every parent lies in an earlier
+    layer; ``nodes`` holds the node of each term.  The plan is built once
+    per graph and shared by every derivative level, which keeps the rows,
+    nodes and drifts of the terms it keeps.
+
+    The float term action, the rounded sum of its exponents' actions less
+    the rounded ``S0``, differs from ``sum_b eps_jb S_b`` by its ``drift``,
+    at most ``1.5 eps S0``; the kernel corrects the series value for it.
+    """
+
+    actions: np.ndarray
+    rows: np.ndarray
+    drift: np.ndarray
+    nodes: np.ndarray
+    parents: np.ndarray
+    factors: np.ndarray
+    layers: tuple[tuple[int, int], ...]
+    widest: int
+
+    @classmethod
+    def from_rows(cls, actions, rows, term_actions) -> BondTerms:
+        """Plan the products for bond actions and one eps row per term, the
+        term actions given for their drifts.
+
+        A node's parent raises one of its entries below 1: to 1, or from -1
+        to 0.  Each node takes the first such parent, in bond order, that
+        is already a node; a node with none adds the parent that raises its
+        first entry below 1 to 1, and so on until every node has a parent.
+        Nodes are coded as base-3 numbers with digits ``eps + 1``, so a
+        parent's code exceeds its child's.
+        """
+        actions = np.asarray(actions, dtype=float)
+        n_bonds = actions.size
+        rows = np.asarray(rows, dtype=np.int8).reshape(-1, n_bonds)
+        place = [3**b for b in range(n_bonds)]
+        root = 2 * sum(place)
+        codes = ((rows + 1) * place).sum(axis=1).tolist()
+        known = set(codes) | {root}
+        up, via = {root: root}, {root: 0}
+        pending = known - {root}
+        while pending:
+            added = set()
+            for v in sorted(pending):
+                steps = []
+                for b, p in enumerate(place):
+                    digit = v // p % 3
+                    if digit < 2:
+                        steps.append((v + (2 - digit) * p, b if digit else n_bonds + b))
+                    if digit == 0:
+                        steps.append((v + p, b))
+                up[v], via[v] = next((step for step in steps if step[0] in known), steps[0])
+                added.add(up[v])
+            pending = added - known
+            known |= pending
+        depth = {root: 0}
+        for v in sorted(known - {root}, reverse=True):  # parents first
+            depth[v] = depth[up[v]] + 1
+        order = sorted(depth, key=lambda v: (depth[v], v))
+        index = {v: i for i, v in enumerate(order)}
+        starts = [i for i in range(1, len(order)) if depth[order[i]] != depth[order[i - 1]]]
+        layers = tuple(zip(starts, starts[1:] + [len(order)]))
+        drift = [
+            math.fsum([kappa] + [-e * s for e, s in zip(row, actions.tolist()) if e])
+            for kappa, row in zip(np.asarray(term_actions, dtype=float).tolist(), rows.tolist())
+        ]
+        return cls(
+            actions=actions,
+            rows=rows,
+            drift=np.array(drift),
+            nodes=np.array([index[v] for v in codes], dtype=np.intp),
+            parents=np.array([index[up[v]] for v in order], dtype=np.intp),
+            factors=np.array([via[v] for v in order], dtype=np.intp),
+            layers=layers,
+            widest=max((stop - start for start, stop in layers), default=0),
+        )
+
+    def kept(self, mask: np.ndarray) -> BondTerms:
+        """The same plan for the terms ``mask`` keeps."""
+        return BondTerms(
+            self.actions, self.rows[mask], self.drift[mask], self.nodes[mask],
+            self.parents, self.factors, self.layers, self.widest,
+        )
+
+
 @dataclass(frozen=True)
 class SpectralSeries:
     """Canonical cosine series.
@@ -60,17 +166,26 @@ class SpectralSeries:
     Instances should be built through :func:`canonicalize` (or by
     :func:`derivative_series`), which guarantees positive amplitudes,
     phases in [0, 2*pi), strictly sub-leading actions and action-sorted,
-    duplicate-free terms.
+    duplicate-free terms.  The secular series of a graph also carries
+    ``bonds``, its terms as products of bond phasors; it takes no part in
+    equality, hashing or repr.
     """
 
     leading_action: float
     leading_phase: float
     terms: tuple[TrigTerm, ...]
+    bonds: BondTerms | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def arrays(self) -> np.ndarray:
         """Term actions, amplitudes and phases as the rows of a float array."""
         return np.array(self.terms, dtype=float).reshape(-1, 3).T.copy()
+
+    @cached_property
+    def _bond_weights(self) -> dict:
+        """The bond kernel's weights, by Taylor order and the amplitudes of
+        the level below: :func:`_turned_weights`, built once for each."""
+        return {}
 
 
 def _wrap_phase(phi: float) -> float:
@@ -171,9 +286,9 @@ def evaluate(series: SpectralSeries, k: float) -> float:
 def evaluate_array(series: SpectralSeries, ks: np.ndarray) -> np.ndarray:
     """Vectorized series evaluation over an array of wavenumbers.
 
-    Points go through in blocks of at most ``EVAL_BLOCK`` term-point
-    entries (one point at least), so temporary memory does not grow with
-    the number of points.
+    Points go through in blocks of at most ``EVAL_BLOCK`` term-point (or
+    plan node-point) entries, one point at least, so temporary memory does
+    not grow with the number of points.
     """
     ks = np.asarray(ks, dtype=float)
     return taylor_array(series, ks, 0)[0].reshape(ks.shape)
@@ -190,17 +305,45 @@ def taylor_array(
     even rows are ``+-(cos t0 - sum a_j r_j**n cos t_j) / n!`` and odd rows
     ``+-(sin t0 - sum a_j r_j**n sin t_j) / n!``, the signs following n mod
     4, so one cosine and one sine of each term angle give every row.  Row 0
-    is the ``evaluate_array`` value, computed by the same product over the
-    same ``EVAL_BLOCK`` blocks.
+    is the ``evaluate_array`` value.
 
     With ``below``, one amplitude per term (``order`` >= 1), one more row
     holds ``sin t0 - sum below_j sin t_j`` from the same sines: the value of
     the series with these amplitudes whose angles trail these by a quarter
     period, as the level this one was differentiated from does.
+
+    A series with bond structure and more than twice as many terms as
+    bonds (:func:`_by_bonds`) takes its term phasors from
+    :func:`_term_phasors`: one cosine and one sine per bond and point and
+    one complex multiply per node of the product plan.  One real matrix
+    product of the phasors' (cos, sin) pairs with weights turned by the
+    term phases (:func:`_turned_weights`) then gives every row.  Any other
+    series takes a cosine and a sine of each term angle, with one matrix
+    product per row parity.  Either way, points go through in blocks whose
+    temporary arrays hold at most ``EVAL_BLOCK`` complex entries.
+
+    Rounding.  With u = eps/2, a bond angle ``S_b x`` errs by at most
+    ``u S_b |x|``, and since the leading node is the conjugate of the bond
+    factors' product, node j's angle takes each bond's error ``eps_jb``
+    times: at most ``u sum_b |eps_jb| S_b |x| <= u s0 |x|``.  The cosines
+    and sines, the squares, the B - 1 multiplies of the leading node and
+    the at most 2B levels of the tree add about ``3 eps`` each, so a node
+    is within ``eps (s0 |x| / 2 + 9B + 6)`` of ``exp(-i kappa'_j x)``.  The
+    drift ``d_j`` of the float action from the bond sum, at most
+    ``1.5 eps s0``, turns the phasor by ``d_j x``: row 0 corrects that to
+    first order, leaving ``(d_j x)**2 / 2``, below ``eps s0 |x|`` while
+    ``eps s0 |x| < 1``, so the value is as close to the float series as
+    the per-term kernel, whose angles err by ``eps s_j |x|``.  Other rows
+    keep the drift: each phasor within ``eps (2 s0 |x| + 9B + 6)``, inside
+    the ``4 eps (s0 |x| + J + 30)`` per unit amplitude that the solver's
+    certificate allows for rounding, summation over the J terms included
+    (``9B + 6 + J/2 <= 4 (J + 30)`` for J > 2B and B up to 57).
     """
     x = np.asarray(ks, dtype=float).ravel()
     s0 = series.leading_action
     actions, amps, phases = series.arrays
+    bonds = series.bonds
+    by_bonds = _by_bonds(series)
     out = np.empty((order + 1 + (below is not None), x.size))
     c = out[: order + 1]
     # The leading angle is built in row 0, so a long array of points is
@@ -209,32 +352,132 @@ def taylor_array(
     c[0] += series.leading_phase
     if order:
         n = np.arange(1, order + 1)
-        weights = amps * (actions / s0) ** n[:, None]  # row n - 1 scales order n
         c[1::2] = np.sin(c[0])
         if below is not None:
             out[-1] = c[1]
     np.cos(c[0], out=c[0])
     if order:
         c[2::2] = c[0]
-    step = max(1, EVAL_BLOCK // max(1, len(amps)))
-    for start in range(0, x.size, step):
-        block = slice(start, start + step)
-        angles = np.outer(actions, x[block])
-        angles += phases[:, None]
-        cosines = np.cos(angles)
-        c[0, block] -= amps @ cosines
-        if order:
-            c[2::2, block] -= weights[1::2] @ cosines
-            np.sin(angles, out=angles)
-            c[1::2, block] -= weights[0::2] @ angles
+    if by_bonds:
+        key = (order, None if below is None else below.tobytes())
+        rw = series._bond_weights.get(key)
+        if rw is None:
+            w = amps * (actions / s0) ** np.arange(order + 1)[:, None]
             if below is not None:
-                out[-1, block] -= below @ angles
-        del angles, cosines  # free this block's arrays before the next one's
+                w = np.vstack((w, below))
+            rw = series._bond_weights[key] = _turned_weights(series, w, below is not None)
+        rows = len(rw) // 2 - 1
+        # A block holds its node phasors with, in turn, the bond factors,
+        # one layer's gathered parents and the sums: complex entries within
+        # EVAL_BLOCK, as the cosines and sines of the loop below.
+        width = bonds.parents.size + max(2 * bonds.actions.size, bonds.widest, 2 * rows + 2)
+        step = max(1, EVAL_BLOCK // width)
+        for start in range(0, x.size, step):
+            block = slice(start, start + step)
+            phasors = _term_phasors(series, x[block])
+            sums = rw @ phasors.view(float)  # (cos, sin) column pairs
+            del phasors
+            re, im = sums[: rows + 1], sums[rows + 1 :]
+            out[:, block] -= re[:rows, 0::2]
+            out[:, block] -= im[:rows, 1::2]
+            drift = re[rows, 0::2] + im[rows, 1::2]
+            drift *= x[block]
+            out[0, block] -= drift
+            del sums, re, im, drift
+    else:
+        if order:
+            weights = amps * (actions / s0) ** n[:, None]  # row n - 1 scales order n
+        step = max(1, EVAL_BLOCK // max(1, len(amps)))
+        for start in range(0, x.size, step):
+            block = slice(start, start + step)
+            angles = np.outer(actions, x[block])
+            angles += phases[:, None]
+            cosines = np.cos(angles)
+            c[0, block] -= amps @ cosines
+            if order:
+                c[2::2, block] -= weights[1::2] @ cosines
+                np.sin(angles, out=angles)
+                c[1::2, block] -= weights[0::2] @ angles
+                if below is not None:
+                    out[-1, block] -= below @ angles
+            del angles, cosines  # free this block's arrays before the next one's
     if order:
         # cos(t + n*pi/2) is -sin t, -cos t, +sin t, +cos t for n = 1, 2, 3, 4 mod 4.
         scale = np.where((n - 1) % 4 < 2, -1.0, 1.0) / np.cumprod(n.astype(float))
         c[1:] *= scale[:, None]
     return out
+
+
+def _by_bonds(series: SpectralSeries) -> bool:
+    """Whether :func:`taylor_array` builds the term phasors from bond phasors:
+    for a series with bond structure and more terms than twice its bonds.
+    With fewer terms, one cosine and one sine per term is less trig than
+    per bond (the three-star: 3 terms, 3 bonds) and no complex multiply."""
+    return series.bonds is not None and 2 * series.bonds.actions.size < len(series.terms)
+
+
+def _turned_weights(series: SpectralSeries, w: np.ndarray, below: bool) -> np.ndarray:
+    """Weights of the node phasors in :func:`taylor_array`'s bond kernel.
+
+    Row n of ``w`` weights term j by ``a_j r_j**n``; with ``below``, its
+    last row holds the amplitudes of the level below.  The node of term j
+    holds ``q_j = exp(-i kappa'_j x)`` (:func:`_term_phasors`), with
+    ``kappa'_j = sum_b eps_jb S_b`` the bond sum, so with
+    ``u_j = exp(i phi_j)`` a cosine row (even n) sums
+    ``Re(w_j u_j conj(q_j))`` and a sine row (odd n, and the row
+    ``below``) ``Re(-i w_j u_j conj(q_j))``: ``w_j cos t_j`` and
+    ``w_j sin t_j`` up to the drift ``d_j = kappa_j - kappa'_j``
+    (``BondTerms.drift``).  One more row, the value's first-order drift
+    per unit of x, ``Re(i d_j a_j u_j conj(q_j))``, a sine row of
+    ``-d_j a_j``, corrects row 0.  As ``Re(v conj(q)) = Re v Re q +
+    Im v Im q``, the first half of the result holds each ``Re v`` and the
+    second half each ``Im v``, at the term's node and 0 at every other
+    node.
+    """
+    bonds = series.bonds
+    sine_rows = np.arange(len(w) + 1) % 2 == 1  # odd n
+    sine_rows[len(w) - 1] |= below
+    sine_rows[len(w)] = True  # the drift row
+    sine_rows = sine_rows[:, None]
+    w = np.vstack((w, -w[0] * bonds.drift))
+    cos_turn, sin_turn = np.cos(series.arrays[2]), np.sin(series.arrays[2])
+    rw = np.zeros((2 * len(w), bonds.parents.size))
+    rw[: len(w), bonds.nodes] = w * np.where(sine_rows, sin_turn, cos_turn)
+    rw[len(w) :, bonds.nodes] = w * np.where(sine_rows, -cos_turn, sin_turn)
+    return rw
+
+
+def _term_phasors(series: SpectralSeries, x: np.ndarray) -> np.ndarray:
+    """Conjugate phasors of the nodes of the series' bond plan at ``x``.
+
+    The bond factors ``exp(i S_b x)``, the conjugates of ``z_b``, take one
+    cosine and one sine per bond and point, their squares one complex
+    multiply.  Row 0 is ``exp(-i S0 x)`` as the conjugate of their product,
+    so that the rounding of the factors of the bonds a term keeps cancels
+    from its angle.  Every other node first takes its factor, all in one
+    gather; then each layer gathers its parents and multiplies them in.
+    The node of term j ends up holding ``exp(-i kappa'_j x)``, with
+    ``kappa'_j = sum_b eps_jb S_b``.
+    """
+    bonds = series.bonds
+    n_bonds = bonds.actions.size
+    angles = np.multiply.outer(bonds.actions, x)
+    factors = np.empty((2 * n_bonds, x.size), dtype=complex)
+    np.cos(angles, out=factors[:n_bonds].real)
+    np.sin(angles, out=factors[:n_bonds].imag)
+    del angles
+    np.multiply(factors[:n_bonds], factors[:n_bonds], out=factors[n_bonds:])
+    nodes = np.empty((bonds.parents.size, x.size), dtype=complex)
+    np.multiply.reduce(factors[:n_bonds], axis=0, out=nodes[0])
+    np.conjugate(nodes[0], out=nodes[0])
+    factors.take(bonds.factors[1:], axis=0, out=nodes[1:], mode="clip")
+    del factors
+    gathered = np.empty((bonds.widest, x.size), dtype=complex)
+    for start, stop in bonds.layers:
+        up = gathered[: stop - start]
+        nodes[:start].take(bonds.parents[start:stop], axis=0, out=up, mode="clip")
+        np.multiply(nodes[start:stop], up, out=nodes[start:stop])
+    return nodes
 
 
 def derivative_series(series: SpectralSeries) -> SpectralSeries:
@@ -243,22 +486,28 @@ def derivative_series(series: SpectralSeries) -> SpectralSeries:
     Amplitudes scale by action/leading_action and every phase advances by
     pi/2.  Actions do not change, so no two terms can merge; terms whose
     amplitude falls below ``AMPLITUDE_FLOOR`` (the constant term at once)
-    are dropped, and the result is again a canonical series one level up.
+    are dropped, and the result is again a canonical series one level up,
+    with the bond rows of the terms it keeps.
     """
     s0 = series.leading_action
     half = 0.5 * math.pi
-    terms = []
-    for t in series.terms:
-        amplitude = t.amplitude * (t.action / s0)
-        if amplitude >= AMPLITUDE_FLOOR:
-            terms.append(TrigTerm(t.action, amplitude, _wrap_phase(t.phase + half)))
-    return SpectralSeries(
+    actions, amps, phases = series.arrays
+    amps = amps * (actions / s0)
+    kept = amps >= AMPLITUDE_FLOOR
+    phases = np.fmod(phases[kept] + half, TWO_PI)  # as _wrap_phase, term by term
+    phases[phases < 0.0] += TWO_PI
+    phases[phases >= TWO_PI] = 0.0
+    arrays = np.array((actions[kept], amps[kept], phases))
+    derived = SpectralSeries(
         leading_action=s0,
         leading_phase=_wrap_phase(series.leading_phase + half),
-        terms=tuple(terms),
+        terms=tuple(map(partial(tuple.__new__, TrigTerm), zip(*arrays.tolist()))),
+        bonds=None if series.bonds is None else series.bonds.kept(kept),
     )
+    derived.__dict__["arrays"] = arrays  # the cached property, already at hand
+    return derived
 
 
 def regularity_sum(series: SpectralSeries) -> float:
     """Sum of term amplitudes; the series is regular iff this is below 1."""
-    return math.fsum(t.amplitude for t in series.terms)
+    return math.fsum(series.arrays[1].tolist())

@@ -10,10 +10,11 @@ separate its roots.  One loop handles every level the same way: it reads
 the series sign at each separator, and each cell whose ends differ in sign
 yields one root.  Each sign-change bracket is shrunk by Newton steps on a
 Taylor model of the series about the current point (the family is closed
-under d/dk, so one cosine and one sine per term give every derivative
-there) that never leave the bracket, falling back to bisection.  A root of
-level 0, the reported level, is certified by one pair of sign probes of
-the series just around it.  A root of a level above only separates the
+under d/dk, so one cosine and one sine per term phasor give every
+derivative there; a graph's term phasors are products of bond phasors,
+one cosine and one sine per bond) that never leave the bracket, falling
+back to bisection.  A root of level 0, the reported level, is certified
+by one pair of sign probes of the series just around it.  A root of a level above only separates the
 roots of the level below, so the model's own signs either side of it,
 clear of the model's remainder and rounding, certify it; the lanes the
 model leaves open take the probe pair.  Every root is returned inside a
@@ -21,7 +22,7 @@ bracket whose two ends have certified opposite signs.
 
 The level below has the same terms a quarter period behind, so the model
 that closes a lane also gives that level's value at the root: from the
-sines it already took, carried to the root by the model's integral.  The
+term sines it already has, carried to the root by the model's integral.  The
 level below reads its sign at such a separator from that value when the
 value clears its error bound by ``ENDPOINT_TOL``, and evaluates the series
 at every other separator and at the edges.
@@ -48,6 +49,8 @@ from .series import (
     AMPLITUDE_FLOOR,
     DEFAULT_MARGIN,
     EVAL_BLOCK,
+    MERGE_TOL,
+    TWO_PI,
     SpectralSeries,
     derivative_series,
     evaluate_array,
@@ -81,14 +84,80 @@ MODEL_BLOCK = EVAL_BLOCK // (2 * (MODEL_ORDER + 1))
 
 @dataclass(frozen=True)
 class DescentChain:
-    """Derivative levels 0..M of a series, M minimal for the given margin."""
+    """Derivative levels 0..M of a series, M minimal for the given margin.
+
+    The descent relies on each level being :func:`derivative_series` of the
+    one below, so construction checks that: one leading action, leading
+    phases a quarter period apart, each level's terms those the level below
+    keeps above ``AMPLITUDE_FLOOR`` with amplitudes ``a * s / s0`` and phases a
+    quarter period on, and bond rows of the same terms.  A ``ValueError``
+    names the first level that breaks it.
+    """
 
     levels: tuple[SpectralSeries, ...]
     margin: float
 
+    def __post_init__(self):
+        levels = self.levels
+        bonds = levels[0].bonds
+        if bonds is not None and not (
+            bonds.nodes.size == len(levels[0].terms)
+            and np.all(
+                np.abs(bonds.rows @ bonds.actions - levels[0].arrays[0])
+                <= MERGE_TOL * max(1.0, levels[0].leading_action)
+            )
+        ):
+            raise ValueError("chain level 0 has bond rows that do not sum to its term actions")
+        if len(levels) > 1 and not _derivatives(levels[:-1], levels[1:]):
+            m = next(
+                m for m in range(1, len(levels))
+                if not _derivatives(levels[m - 1 : m], levels[m : m + 1])
+            )
+            raise ValueError(f"chain level {m} is not the derivative series of level {m - 1}")
+
     @property
     def order(self) -> int:
         return len(self.levels) - 1
+
+
+def _derivatives(lower: tuple[SpectralSeries, ...], upper: tuple[SpectralSeries, ...]) -> bool:
+    """Whether each series of ``upper`` is :func:`derivative_series` of the
+    one of ``lower`` beside it, phases and relative amplitudes within
+    ``MERGE_TOL``; the terms of all pairs are compared in one pass."""
+    s0 = lower[0].leading_action
+    quarter = 0.5 * math.pi
+    for low, up in zip(lower, upper):
+        turn = (up.leading_phase - low.leading_phase - quarter) % TWO_PI
+        if (
+            low.leading_action != s0
+            or up.leading_action != s0
+            or min(turn, TWO_PI - turn) > MERGE_TOL
+            or up.bonds is not None and (low.bonds is None or up.bonds.parents is not low.bonds.parents)
+        ):
+            return False
+    below = np.concatenate([s.arrays for s in lower], axis=1)
+    above = np.concatenate([s.arrays for s in upper], axis=1)
+    amps = below[1] * (below[0] / s0)
+    kept = amps >= AMPLITUDE_FLOOR
+    if np.count_nonzero(kept) != above.shape[1]:
+        return False
+    turn = (above[2] - below[2, kept] - quarter) % TWO_PI
+    nodes_below = np.concatenate([_term_nodes(s) for s in lower])[kept]
+    nodes_above = np.concatenate([_term_nodes(s) for s in upper])
+    bonded = nodes_above >= 0
+    return bool(
+        np.array_equal(above[0], below[0, kept])
+        and np.all(np.abs(above[1] - amps[kept]) <= MERGE_TOL * amps[kept])
+        and np.all(np.minimum(turn, TWO_PI - turn) <= MERGE_TOL)
+        and np.array_equal(nodes_above[bonded], nodes_below[bonded])
+    )
+
+
+def _term_nodes(series: SpectralSeries) -> np.ndarray:
+    """The bond plan node of each term, or -1 for each term without one."""
+    if series.bonds is None:
+        return np.full(len(series.terms), -1)
+    return series.bonds.nodes
 
 
 class SpectrumEntry(NamedTuple):
@@ -212,12 +281,13 @@ def _model_roots(
     two signs differ and each value exceeds the remainder there plus a
     rounding bound, and 0 otherwise (always 0 with ``half`` = 0).  The
     rounding bound covers the coefficients' angle errors, which grow with
-    ``s0 * |x|``, the sum over the J terms, and the polynomial sum, at most
-    ``e**|u|`` times the coefficient errors.
+    ``s0 * |x|`` (``taylor_array`` derives them for term phasors built from
+    bond phasors too), the sum over the J terms, and the polynomial sum, at
+    most ``e**|u|`` times the coefficient errors.
 
     ``below`` is the level this series was differentiated from (None at
     level 0, and then so is the last returned item).  Its value at ``x``
-    comes from the sines the model takes, with that level's amplitudes,
+    comes from the term sines the model has, with that level's amplitudes,
     plus the terms this level dropped below ``AMPLITUDE_FLOOR``; the model's
     integral ``sum_n c_n u**(n+1) / (n+1)`` carries it to the root.  Its
     error is at most the integrated remainder ``tail * |u|**(N+2) / (N+2)``,

@@ -107,6 +107,33 @@ def make_loop() -> QuantumGraph:
     )
 
 
+# Arm lengths of the Dirichlet stars; a prefix of n gives the n-bond star.
+STAR_LENGTHS = (1.0, 0.913, 0.847, 0.771, 0.706, 0.633, 0.571, 0.502)
+
+
+def dirichlet_star(lengths) -> QuantumGraph:
+    """Kirchhoff centre with one Dirichlet tip per arm length."""
+    return QuantumGraph(
+        vertices=(VertexSpec(0, "kirchhoff"),)
+        + tuple(VertexSpec(i + 1, "dirichlet") for i in range(len(lengths))),
+        bonds=tuple(BondSpec((0, i + 1), L) for i, L in enumerate(lengths)),
+    )
+
+
+def make_wheel5() -> QuantumGraph:
+    """A hub joined to a 4-cycle of scaling-delta vertices: 8 bonds, 162
+    series terms, a constant term among them, and one term that falls
+    below ``AMPLITUDE_FLOOR`` at the top derivative level."""
+    edges = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1))
+    lengths = (0.83, 0.52, 0.97, 0.61, 0.74, 0.58, 0.89, 0.66)
+    deltas = (1.3, 1.25, 1.45, 1.55)
+    return QuantumGraph(
+        vertices=(VertexSpec(0, "kirchhoff"),)
+        + tuple(VertexSpec(i, "scaling_delta", d) for i, d in enumerate(deltas, 1)),
+        bonds=tuple(BondSpec(e, L) for e, L in zip(edges, lengths)),
+    )
+
+
 # Every constructible graph, including ones with degenerate spectra.
 ALL_GRAPHS = {
     "bond_dd": make_bond_dd,

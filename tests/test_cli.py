@@ -20,6 +20,8 @@ from qgspectra import (
 )
 from qgspectra.cli import load_config, main, run
 
+from conftest import STAR_LENGTHS
+
 BOND_DD = {
     "graph": {
         "vertices": [
@@ -158,6 +160,34 @@ class TestCommands:
         second = io.StringIO()
         run("solve", config2, second)
         assert first.getvalue() == second.getvalue()
+
+    def test_round_trip_series_output_of_a_six_bond_star(self):
+        # The graph's series carries bond rows and takes the bond kernel;
+        # the config `series` prints holds no rows, so the series read back
+        # takes the per-term kernel.  The roots agree to rounding.
+        arms = STAR_LENGTHS[:6]
+        doc = {
+            "graph": {
+                "vertices": [{"id": 0, "bc": "kirchhoff"}]
+                + [{"id": i, "bc": "dirichlet"} for i in range(1, len(arms) + 1)],
+                "bonds": [{"from": 0, "to": i, "length": L} for i, L in enumerate(arms, 1)],
+            },
+            "window": {"kmin": 0.0, "kmax": 60.0},
+        }
+        config = load_config(json.dumps(doc))
+        first = io.StringIO()
+        run("solve", config, first)
+
+        emitted = io.StringIO()
+        run("series", config, emitted)
+        config2 = load_config(emitted.getvalue())
+        assert config2.series.bonds is None
+        second = io.StringIO()
+        run("solve", config2, second)
+        ks = [np.array([float(line.split(",")[1]) for line in out.getvalue().splitlines()[1:]])
+              for out in (first, second)]
+        assert len(ks[0]) == len(ks[1]) > 80
+        assert np.all(np.abs(ks[0] - ks[1]) <= 1e-9 * ks[0])
 
     def test_verify_clean(self):
         config = load_config(json.dumps(IRREGULAR_SERIES))

@@ -8,6 +8,9 @@ at the half-width ``delta`` that the descent's separator argument needs.
 The separator-value tier checks the values a level takes from the model
 of the level above instead of evaluating them: each must have the 40-digit
 sign of that level at its separator and lie nearer zero than its value.
+The bond tier repeats the enclosure and separator checks on graphs whose
+series have more terms than twice their bonds, which the solver evaluates
+from bond phasors.
 """
 
 import math
@@ -19,7 +22,13 @@ from qgspectra import build_chain, descend, descend_with_trace, secular_series, 
 from qgspectra.fuzz import random_series, standard_window
 from qgspectra.solver import ENDPOINT_TOL
 
-from conftest import SOLVABLE_GRAPHS, model_separator_values
+from conftest import (
+    SOLVABLE_GRAPHS,
+    STAR_LENGTHS,
+    dirichlet_star,
+    make_wheel5,
+    model_separator_values,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -30,6 +39,14 @@ FUZZ_PREFIX = 100
 
 # The separator tier solves the conftest graphs on (0, GRAPH_KMAX].
 GRAPH_KMAX = 40.0
+
+# The bond tier: graph and reported window; separators on (0, 20].
+BOND_GRAPHS = {
+    "star6": (lambda: dirichlet_star(STAR_LENGTHS[:6]), 60.0),
+    "star7": (lambda: dirichlet_star(STAR_LENGTHS[:7]), 60.0),
+    "star8": (lambda: dirichlet_star(STAR_LENGTHS), 30.0),
+    "wheel5": (make_wheel5, 30.0),
+}
 
 
 def _exact(series):
@@ -140,3 +157,15 @@ def test_graph_separator_values_hold_at_40_digits(name, monkeypatch):
         checked += len(xs)
     assert checked > 0 or chain.order == 0
     assert wrong == []
+
+
+@pytest.mark.parametrize("name", sorted(BOND_GRAPHS))
+def test_bond_graph_roots_hold_at_40_digits(name):
+    make, kmax = BOND_GRAPHS[name]
+    series = secular_series(make())
+    assert 2 * series.bonds.actions.size < len(series.terms)
+    spectrum = solve_graph(make(), (0.0, kmax))
+    assert len(spectrum) > 40
+    assert _misses(series, _enclosures(spectrum)) == []
+    checked, misses = _separator_misses(build_chain(series), (0.0, 20.0))
+    assert checked > 100 and misses == []

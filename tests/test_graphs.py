@@ -26,6 +26,7 @@ from qgspectra.series import evaluate
 
 from conftest import (
     ALL_GRAPHS,
+    dirichlet_star,
     make_bond_dd,
     make_loop,
     make_path4,
@@ -42,13 +43,6 @@ def numeric_det(graph, k):
 def expo_value(expo, k):
     """The exponential sum sum_n c_n exp(i k <n, actions>) at wavenumber k."""
     return sum(c * np.exp(1j * expo.total_action(n) * k) for n, c in expo.coefficients.items())
-
-
-def dirichlet_star(lengths):
-    vertices = [VertexSpec(0, "kirchhoff")]
-    vertices += [VertexSpec(i, "dirichlet") for i in range(1, len(lengths) + 1)]
-    bonds = tuple(BondSpec((0, i), length) for i, length in enumerate(lengths, 1))
-    return QuantumGraph(vertices=tuple(vertices), bonds=bonds)
 
 
 CONDITIONS = ("dirichlet", "kirchhoff", "scaling_delta")

@@ -11,15 +11,31 @@ from hypothesis import strategies as st
 from qgspectra import (
     NonpositiveLeadingAction,
     TermActionExceedsLeading,
+    build_chain,
     canonicalize,
     derivative_series,
+    descend,
     evaluate_array,
     regularization_order,
+    secular_series,
 )
+from qgspectra import series as series_module
 from qgspectra.fuzz import random_series, standard_window
-from qgspectra.series import EVAL_BLOCK, TrigTerm, evaluate, regularity_sum, taylor_array
+from qgspectra.series import (
+    AMPLITUDE_FLOOR,
+    EVAL_BLOCK,
+    BondTerms,
+    SpectralSeries,
+    TrigTerm,
+    evaluate,
+    regularity_sum,
+    taylor_array,
+)
+
+from conftest import ALL_GRAPHS, STAR_LENGTHS, dirichlet_star, make_bond_dd, make_star3, make_wheel5
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 
 
 def circular_close(a, b, tol=1e-12):
@@ -179,7 +195,162 @@ class TestTaylorModel:
         assert peak < rows.nbytes + 8 * 8 * EVAL_BLOCK
 
 
+def bond_graphs():
+    """The conftest graphs, the 6-, 7- and 8-bond Dirichlet stars and the wheel."""
+    graphs = {name: make() for name, make in ALL_GRAPHS.items()}
+    graphs.update({f"star{n}": dirichlet_star(STAR_LENGTHS[:n]) for n in (6, 7, 8)})
+    graphs["wheel5"] = make_wheel5()
+    return graphs
+
+
+def levels_with_below(series):
+    """Each derivative level of the series' chain, with the amplitudes of
+    the level below it that the level keeps (None at level 0)."""
+    chain = build_chain(series)
+    below = None
+    for m, level in enumerate(chain.levels):
+        if m:
+            actions, amps, _ = chain.levels[m - 1].arrays
+            below = amps[amps * (actions / level.leading_action) >= AMPLITUDE_FLOOR]
+        yield level, below
+
+
+class TestBondKernel:
+    """Term phasors from bond phasors against one cosine and one sine per term."""
+
+    FACTORIALS = np.array([math.factorial(n) for n in range(17)], dtype=float)[:, None]
+    SCALES = (1e2, 1e4, 1e6, 1e9)
+
+    @pytest.mark.parametrize("name", sorted(bond_graphs()))
+    def test_rows_match_the_per_term_kernel(self, name, monkeypatch):
+        # Every level's rows, forced onto bond phasors even where 2B >= J,
+        # agree with the per-term kernel's within the certificate's rounding
+        # term 4 eps (1 + sum a) (s0 |x| + J + 30) per n! c_n.
+        monkeypatch.setattr(series_module, "_by_bonds", lambda series: series.bonds is not None)
+        rng = np.random.default_rng(7)
+        for level, below in levels_with_below(secular_series(bond_graphs()[name])):
+            per_term = SpectralSeries(level.leading_action, level.leading_phase, level.terms)
+            for scale in self.SCALES:
+                ks = scale + rng.uniform(0.0, 10.0, 40)
+                bound = (
+                    4 * EPS * (1.0 + regularity_sum(level))
+                    * (level.leading_action * ks + len(level.terms) + 30.0)
+                )
+                for args in ((16,) if below is None else (16, below), (0,)):
+                    diff = np.abs(taylor_array(level, ks, *args) - taylor_array(per_term, ks, *args))
+                    diff[:17] *= self.FACTORIALS[: len(diff)]
+                    assert np.all(diff <= bound), (name, scale, args[0])
+
+    @pytest.mark.parametrize("name", ["star6", "star7", "star8", "wheel5"])
+    def test_phasors_at_40_digits(self, name):
+        # Node j holds exp(-i kappa'_j k), kappa'_j = sum_b eps_jb S_b, within
+        # eps (s0 |k| / 2 + 9B + 6), the bound taylor_array derives; the
+        # drift d_j = kappa_j - kappa'_j is exact and at most 1.5 eps s0; and
+        # the node turned by the value's first-order drift correction is
+        # within eps (s0 |k| + 3B) of exp(i kappa_j k) with the float action.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        series = secular_series(bond_graphs()[name])
+        bonds, s0 = series.bonds, series.leading_action
+        n_bonds = bonds.actions.size
+        rng = np.random.default_rng(11)
+        with mp.workdps(40):
+            kappas = [mp.mpf(a) for a in series.arrays[0].tolist()]
+            sums = [
+                mp.fsum(e * mp.mpf(s) for e, s in zip(row, bonds.actions.tolist()))
+                for row in bonds.rows.tolist()
+            ]
+            for kappa, bond_sum, drift in zip(kappas, sums, bonds.drift.tolist()):
+                assert drift == float(kappa - bond_sum) and abs(drift) <= 1.5 * EPS * s0
+            for scale in self.SCALES:
+                ks = scale + rng.uniform(0.0, 10.0, 3)
+                nodes = series_module._term_phasors(series, ks)[bonds.nodes]
+                for k, phasors in zip(ks.tolist(), nodes.T.tolist()):
+                    x = mp.mpf(k)
+                    for kappa, bond_sum, drift, q in zip(kappas, sums, bonds.drift.tolist(), phasors):
+                        q = mp.mpc(q)
+                        assert abs(q - mp.expj(-bond_sum * x)) <= EPS * (s0 * k / 2 + 9 * n_bonds + 6)
+                        turned = mp.conj(q) * (1 + 1j * mp.mpf(drift) * x)
+                        bound = EPS * (s0 * k + 3 * n_bonds) + (drift * k) ** 2 / 2
+                        assert abs(turned - mp.expj(kappa * x)) <= bound, (name, k)
+
+    @pytest.mark.parametrize("make", [make_bond_dd, make_star3])
+    def test_few_terms_stay_per_term(self, make, monkeypatch):
+        # A series with 2B >= J (bond_dd: no terms; the three-star: 3 terms
+        # on 3 bonds) never builds bond phasors, and solves bit for bit as
+        # the same series without bond rows.
+        series = secular_series(make())
+        assert series.bonds is not None and not series_module._by_bonds(series)
+        plain = SpectralSeries(series.leading_action, series.leading_phase, series.terms)
+        want = descend(build_chain(plain), (0.0, 60.0))
+
+        def refuse(*args):
+            raise AssertionError("bond phasors built for a series with 2B >= J")
+
+        monkeypatch.setattr(series_module, "_term_phasors", refuse)
+        assert descend(build_chain(series), (0.0, 60.0)).entries == want.entries
+        raw = random_series(np.random.default_rng(3), max_terms=40)
+        assert raw.bonds is None and len(raw.terms) > 6
+        descend(build_chain(raw), standard_window(raw, 30))
+
+    def test_many_terms_take_bond_phasors(self):
+        series = secular_series(dirichlet_star(STAR_LENGTHS[:6]))
+        assert len(series.terms) > 2 * series.bonds.actions.size
+        assert series_module._by_bonds(series)
+
+    def test_rows_follow_the_terms_a_level_drops(self):
+        # The wheel's constant term leaves at level 1 and one more term at
+        # the top level; every level's bond rows still sum to its actions.
+        chain = build_chain(secular_series(make_wheel5()))
+        counts = [len(level.terms) for level in chain.levels]
+        assert chain.levels[0].terms[0].action == 0.0 and counts[1] == counts[0] - 1
+        assert counts[-1] < counts[-2]
+        for lower, level in zip(chain.levels, chain.levels[1:]):
+            bonds = level.bonds
+            assert bonds.nodes.size == len(level.terms) == len(bonds.rows)
+            assert bonds.parents is lower.bonds.parents
+            assert np.allclose(bonds.rows @ bonds.actions, level.arrays[0], rtol=0.0, atol=1e-13)
+            kept = np.isin(lower.arrays[0], level.arrays[0])
+            assert np.array_equal(bonds.nodes, lower.bonds.nodes[kept])
+
+    def test_hand_built_rows_through_dropped_terms(self, monkeypatch):
+        # Three bonds; a constant term (row 0) and a term whose amplitude
+        # falls below AMPLITUDE_FLOOR one level up both leave, and the
+        # kernel still weights each remaining term by its own phasor.
+        monkeypatch.setattr(series_module, "_by_bonds", lambda series: series.bonds is not None)
+        bond_actions = np.array([1.0, 0.7, 0.4])
+        rows = np.array([[0, 0, 0], [-1, 1, 1], [1, -1, 1], [1, 0, -1], [1, 1, -1], [1, 1, 0]])
+        amps = [0.3, 1.5e-14, 0.4, 0.6, 0.2, 0.5]
+        actions = (rows @ bond_actions).tolist()
+        terms = tuple(TrigTerm(a, amp, 0.3 + j) for j, (a, amp) in enumerate(zip(actions, amps)))
+        series = SpectralSeries(2.1, 0.2, terms, BondTerms.from_rows(bond_actions, rows, actions))
+        up = derivative_series(series)
+        assert [t.action for t in up.terms] == actions[2:]
+        assert np.array_equal(up.bonds.rows, rows[2:])
+        ks = np.linspace(0.0, 50.0, 101)
+        for level in (series, up):
+            plain = SpectralSeries(level.leading_action, level.leading_phase, level.terms)
+            assert np.allclose(evaluate_array(level, ks), evaluate_array(plain, ks), rtol=0.0, atol=1e-13)
+
+
 class TestDerivative:
+    def test_matches_the_term_by_term_form(self):
+        # The array form keeps and moves every term exactly as the term by
+        # term form it replaced.
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            series = random_series(rng, max_terms=30)
+            for _ in range(3):
+                s0, half = series.leading_action, 0.5 * math.pi
+                want = tuple(
+                    TrigTerm(t.action, t.amplitude * (t.action / s0), series_module._wrap_phase(t.phase + half))
+                    for t in series.terms
+                    if t.amplitude * (t.action / s0) >= AMPLITUDE_FLOOR
+                )
+                series = derivative_series(series)
+                assert series.terms == want
+                assert np.array_equal(series.arrays, np.array(want, dtype=float).reshape(-1, 3).T)
+
     def test_single_term_scaling(self):
         s = canonicalize(1.0, 0.0, [(0.5, 0.8, 0.0)])
         d = derivative_series(s)

@@ -8,12 +8,9 @@ import pytest
 
 from qgspectra import solver
 from qgspectra import (
-    BondSpec,
     DegenerateSpectrum,
     EmptyWindow,
     NotRegular,
-    QuantumGraph,
-    VertexSpec,
     build_chain,
     canonicalize,
     descend,
@@ -24,28 +21,25 @@ from qgspectra import (
     solve_graph,
 )
 from qgspectra.fuzz import random_series, standard_window
-from qgspectra.series import derivative_series, evaluate, regularity_sum, taylor_array
+from qgspectra.series import (
+    SpectralSeries,
+    derivative_series,
+    evaluate,
+    regularity_sum,
+    taylor_array,
+)
 from qgspectra.solver import base_separators
 
 from conftest import (
     SOLVABLE_GRAPHS,
+    STAR_LENGTHS,
+    dirichlet_star,
     make_bond_dd,
     make_bond_dk,
     make_star3,
+    make_wheel5,
     model_separator_values,
 )
-
-
-STAR_LENGTHS = (1.0, 0.913, 0.847, 0.771, 0.706, 0.633, 0.571, 0.502)
-
-
-def dirichlet_star(lengths):
-    """Kirchhoff centre with one Dirichlet tip per arm length."""
-    return QuantumGraph(
-        vertices=(VertexSpec(0, "kirchhoff"),)
-        + tuple(VertexSpec(i + 1, "dirichlet") for i in range(len(lengths))),
-        bonds=tuple(BondSpec((0, i + 1), L) for i, L in enumerate(lengths)),
-    )
 
 
 def bisect_oracle(f, a, b, iters=200):
@@ -133,6 +127,67 @@ class TestBuildChain:
             assert regularity_sum(chain.levels[-1]) <= 1 - chain.margin
             for level in chain.levels[:-1]:
                 assert regularity_sum(level) > 1 - chain.margin
+
+
+class TestChainCheck:
+    """A chain's levels must be successive derivative series."""
+
+    SERIES = canonicalize(1.0, 0.0, [(0.5, 1.5, 0.2)])  # cos k - 1.5 cos(k/2 + 0.2)
+
+    def test_unrelated_level_is_refused(self):
+        unrelated = canonicalize(1.0, 0.3, [(0.4, 0.5, 1.0), (0.7, 0.2, 2.0)])
+        with pytest.raises(ValueError, match=r"^chain level 1 is not the derivative series of level 0$"):
+            solver.DescentChain(levels=(self.SERIES, unrelated), margin=1e-6)
+
+    @pytest.mark.parametrize(
+        "leading_action, leading_phase, terms",
+        [
+            (1.1, math.pi / 2, [(0.5, 0.75, 0.2 + math.pi / 2)]),  # leading action
+            (1.0, 0.0, [(0.5, 0.75, 0.2 + math.pi / 2)]),  # leading phase
+            (1.0, math.pi / 2, [(0.5, 0.75, 0.2)]),  # term phase
+            (1.0, math.pi / 2, [(0.5, 0.7, 0.2 + math.pi / 2)]),  # amplitude
+            (1.0, math.pi / 2, [(0.6, 0.75, 0.2 + math.pi / 2)]),  # action
+            (1.0, math.pi / 2, []),  # a term dropped above the floor
+        ],
+    )
+    def test_each_relation_is_checked(self, leading_action, leading_phase, terms):
+        level = canonicalize(leading_action, leading_phase, terms)
+        with pytest.raises(ValueError, match="chain level 1"):
+            solver.DescentChain(levels=(self.SERIES, level, derivative_series(level)), margin=1e-6)
+
+    def test_later_level_is_named(self):
+        chain = build_chain(canonicalize(1.0, 0.0, [(0.9, 2.4, 0.0)]))
+        levels = list(chain.levels)
+        levels[5] = levels[4]
+        with pytest.raises(ValueError, match=r"^chain level 5 "):
+            solver.DescentChain(levels=tuple(levels), margin=chain.margin)
+
+    def test_hand_built_derivatives_are_accepted(self):
+        # Built through canonicalize, up to its rounding of the phases.
+        level = canonicalize(1.0, math.pi / 2, [(0.5, 1.5 * 0.5, 0.2 + math.pi / 2)])
+        chain = solver.DescentChain(levels=(self.SERIES, level), margin=1e-6)
+        assert len(descend(chain, (0.0, 30.0))) == len(descend(build_chain(self.SERIES), (0.0, 30.0)))
+
+    def test_bond_rows_are_checked(self):
+        series = secular_series(make_wheel5())
+        chain = build_chain(series)
+        up = chain.levels[1]
+        plain = SpectralSeries(series.leading_action, series.leading_phase, series.terms)
+        # A level without bond rows above one with them is accepted.
+        solver.DescentChain(levels=(series, derivative_series(plain)), margin=chain.margin)
+        # Rows of other terms, rows above a level without them, and level-0
+        # rows that do not sum to its actions are refused.
+        misaligned = series.bonds.kept(np.arange(len(up.terms)))  # level 1 keeps 1..J-1
+        refused = [
+            (series, SpectralSeries(up.leading_action, up.leading_phase, up.terms, misaligned)),
+            (plain, up),
+        ]
+        for levels in refused:
+            with pytest.raises(ValueError, match="^chain level 1 "):
+                solver.DescentChain(levels=levels, margin=chain.margin)
+        wrong = SpectralSeries(series.leading_action, series.leading_phase, series.terms, up.bonds)
+        with pytest.raises(ValueError, match="^chain level 0 "):
+            solver.DescentChain(levels=(wrong,), margin=chain.margin)
 
 
 class TestDescend:
