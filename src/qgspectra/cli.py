@@ -92,6 +92,18 @@ def _check_keys(obj: dict, allowed: set[str], path: str, problems: list[str]) ->
             problems.append(f"{path}.{key}: unknown field")
 
 
+def _field(doc: dict, key: str, kind: type, path: str, problems: list[str]) -> Any:
+    """``doc[key]`` when it is a ``kind`` (dict or list), empty when absent
+    or null; None, with a problem anchored at ``path``, when it is not."""
+    value = doc.get(key)
+    if value is None:
+        return kind()
+    if isinstance(value, kind):
+        return value
+    problems.append(f"{path}: must be {'an object' if kind is dict else 'a list'}, got {value!r}")
+    return None
+
+
 def _parse_graph(doc: Any, problems: list[str]) -> QuantumGraph | None:
     if not isinstance(doc, dict):
         problems.append("graph: must be an object with 'vertices' and 'bonds'")
@@ -99,7 +111,7 @@ def _parse_graph(doc: Any, problems: list[str]) -> QuantumGraph | None:
     _check_keys(doc, {"vertices", "bonds"}, "graph", problems)
     vertices: list[VertexSpec] = []
     bonds: list[BondSpec] = []
-    for i, v in enumerate(doc.get("vertices") or []):
+    for i, v in enumerate(_field(doc, "vertices", list, "graph.vertices", problems) or []):
         path = f"graph.vertices[{i}]"
         if not isinstance(v, dict):
             problems.append(f"{path}: must be an object")
@@ -117,7 +129,7 @@ def _parse_graph(doc: Any, problems: list[str]) -> QuantumGraph | None:
             problems.append(f"{path}.lambda: finite number required")
             continue
         vertices.append(VertexSpec(id=v["id"], condition=_BC_MAP[bc], delta_strength=float(lam)))
-    for i, b in enumerate(doc.get("bonds") or []):
+    for i, b in enumerate(_field(doc, "bonds", list, "graph.bonds", problems) or []):
         path = f"graph.bonds[{i}]"
         if not isinstance(b, dict):
             problems.append(f"{path}: must be an object")
@@ -190,11 +202,12 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
     if not isinstance(doc, dict):
         raise ValidationError(["top level: must be a JSON object"])
     overrides = overrides or {}
-    window_doc = dict(doc.get("window") or {})
+    window = _field(doc, "window", dict, "window", problems)
+    window_doc = dict(window or {})
     for key in ("kmin", "kmax"):
         if overrides.get(key) is not None:
             window_doc[key] = overrides[key]
-    options = dict(doc.get("options") or {})
+    options = dict(_field(doc, "options", dict, "options", problems) or {})
     for key in ("margin", "oversampling"):
         if overrides.get(key) is not None:
             options[key] = overrides[key]
@@ -211,13 +224,14 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
     else:
         series = _parse_series(doc["series"], problems)
 
-    _check_keys(window_doc, {"kmin", "kmax"}, "window", problems)
     kmin = window_doc.get("kmin")
     kmax = window_doc.get("kmax")
-    if not _is_number(kmin) or kmin < 0:
-        problems.append(f"window.kmin: number >= 0 required, got {kmin!r}")
-    if not _is_number(kmax) or (_is_number(kmin) and not kmax > kmin):
-        problems.append(f"window.kmax: number > kmin required, got {kmax!r}")
+    if window is not None:  # a window that is not an object is reported alone
+        _check_keys(window_doc, {"kmin", "kmax"}, "window", problems)
+        if not _is_number(kmin) or kmin < 0:
+            problems.append(f"window.kmin: number >= 0 required, got {kmin!r}")
+        if not _is_number(kmax) or (_is_number(kmin) and not kmax > kmin):
+            problems.append(f"window.kmax: number > kmin required, got {kmax!r}")
 
     _check_keys(options, {"margin", "oversampling"}, "options", problems)
     margin = options.get("margin", DEFAULT_MARGIN)

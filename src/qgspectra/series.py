@@ -183,8 +183,8 @@ class SpectralSeries:
 
     @cached_property
     def _bond_weights(self) -> dict:
-        """The bond kernel's weights, by Taylor order and the amplitudes of
-        the level below: :func:`_turned_weights`, built once for each."""
+        """The bond kernel's weights, by Taylor order: :func:`_turned_weights`,
+        built once for each."""
         return {}
 
 
@@ -294,9 +294,7 @@ def evaluate_array(series: SpectralSeries, ks: np.ndarray) -> np.ndarray:
     return taylor_array(series, ks, 0)[0].reshape(ks.shape)
 
 
-def taylor_array(
-    series: SpectralSeries, ks: np.ndarray, order: int, below: np.ndarray | None = None
-) -> np.ndarray:
+def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int) -> np.ndarray:
     """Taylor coefficients of the series about each point of ``ks``, flattened.
 
     Row n holds ``c_n = g^(n)(x) / (s0**n * n!)``, so that
@@ -305,12 +303,10 @@ def taylor_array(
     even rows are ``+-(cos t0 - sum a_j r_j**n cos t_j) / n!`` and odd rows
     ``+-(sin t0 - sum a_j r_j**n sin t_j) / n!``, the signs following n mod
     4, so one cosine and one sine of each term angle give every row.  Row 0
-    is the ``evaluate_array`` value.
-
-    With ``below``, one amplitude per term (``order`` >= 1), one more row
-    holds ``sin t0 - sum below_j sin t_j`` from the same sines: the value of
-    the series with these amplitudes whose angles trail these by a quarter
-    period, as the level this one was differentiated from does.
+    is the ``evaluate_array`` value.  Since each derivative level is
+    (d/dk)/s0 of the one below, ``(n + 1) * c_(n+1)`` is row n of the next
+    level's model, up to the terms that level drops below
+    ``AMPLITUDE_FLOOR``.
 
     A series with bond structure and more than twice as many terms as
     bonds (:func:`_by_bonds`) takes its term phasors from
@@ -344,8 +340,7 @@ def taylor_array(
     actions, amps, phases = series.arrays
     bonds = series.bonds
     by_bonds = _by_bonds(series)
-    out = np.empty((order + 1 + (below is not None), x.size))
-    c = out[: order + 1]
+    c = np.empty((order + 1, x.size))
     # The leading angle is built in row 0, so a long array of points is
     # held once, not three times.
     np.multiply(s0, x, out=c[0])
@@ -353,20 +348,15 @@ def taylor_array(
     if order:
         n = np.arange(1, order + 1)
         c[1::2] = np.sin(c[0])
-        if below is not None:
-            out[-1] = c[1]
     np.cos(c[0], out=c[0])
     if order:
         c[2::2] = c[0]
     if by_bonds:
-        key = (order, None if below is None else below.tobytes())
-        rw = series._bond_weights.get(key)
+        rw = series._bond_weights.get(order)
         if rw is None:
             w = amps * (actions / s0) ** np.arange(order + 1)[:, None]
-            if below is not None:
-                w = np.vstack((w, below))
-            rw = series._bond_weights[key] = _turned_weights(series, w, below is not None)
-        rows = len(rw) // 2 - 1
+            rw = series._bond_weights[order] = _turned_weights(series, w)
+        rows = order + 1
         # A block holds its node phasors with, in turn, the bond factors,
         # one layer's gathered parents and the sums: complex entries within
         # EVAL_BLOCK, as the cosines and sines of the loop below.
@@ -378,11 +368,11 @@ def taylor_array(
             sums = rw @ phasors.view(float)  # (cos, sin) column pairs
             del phasors
             re, im = sums[: rows + 1], sums[rows + 1 :]
-            out[:, block] -= re[:rows, 0::2]
-            out[:, block] -= im[:rows, 1::2]
+            c[:, block] -= re[:rows, 0::2]
+            c[:, block] -= im[:rows, 1::2]
             drift = re[rows, 0::2] + im[rows, 1::2]
             drift *= x[block]
-            out[0, block] -= drift
+            c[0, block] -= drift
             del sums, re, im, drift
     else:
         if order:
@@ -398,14 +388,12 @@ def taylor_array(
                 c[2::2, block] -= weights[1::2] @ cosines
                 np.sin(angles, out=angles)
                 c[1::2, block] -= weights[0::2] @ angles
-                if below is not None:
-                    out[-1, block] -= below @ angles
             del angles, cosines  # free this block's arrays before the next one's
     if order:
         # cos(t + n*pi/2) is -sin t, -cos t, +sin t, +cos t for n = 1, 2, 3, 4 mod 4.
         scale = np.where((n - 1) % 4 < 2, -1.0, 1.0) / np.cumprod(n.astype(float))
         c[1:] *= scale[:, None]
-    return out
+    return c
 
 
 def _by_bonds(series: SpectralSeries) -> bool:
@@ -416,16 +404,15 @@ def _by_bonds(series: SpectralSeries) -> bool:
     return series.bonds is not None and 2 * series.bonds.actions.size < len(series.terms)
 
 
-def _turned_weights(series: SpectralSeries, w: np.ndarray, below: bool) -> np.ndarray:
+def _turned_weights(series: SpectralSeries, w: np.ndarray) -> np.ndarray:
     """Weights of the node phasors in :func:`taylor_array`'s bond kernel.
 
-    Row n of ``w`` weights term j by ``a_j r_j**n``; with ``below``, its
-    last row holds the amplitudes of the level below.  The node of term j
+    Row n of ``w`` weights term j by ``a_j r_j**n``.  The node of term j
     holds ``q_j = exp(-i kappa'_j x)`` (:func:`_term_phasors`), with
     ``kappa'_j = sum_b eps_jb S_b`` the bond sum, so with
     ``u_j = exp(i phi_j)`` a cosine row (even n) sums
-    ``Re(w_j u_j conj(q_j))`` and a sine row (odd n, and the row
-    ``below``) ``Re(-i w_j u_j conj(q_j))``: ``w_j cos t_j`` and
+    ``Re(w_j u_j conj(q_j))`` and a sine row (odd n)
+    ``Re(-i w_j u_j conj(q_j))``: ``w_j cos t_j`` and
     ``w_j sin t_j`` up to the drift ``d_j = kappa_j - kappa'_j``
     (``BondTerms.drift``).  One more row, the value's first-order drift
     per unit of x, ``Re(i d_j a_j u_j conj(q_j))``, a sine row of
@@ -436,7 +423,6 @@ def _turned_weights(series: SpectralSeries, w: np.ndarray, below: bool) -> np.nd
     """
     bonds = series.bonds
     sine_rows = np.arange(len(w) + 1) % 2 == 1  # odd n
-    sine_rows[len(w) - 1] |= below
     sine_rows[len(w)] = True  # the drift row
     sine_rows = sine_rows[:, None]
     w = np.vstack((w, -w[0] * bonds.drift))

@@ -14,18 +14,20 @@ under d/dk, so one cosine and one sine per term phasor give every
 derivative there; a graph's term phasors are products of bond phasors,
 one cosine and one sine per bond) that never leave the bracket, falling
 back to bisection.  A root of level 0, the reported level, is certified
-by one pair of sign probes of the series just around it.  A root of a level above only separates the
-roots of the level below, so the model's own signs either side of it,
-clear of the model's remainder and rounding, certify it; the lanes the
-model leaves open take the probe pair.  Every root is returned inside a
-bracket whose two ends have certified opposite signs.
+by one pair of sign probes of the series just around it.  A root of a
+level above only separates the roots of the level below, so the model's
+own signs either side of it, clear of the model's remainder and rounding,
+certify it; the lanes the model leaves open take the probe pair.  Every
+root is returned inside a bracket whose two ends have certified opposite
+signs.
 
-The level below has the same terms a quarter period behind, so the model
-that closes a lane also gives that level's value at the root: from the
-term sines it already has, carried to the root by the model's integral.  The
-level below reads its sign at such a separator from that value when the
-value clears its error bound by ``ENDPOINT_TOL``, and evaluates the series
-at every other separator and at the edges.
+A level above 0 is the slope of the level below, less the terms that fall
+below ``AMPLITUDE_FLOOR``, so its model is the derivative of the level
+below's model one order higher, and the model that closes a lane also
+gives that level's value at the root.  The level below reads its sign at
+such a separator from that value when the value clears its error bound by
+``ENDPOINT_TOL``, and evaluates the series at every other separator and
+at the edges.
 
 Every level runs between the same two edges, the window padded by M + 1
 leading cells (the lower edge clamped at ``POSITIVE_FLOOR`` and, there,
@@ -262,19 +264,31 @@ def _model_roots(
     half: float = 0.0,
     below: SpectralSeries | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Series values at ``x`` and the roots of its Taylor models there.
+    """Model values at ``x`` and the roots of the series' Taylor models there.
 
     Runs ``MODEL_NEWTON_STEPS`` Newton steps on each polynomial
-    ``p(u) = sum_n c_n u**n`` (:func:`taylor_array`, ``u = s0 * (k - x)``)
-    from u = 0, the first in closed form (``p = c_0``, ``p' = c_1`` there);
-    an iterate that leaves the bracket ``[a, b]`` is clipped back, so no
-    polynomial is evaluated far outside the cell it models.  Returns the
-    values (row 0), the roots as wavenumbers, bounds on their distance from
-    a root of the series (the last step plus the Lagrange remainder over
-    the slope), the model's certified signs ``half`` either side of each
-    root, and the values of the level ``below`` at the roots.  Level N+1 of
-    the series is at most ``1 + sum a_j r_j**(N+1)`` in magnitude, which
-    bounds the remainder by that times ``|u|**(N+1) / (N+1)!``.
+    ``p(u) = sum_n c_n u**n`` (n up to N, ``u = s0 * (k - x)``) from u = 0,
+    the first in closed form (``p = c_0``, ``p' = c_1`` there); an iterate
+    that leaves the bracket ``[a, b]`` is clipped back, so no polynomial is
+    evaluated far outside the cell it models.  Returns ``c_0``, the roots as
+    wavenumbers, bounds on their distance from a root of the series (the
+    last step plus the model's error over the slope), the model's certified
+    signs ``half`` either side of each root, and the values of the level
+    ``below`` at the roots (None at level 0).
+
+    At level 0 the ``c_n`` are the series' own (:func:`taylor_array`), the
+    remainder at most ``tail * |u|**(N+1)``, ``tail = (1 + sum a_j
+    r_j**(N+1)) / (N+1)!``.  Above, ``below`` is the level the series was
+    differentiated from: with its coefficients ``d_n`` to order N + 1,
+    ``c_n = (n + 1) d_(n+1)`` models its slope g'/s0, with ``b_j
+    r_j**(N+2)`` of its terms in ``tail``.  The slope is the series plus
+    the terms it dropped, each below ``AMPLITUDE_FLOOR``: at most
+    ``dropped``, the floor times their count.  So ``c_0`` has the series' sign wherever the series
+    exceeds ``dropped`` plus rounding, and ``dropped`` joins the remainder.
+    The level below's value at the root, ``sum_n d_n u**n``, is within
+    ``tail * |u|**(N+2) / (N+2)`` plus the rounding bound; the last item
+    holds it moved toward zero by that bound (0 when the bound exceeds it):
+    nearer zero than the true value, with its sign.
 
     With ``half`` > 0 the polynomial is also evaluated at ``u -+ half``.  The
     fourth returned array holds, per lane, the sign at ``u - half`` when the
@@ -282,94 +296,70 @@ def _model_roots(
     rounding bound, and 0 otherwise (always 0 with ``half`` = 0).  The
     rounding bound covers the coefficients' angle errors, which grow with
     ``s0 * |x|`` (``taylor_array`` derives them for term phasors built from
-    bond phasors too), the sum over the J terms, and the polynomial sum, at
-    most ``e**|u|`` times the coefficient errors.
-
-    ``below`` is the level this series was differentiated from (None at
-    level 0, and then so is the last returned item).  Its value at ``x``
-    comes from the term sines the model has, with that level's amplitudes,
-    plus the terms this level dropped below ``AMPLITUDE_FLOOR``; the model's
-    integral ``sum_n c_n u**(n+1) / (n+1)`` carries it to the root.  Its
-    error is at most the integrated remainder ``tail * |u|**(N+2) / (N+2)``,
-    the dropped terms' slope times ``|u|``, and the rounding bound with the
-    amplitudes of ``below``.  The last item holds, per lane, that value
-    moved toward zero by its error bound (0 when the bound exceeds it):
-    nearer zero than the true value, with its sign.  Points go through
+    bond phasors too), the sum over the J terms modelled, and the polynomial
+    sum, at most ``e**|u|`` times the coefficient errors.  Points go through
     ``MODEL_BLOCK`` at a time, certificate and level below included.
     """
-    actions, amps, _ = series.arrays
+    source = series if below is None else below
+    actions, amps, _ = source.arrays
     s0 = series.leading_action
     top = MODEL_ORDER + 1
-    tail = (1.0 + amps @ (actions / s0) ** top) / math.factorial(top)
+    order = MODEL_ORDER + (below is not None)
+    tail = (1.0 + amps @ (actions / s0) ** (order + 1)) / math.factorial(top)
     noise = 4.0 * np.finfo(float).eps * (1.0 + amps.sum())
+    dropped = 0.0 if below is None else AMPLITUDE_FLOOR * (len(amps) - len(series.terms))
     n = np.arange(1, top)[:, None]
     f, root, error = np.empty(x.size), np.empty(x.size), np.empty(x.size)
     side = np.zeros(x.size, dtype=np.int8)
-    below_amps, level_below = (), None
-    if below is not None:
-        b_actions, b_amps, b_phases = below.arrays
-        kept = b_amps * (b_actions / s0) >= AMPLITUDE_FLOOR  # as derivative_series keeps
-        gone = ~kept
-        slope = b_amps[gone] @ (b_actions[gone] / s0)
-        b_noise = 4.0 * np.finfo(float).eps * (1.0 + b_amps.sum())
-        integral = 1.0 / np.arange(1, top + 1)[:, None]
-        below_amps, level_below = (b_amps[kept],), np.empty(x.size)
+    level_below = None if below is None else np.empty(x.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, x.size, MODEL_BLOCK):
             block = slice(start, start + MODEL_BLOCK)
             xb = x[block]
             lo, hi = s0 * (a[block] - xb), s0 * (b[block] - xb)
-            c = taylor_array(series, xb, MODEL_ORDER, *below_amps)
+            d = taylor_array(source, xb, order)
+            c = d if below is None else np.arange(1, top + 1)[:, None] * d[1:]
             f[block] = c[0]
-            dc = n * c[1:top]
+            dc = n * c[1:]
             u = np.clip(0.0 - c[0] / c[1], lo, hi)
             du, dp = np.abs(u), c[1]
             powers = np.ones((top, xb.size))
             for _ in range(MODEL_NEWTON_STEPS - 1):
-                _fill_powers(powers, u)
-                p = np.einsum("ij,ij->j", c[:top], powers)
+                powers[1] = u
+                for row in range(2, top):
+                    np.multiply(powers[row - 1], u, out=powers[row])
+                p = np.einsum("ij,ij->j", c, powers)
                 dp = np.einsum("ij,ij->j", dc, powers[:-1])
                 new = np.clip(u - p / dp, lo, hi)
                 du = np.abs(new - u)
                 u = new
             root[block] = xb + u / s0
-            error[block] = (du + tail * np.abs(u) ** top / np.abs(dp)) / s0
+            error[block] = (du + (tail * np.abs(u) ** top + dropped) / np.abs(dp)) / s0
+            rounding = s0 * np.abs(xb) + len(amps) + 30.0
             if half:
                 v = np.stack((u - half, u + half))
-                pv = np.zeros_like(v)
-                for row in range(MODEL_ORDER, -1, -1):
-                    pv *= v
-                    pv += c[row]
+                pv = _polyval(c, v)
                 v = np.abs(v)
-                bound = tail * v**top + noise * np.exp(v) * (s0 * np.abs(xb) + len(amps) + 30.0)
+                bound = tail * v**top + dropped + noise * np.exp(v) * rounding
                 clear = (np.abs(pv) > bound).all(axis=0) & (pv[0] * pv[1] < 0.0)
                 side[block] = np.where(clear, np.sign(pv[0]), 0.0)
                 del v, pv, bound, clear
             if below is not None:
-                _fill_powers(powers, u)
-                powers *= integral
-                value = np.einsum("ij,ij->j", c[:top], powers)
-                value *= u
-                value += c[top]
-                if gone.any():
-                    angles = np.outer(b_actions[gone], xb) + b_phases[gone, None]
-                    value -= b_amps[gone] @ np.cos(angles)
+                value = _polyval(d, u)
                 v = np.abs(u)
-                bound = (
-                    tail * v ** (top + 1) / (top + 1)
-                    + slope * v
-                    + b_noise * np.exp(v) * (s0 * np.abs(xb) + len(b_amps) + 30.0)
-                )
+                bound = tail * v ** (top + 1) / (top + 1) + noise * np.exp(v) * rounding
                 level_below[block] = np.copysign(np.maximum(np.abs(value) - bound, 0.0), value)
-            del c, dc, dp, powers  # free this block's arrays before the next one's
+            del c, d, dc, dp, powers  # free this block's arrays before the next one's
     return f, root, error, side, level_below
 
 
-def _fill_powers(powers: np.ndarray, u: np.ndarray) -> None:
-    """Rows 1.. of ``powers`` become u, u**2, ..., one row multiply each."""
-    powers[1] = u
-    for row in range(2, len(powers)):
-        np.multiply(powers[row - 1], u, out=powers[row])
+def _polyval(coefficients: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``sum_n coefficients[n] * v**n`` by Horner's rule, at each point of ``v``."""
+    p = np.zeros_like(v)
+    for row in coefficients[::-1]:
+        p *= v
+        p += row
+    return p
 
 
 def _refine_brackets(
@@ -386,9 +376,11 @@ def _refine_brackets(
 
     Each step evaluates the open lanes only, at one point each.  A lane
     still on the model gets the Taylor model of the series there
-    (:func:`_model_roots`): its row 0 is the series value, whose sign
-    moves one end of the lane's bracket, and Newton on the polynomial gives
-    a candidate root with a bound on its distance from the series root.
+    (:func:`_model_roots`): the sign of its row 0 moves one end of the
+    lane's bracket, and Newton on the polynomial gives a candidate root
+    with a bound on its distance from the series root.  Row 0 is the series
+    value at level 0 and, at a separator level, the slope of the level
+    below: within the bound on the dropped terms, plus rounding, of it.
     When the candidate lies in the bracket and that bound is at most a
     quarter of the target width ``BRACKET_REL_WIDTH * max(1, |x|)``, the
     lane stops there and is certified.  Otherwise the candidate is taken
@@ -408,9 +400,9 @@ def _refine_brackets(
     extremum, and no root of that level falls between the two.
 
     With ``below``, the level the series was differentiated from, each
-    lane the model certifies also gets that level's value at its root from
-    the same model (:func:`_model_roots`), moved toward zero by its error
-    bound, in ``values``; the other lanes' entries are left as they are.
+    lane the model certifies also gets that level's value at its root, the
+    model's source, moved toward zero by its error bound, in ``values``;
+    the other lanes' entries are left as they are.
 
     A probe on a bracket end takes the sign recorded for that end instead
     of a fresh evaluation, which could flip a noise-level sign.  A pair

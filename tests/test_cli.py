@@ -333,6 +333,27 @@ class TestMain:
         assert main(["solve", path]) == 2
         assert "potential_fraction must be < 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "part,key,value,path",
+        [
+            (None, "window", [0, 10], "window"),
+            (None, "window", "0..10", "window"),
+            (None, "options", "x", "options"),
+            (None, "options", [["margin", 0.5]], "options"),
+            ("graph", "vertices", {"id": 0}, "graph.vertices"),
+            ("graph", "vertices", "x", "graph.vertices"),
+            ("graph", "bonds", {"from": 0, "to": 1, "length": 1.0}, "graph.bonds"),
+            ("graph", "bonds", 7, "graph.bonds"),
+        ],
+    )
+    def test_malformed_shape_exit_2(self, tmp_path, capsys, part, key, value, path):
+        doc = json.loads(json.dumps(BOND_DD))
+        (doc[part] if part else doc)[key] = value
+        assert main(["solve", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        kind = "a list" if part else "an object"
+        assert err == f"error: {path}: must be {kind}, got {value!r}\n"
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")

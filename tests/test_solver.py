@@ -22,6 +22,7 @@ from qgspectra import (
 )
 from qgspectra.fuzz import random_series, standard_window
 from qgspectra.series import (
+    AMPLITUDE_FLOOR,
     SpectralSeries,
     derivative_series,
     evaluate,
@@ -402,16 +403,21 @@ class TestDescend:
             descend(chain, (0.0, 10.0))
 
 
-def reference_model_roots(series, x, a, b, half=0.0):
+def reference_model_roots(series, x, a, b, half=0.0, below=None):
     """``solver._model_roots`` with the Newton kernel it had before: the
     power table rebuilt by ``cumprod`` at every step from u = 0, and ``p'``
-    by a three-operand ``einsum``.  The kernel must match it bit for bit."""
-    order = solver.MODEL_ORDER
-    actions, amps, _ = series.arrays
+    by a three-operand ``einsum``.  The kernel must match it bit for bit.
+    With ``below``, the coefficients ``(n + 1) d_(n+1)`` come from the
+    order N + 1 model of the level below, and the bound on the terms this
+    level dropped joins the remainder, as in the solver."""
+    source = series if below is None else below
+    order = solver.MODEL_ORDER + (below is not None)
+    actions, amps, _ = source.arrays
     s0 = series.leading_action
-    top = order + 1
-    tail = (1.0 + amps @ (actions / s0) ** top) / math.factorial(top)
+    top = solver.MODEL_ORDER + 1
+    tail = (1.0 + amps @ (actions / s0) ** (order + 1)) / math.factorial(top)
     noise = 4.0 * np.finfo(float).eps * (1.0 + amps.sum())
+    dropped = 0.0 if below is None else AMPLITUDE_FLOOR * (len(amps) - len(series.terms))
     n = np.arange(1, top)[:, None]
     f, root, error = np.empty(x.size), np.empty(x.size), np.empty(x.size)
     side = np.zeros(x.size, dtype=np.int8)
@@ -420,7 +426,8 @@ def reference_model_roots(series, x, a, b, half=0.0):
             block = slice(start, start + solver.MODEL_BLOCK)
             xb = x[block]
             lo, hi = s0 * (a[block] - xb), s0 * (b[block] - xb)
-            c = taylor_array(series, xb, order)
+            d = taylor_array(source, xb, order)
+            c = d if below is None else np.arange(1, top + 1)[:, None] * d[1:]
             f[block] = c[0]
             powers = np.ones_like(c)
             u = np.zeros(xb.size)
@@ -433,15 +440,16 @@ def reference_model_roots(series, x, a, b, half=0.0):
                 du = np.abs(new - u)
                 u = new
             root[block] = xb + u / s0
-            error[block] = (du + tail * np.abs(u) ** top / np.abs(dp)) / s0
+            error[block] = (du + (tail * np.abs(u) ** top + dropped) / np.abs(dp)) / s0
             if half:
                 v = np.stack((u - half, u + half))
                 pv = np.zeros_like(v)
-                for row in range(order, -1, -1):
+                for row in range(top - 1, -1, -1):
                     pv *= v
                     pv += c[row]
                 v = np.abs(v)
-                bound = tail * v**top + noise * np.exp(v) * (s0 * np.abs(xb) + len(amps) + 30.0)
+                rounding = s0 * np.abs(xb) + len(amps) + 30.0
+                bound = tail * v**top + dropped + noise * np.exp(v) * rounding
                 clear = (np.abs(pv) > bound).all(axis=0) & (pv[0] * pv[1] < 0.0)
                 side[block] = np.where(clear, np.sign(pv[0]), 0.0)
     return f, root, error, side
@@ -453,7 +461,7 @@ class TestModelKernel:
     @staticmethod
     def assert_matches_reference(series, x, a, b, half=0.0, below=None):
         got = solver._model_roots(series, x, a, b, half, below)
-        want = reference_model_roots(series, x, a, b, half)
+        want = reference_model_roots(series, x, a, b, half, below)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         return got
@@ -600,10 +608,10 @@ class TestSolveGraph:
             points.append(np.asarray(ks).size)
             return evaluate_array(series, ks)
 
-        def counted_model(series, ks, order, *below):
+        def counted_model(series, ks, order):
             # One cosine and one sine per term: two points' worth of trig.
             points.append(2 * np.asarray(ks).size)
-            return taylor_array(series, ks, order, *below)
+            return taylor_array(series, ks, order)
 
         monkeypatch.setattr(solver, "evaluate_array", counted)
         monkeypatch.setattr(solver, "taylor_array", counted_model)
