@@ -36,6 +36,7 @@ from .errors import (
     NotRegular,
     ParseError,
     RealificationFailure,
+    SizeCapExceeded,
     SpectralError,
     ValidationError,
 )
@@ -48,7 +49,7 @@ from .series import (
     evaluate_array,
     regularity_sum,
 )
-from .solver import build_chain, descend, regularization_order
+from .solver import MAX_GRID_CELLS, build_chain, descend, regularization_order
 
 _BC_MAP = {"dirichlet": "dirichlet", "kirchhoff": "kirchhoff", "delta": "scaling_delta"}
 _SAMPLE_POINTS_PER_HALF_PERIOD = 20
@@ -315,17 +316,21 @@ def _write_verify(config: ConfigDoc, out: TextIO) -> int:
 
 def _write_sample(config: ConfigDoc, out: TextIO) -> int:
     chain = build_chain(config.secular(), config.margin)
-    s0 = chain.levels[0].leading_action
     points = config.given_oversampling or _SAMPLE_POINTS_PER_HALF_PERIOD
-    step = math.pi / (s0 * points)
+    step = math.pi / (chain.series.leading_action * points)
     k_lo, k_hi = config.window
-    n = max(1, math.ceil((k_hi - k_lo) / step))
-    ks = np.linspace(k_lo, k_hi, n + 1)
-    table = np.empty((ks.size, 1 + len(chain.levels)))
+    n = (k_hi - k_lo) / step
+    if not n < MAX_GRID_CELLS:
+        raise SizeCapExceeded(
+            f"window: [{k_lo!r}, {k_hi!r}] takes a sample grid of {n:.3g} rows, "
+            f"above the cap of {MAX_GRID_CELLS}"
+        )
+    ks = np.linspace(k_lo, k_hi, max(1, math.ceil(n)) + 1)
+    table = np.empty((ks.size, chain.order + 2))
     table[:, 0] = ks
-    for m, level in enumerate(chain.levels):
-        table[:, 1 + m] = evaluate_array(level, ks)
-    out.write("k," + ",".join(f"g{m}" for m in range(len(chain.levels))) + "\n")
+    for m in range(chain.order + 1):
+        table[:, 1 + m] = evaluate_array(chain.series, ks, m)
+    out.write("k," + ",".join(f"g{m}" for m in range(chain.order + 1)) + "\n")
     _write_rows(out, ",".join(["%.17g"] * table.shape[1]) + "\n", table)
     return 0
 

@@ -5,20 +5,20 @@ A series represents the almost-periodic function
     g(k) = cos(s0*k + phi0) - sum_j a_j * cos(s_j*k + phi_j)
 
 where every term action ``s_j`` lies strictly below the leading action
-``s0``.  The family is closed under (d/dk)/s0: each term amplitude shrinks
-by the ratio ``s_j/s0`` and every phase advances by pi/2, so one
-derivative level follows from the last by scaling and shifting the terms
-in place.  Because all ratios are below one, repeated differentiation
-eventually pushes the term sum below 1, after which the leading cosine
-pins the sign of the series at its own extrema.  That decay is what the
-spectral descent in :mod:`qgspectra.solver` relies on; the solver also
-builds the chain of levels and finds its regularization order.
+``s0``.  The family is closed under (d/dk)/s0: derivative level m is level
+0 with amplitudes ``a_j r_j**m`` (``r_j = s_j/s0``) and every phase m
+quarter periods on, so no level drops a term but the constant one.
+Because all ratios are below one, repeated differentiation eventually
+pushes the term sum below 1, after which the leading cosine pins the sign
+of the series at its own extrema.  That decay is what the spectral
+descent in :mod:`qgspectra.solver` relies on; the solver also finds the
+chain's regularization order.
 
 A series keeps its terms as a tuple and, built once on first use, as
 arrays of actions, amplitudes and phases; :func:`evaluate_array` sums the
 terms with one matrix product per block of points, and
 :func:`taylor_array` gives the Taylor coefficients about each point from
-the same blocks.
+the same blocks, both at any derivative level, read off level 0.
 
 The secular series of a graph also carries its bond structure
 (:class:`BondTerms`): each term's action is a signed sum of bond actions,
@@ -77,8 +77,7 @@ class BondTerms(NamedTuple):
     (factor B + b).  Nodes are laid out layer by layer, ``layers`` holding
     each layer's ``(start, stop)``, and every parent lies in an earlier
     layer; ``nodes`` holds the node of each term.  The plan is built once
-    per graph and shared by every derivative level, which keeps the rows,
-    nodes and drifts of the terms it keeps.
+    per graph; every derivative level is read off level 0 through it.
 
     The float term action, the rounded sum of its exponents' actions less
     the rounded ``S0``, differs from ``sum_b eps_jb S_b`` by its ``drift``,
@@ -151,13 +150,6 @@ class BondTerms(NamedTuple):
             widest=max((stop - start for start, stop in layers), default=0),
         )
 
-    def kept(self, mask: np.ndarray) -> BondTerms:
-        """The same plan for the terms ``mask`` keeps."""
-        return BondTerms(
-            self.actions, self.rows[mask], self.drift[mask], self.nodes[mask],
-            self.parents, self.factors, self.layers, self.widest,
-        )
-
 
 @dataclass(frozen=True)
 class SpectralSeries:
@@ -183,8 +175,8 @@ class SpectralSeries:
 
     @cached_property
     def _bond_weights(self) -> dict:
-        """The bond kernel's weights, by Taylor order: :func:`_turned_weights`,
-        built once for each."""
+        """The bond kernel's weights, by derivative level and Taylor order:
+        :func:`_turned_weights`, built once for each."""
         return {}
 
 
@@ -283,30 +275,29 @@ def evaluate(series: SpectralSeries, k: float) -> float:
     return math.fsum(parts)
 
 
-def evaluate_array(series: SpectralSeries, ks: np.ndarray) -> np.ndarray:
-    """Vectorized series evaluation over an array of wavenumbers.
+def evaluate_array(series: SpectralSeries, ks: np.ndarray, level: int = 0) -> np.ndarray:
+    """Vectorized evaluation of derivative level ``level`` over an array of wavenumbers.
 
     Points go through in blocks of at most ``EVAL_BLOCK`` term-point (or
     plan node-point) entries, one point at least, so temporary memory does
     not grow with the number of points.
     """
     ks = np.asarray(ks, dtype=float)
-    return taylor_array(series, ks, 0)[0].reshape(ks.shape)
+    return taylor_array(series, ks, 0, level)[0].reshape(ks.shape)
 
 
-def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int) -> np.ndarray:
-    """Taylor coefficients of the series about each point of ``ks``, flattened.
+def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int, level: int = 0) -> np.ndarray:
+    """Taylor coefficients of level ``level``, ``g_m = g^(m) / s0**m``, about
+    each point of ``ks``, flattened, read off level 0.
 
-    Row n holds ``c_n = g^(n)(x) / (s0**n * n!)``, so that
-    ``g(x + u/s0) = sum_n c_n * u**n`` up to a remainder of at most
-    ``(1 + sum a) * |u|**(order+1) / (order+1)!``.  With ``r_j = s_j/s0``,
-    even rows are ``+-(cos t0 - sum a_j r_j**n cos t_j) / n!`` and odd rows
-    ``+-(sin t0 - sum a_j r_j**n sin t_j) / n!``, the signs following n mod
-    4, so one cosine and one sine of each term angle give every row.  Row 0
-    is the ``evaluate_array`` value.  Since each derivative level is
-    (d/dk)/s0 of the one below, ``(n + 1) * c_(n+1)`` is row n of the next
-    level's model, up to the terms that level drops below
-    ``AMPLITUDE_FLOOR``.
+    Row i holds ``c_i = g_m^(i)(x) / (s0**i * i!)``, so that ``g_m(x +
+    u/s0) = sum_i c_i * u**i`` up to a remainder of at most ``(1 + sum a_j
+    r_j**(m+order+1)) * |u|**(order+1) / (order+1)!``.  With n = m + i, even
+    n give ``+-(cos t0 - sum a_j r_j**n cos t_j) / i!`` and odd n ``+-(sin
+    t0 - sum a_j r_j**n sin t_j) / i!`` with level 0's angles t, the signs
+    following n mod 4, so one cosine and one sine of each term angle give
+    every row of every level.  Row 0 is the ``evaluate_array`` value, and
+    ``(i + 1) * c_(i+1)`` is row i of level m + 1.
 
     A series with bond structure and more than twice as many terms as
     bonds (:func:`_by_bonds`) takes its term phasors from
@@ -339,23 +330,23 @@ def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int) -> np.ndarr
     s0 = series.leading_action
     actions, amps, phases = series.arrays
     bonds = series.bonds
-    by_bonds = _by_bonds(series)
+    # Rows 0, 2, ... take the trig function of n = level, level + 2, ...
+    first, other = (np.cos, np.sin) if level % 2 == 0 else (np.sin, np.cos)
     c = np.empty((order + 1, x.size))
     # The leading angle is built in row 0, so a long array of points is
     # held once, not three times.
     np.multiply(s0, x, out=c[0])
     c[0] += series.leading_phase
     if order:
-        n = np.arange(1, order + 1)
-        c[1::2] = np.sin(c[0])
-    np.cos(c[0], out=c[0])
+        c[1::2] = other(c[0])
+    first(c[0], out=c[0])
     if order:
         c[2::2] = c[0]
-    if by_bonds:
-        rw = series._bond_weights.get(order)
+    if _by_bonds(series):
+        rw = series._bond_weights.get((level, order))
         if rw is None:
-            w = amps * (actions / s0) ** np.arange(order + 1)[:, None]
-            rw = series._bond_weights[order] = _turned_weights(series, w)
+            w = amps * (actions / s0) ** np.arange(level, level + order + 1)[:, None]
+            rw = series._bond_weights[level, order] = _turned_weights(series, w, level)
         rows = order + 1
         # A block holds its node phasors with, in turn, the bond factors,
         # one layer's gathered parents and the sums: complex entries within
@@ -375,24 +366,24 @@ def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int) -> np.ndarr
             c[0, block] -= drift
             del sums, re, im, drift
     else:
-        if order:
-            weights = amps * (actions / s0) ** n[:, None]  # row n - 1 scales order n
+        w = amps * (actions / s0) ** np.arange(level, level + order + 1)[:, None]
         step = max(1, EVAL_BLOCK // max(1, len(amps)))
         for start in range(0, x.size, step):
             block = slice(start, start + step)
             angles = np.outer(actions, x[block])
             angles += phases[:, None]
-            cosines = np.cos(angles)
-            c[0, block] -= amps @ cosines
+            values = first(angles)
+            c[0, block] -= w[0] @ values
             if order:
-                c[2::2, block] -= weights[1::2] @ cosines
-                np.sin(angles, out=angles)
-                c[1::2, block] -= weights[0::2] @ angles
-            del angles, cosines  # free this block's arrays before the next one's
-    if order:
-        # cos(t + n*pi/2) is -sin t, -cos t, +sin t, +cos t for n = 1, 2, 3, 4 mod 4.
-        scale = np.where((n - 1) % 4 < 2, -1.0, 1.0) / np.cumprod(n.astype(float))
-        c[1:] *= scale[:, None]
+                c[2::2, block] -= w[2::2] @ values
+                other(angles, out=angles)
+                c[1::2, block] -= w[1::2] @ angles
+            del angles, values  # free this block's arrays before the next one's
+    # cos(t + n*pi/2) is -sin t, -cos t, +sin t, +cos t for n = 1, 2, 3, 4 mod 4.
+    if order or level % 4 in (1, 2):
+        i = np.arange(order + 1)
+        sign = np.where((level + i - 1) % 4 < 2, -1.0, 1.0)
+        c *= (sign / np.cumprod(np.maximum(i, 1), dtype=float))[:, None]
     return c
 
 
@@ -404,28 +395,26 @@ def _by_bonds(series: SpectralSeries) -> bool:
     return series.bonds is not None and 2 * series.bonds.actions.size < len(series.terms)
 
 
-def _turned_weights(series: SpectralSeries, w: np.ndarray) -> np.ndarray:
+def _turned_weights(series: SpectralSeries, w: np.ndarray, level: int) -> np.ndarray:
     """Weights of the node phasors in :func:`taylor_array`'s bond kernel.
 
-    Row n of ``w`` weights term j by ``a_j r_j**n``.  The node of term j
-    holds ``q_j = exp(-i kappa'_j x)`` (:func:`_term_phasors`), with
-    ``kappa'_j = sum_b eps_jb S_b`` the bond sum, so with
-    ``u_j = exp(i phi_j)`` a cosine row (even n) sums
-    ``Re(w_j u_j conj(q_j))`` and a sine row (odd n)
-    ``Re(-i w_j u_j conj(q_j))``: ``w_j cos t_j`` and
+    Row i of ``w`` weights term j by ``a_j r_j**n``, n = ``level`` + i.  The
+    node of term j holds ``q_j = exp(-i kappa'_j x)`` (:func:`_term_phasors`),
+    with ``kappa'_j = sum_b eps_jb S_b`` the bond sum, so with ``u_j =
+    exp(i phi_j)`` a cosine row (even n) sums ``Re(w_j u_j conj(q_j))`` and
+    a sine row (odd n) ``Re(-i w_j u_j conj(q_j))``: ``w_j cos t_j`` and
     ``w_j sin t_j`` up to the drift ``d_j = kappa_j - kappa'_j``
-    (``BondTerms.drift``).  One more row, the value's first-order drift
-    per unit of x, ``Re(i d_j a_j u_j conj(q_j))``, a sine row of
-    ``-d_j a_j``, corrects row 0.  As ``Re(v conj(q)) = Re v Re q +
+    (``BondTerms.drift``).  One more row, of the other parity, corrects row
+    0 for its first-order drift per unit of x: ``-d_j w_0j`` under a cosine
+    row 0, ``+d_j w_0j`` under a sine one.  As ``Re(v conj(q)) = Re v Re q +
     Im v Im q``, the first half of the result holds each ``Re v`` and the
-    second half each ``Im v``, at the term's node and 0 at every other
-    node.
+    second half each ``Im v``, at the term's node and 0 at every other node.
     """
     bonds = series.bonds
-    sine_rows = np.arange(len(w) + 1) % 2 == 1  # odd n
-    sine_rows[len(w)] = True  # the drift row
+    sine_rows = (level + np.arange(len(w) + 1)) % 2 == 1
+    sine_rows[len(w)] = level % 2 == 0  # the drift row, of the other parity
     sine_rows = sine_rows[:, None]
-    w = np.vstack((w, -w[0] * bonds.drift))
+    w = np.vstack((w, (1.0 if level % 2 else -1.0) * w[0] * bonds.drift))
     cos_turn, sin_turn = np.cos(series.arrays[2]), np.sin(series.arrays[2])
     rw = np.zeros((2 * len(w), bonds.parents.size))
     rw[: len(w), bonds.nodes] = w * np.where(sine_rows, sin_turn, cos_turn)
@@ -470,16 +459,16 @@ def derivative_series(series: SpectralSeries) -> SpectralSeries:
     """Next derivative level: d/dk followed by division by the leading action.
 
     Amplitudes scale by action/leading_action and every phase advances by
-    pi/2.  Actions do not change, so no two terms can merge; terms whose
-    amplitude falls below ``AMPLITUDE_FLOOR`` (the constant term at once)
-    are dropped, and the result is again a canonical series one level up,
-    with the bond rows of the terms it keeps.
+    pi/2.  Actions do not change, so no two terms can merge; only a term
+    whose amplitude becomes exactly 0 (the constant term) leaves, and the
+    result is again a canonical series one level up.  It carries no bond
+    rows: :func:`taylor_array` reads every level off level 0 instead.
     """
     s0 = series.leading_action
     half = 0.5 * math.pi
     actions, amps, phases = series.arrays
     amps = amps * (actions / s0)
-    kept = amps >= AMPLITUDE_FLOOR
+    kept = amps > 0.0
     phases = np.fmod(phases[kept] + half, TWO_PI)  # as _wrap_phase, term by term
     phases[phases < 0.0] += TWO_PI
     phases[phases >= TWO_PI] = 0.0
@@ -488,7 +477,6 @@ def derivative_series(series: SpectralSeries) -> SpectralSeries:
         leading_action=s0,
         leading_phase=_wrap_phase(series.leading_phase + half),
         terms=tuple(map(partial(tuple.__new__, TrigTerm), zip(*arrays.tolist()))),
-        bonds=None if series.bonds is None else series.bonds.kept(kept),
     )
     derived.__dict__["arrays"] = arrays  # the cached property, already at hand
     return derived

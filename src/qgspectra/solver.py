@@ -21,13 +21,14 @@ certify it; the lanes the model leaves open take the probe pair.  Every
 root is returned inside a bracket whose two ends have certified opposite
 signs.
 
-A level above 0 is the slope of the level below, less the terms that fall
-below ``AMPLITUDE_FLOOR``, so its model is the derivative of the level
-below's model one order higher, and the model that closes a lane also
-gives that level's value at the root.  The level below reads its sign at
-such a separator from that value when the value clears its error bound by
-``ENDPOINT_TOL``, and evaluates the series at every other separator and
-at the edges.
+The chain is one series, its order M and its margin; no level drops a
+term, so every level is read off level 0 (``level`` of :func:`taylor_array`).
+A level above 0 is the slope of the level below, so its model is the
+derivative of the level below's model one order higher, and the model
+that closes a lane also gives that level's value at the root.  The level
+below reads its sign at such a separator from that value when the value
+clears its error bound by ``ENDPOINT_TOL``, and evaluates the series at
+every other separator and at the edges.
 
 Every level runs between the same two edges, the window padded by M + 1
 leading cells (the lower edge clamped at ``POSITIVE_FLOOR`` and, there,
@@ -41,18 +42,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, EmptyWindow, NotRegular
+from .errors import DegenerateSpectrum, EmptyWindow, NotRegular, SizeCapExceeded
 from .graphs import QuantumGraph, secular_series
 from .series import (
-    AMPLITUDE_FLOOR,
     DEFAULT_MARGIN,
     EVAL_BLOCK,
-    MERGE_TOL,
-    TWO_PI,
     SpectralSeries,
     derivative_series,
     evaluate_array,
@@ -60,7 +59,7 @@ from .series import (
     taylor_array,
 )
 
-# Deepest derivative level build_chain materializes before giving up.
+# Deepest derivative level build_chain tries before giving up.
 MAX_ORDER = 100_000
 
 # Roots are never reported below this wavenumber; padding is clamped here.
@@ -79,6 +78,9 @@ MODEL_ORDER = 16
 # Newton steps on the Taylor polynomial per evaluation of the model, the
 # first (from the model's centre, u = 0) in closed form.
 MODEL_NEWTON_STEPS = 7
+# Cap on the cells of a padded window's separator grid and on sample rows:
+# the descent holds about 400 bytes per cell, so a solve stays near 4 GB.
+MAX_GRID_CELLS = 10_000_000
 # Points per Taylor model block: its (N+1)-row arrays hold half an EVAL_BLOCK,
 # so a block costs no more memory than one of evaluate_array's.
 MODEL_BLOCK = EVAL_BLOCK // (2 * (MODEL_ORDER + 1))
@@ -86,80 +88,30 @@ MODEL_BLOCK = EVAL_BLOCK // (2 * (MODEL_ORDER + 1))
 
 @dataclass(frozen=True)
 class DescentChain:
-    """Derivative levels 0..M of a series, M minimal for the given margin.
+    """A series, its order M and the margin of its top level.
 
-    The descent relies on each level being :func:`derivative_series` of the
-    one below, so construction checks that: one leading action, leading
-    phases a quarter period apart, each level's terms those the level below
-    keeps above ``AMPLITUDE_FLOOR`` with amplitudes ``a * s / s0`` and phases a
-    quarter period on, and bond rows of the same terms.  A ``ValueError``
-    names the first level that breaks it.
+    Level m is level 0 with amplitudes ``a_j r_j**m`` and every phase m
+    quarter periods on.  The descent reads each level off ``series``;
+    ``levels`` builds them as series for readers that want one.  An order
+    below the regularization order raises ``NotRegular`` from the top
+    level's separator grid.
     """
 
-    levels: tuple[SpectralSeries, ...]
+    series: SpectralSeries
+    order: int
     margin: float
 
     def __post_init__(self):
-        levels = self.levels
-        bonds = levels[0].bonds
-        if bonds is not None and not (
-            bonds.nodes.size == len(levels[0].terms)
-            and np.all(
-                np.abs(bonds.rows @ bonds.actions - levels[0].arrays[0])
-                <= MERGE_TOL * max(1.0, levels[0].leading_action)
-            )
-        ):
-            raise ValueError("chain level 0 has bond rows that do not sum to its term actions")
-        if len(levels) > 1 and not _derivatives(levels[:-1], levels[1:]):
-            m = next(
-                m for m in range(1, len(levels))
-                if not _derivatives(levels[m - 1 : m], levels[m : m + 1])
-            )
-            raise ValueError(f"chain level {m} is not the derivative series of level {m - 1}")
+        if self.order < 0:
+            raise ValueError(f"chain order must be >= 0, got {self.order!r}")
 
-    @property
-    def order(self) -> int:
-        return len(self.levels) - 1
-
-
-def _derivatives(lower: tuple[SpectralSeries, ...], upper: tuple[SpectralSeries, ...]) -> bool:
-    """Whether each series of ``upper`` is :func:`derivative_series` of the
-    one of ``lower`` beside it, phases and relative amplitudes within
-    ``MERGE_TOL``; the terms of all pairs are compared in one pass."""
-    s0 = lower[0].leading_action
-    quarter = 0.5 * math.pi
-    for low, up in zip(lower, upper):
-        turn = (up.leading_phase - low.leading_phase - quarter) % TWO_PI
-        if (
-            low.leading_action != s0
-            or up.leading_action != s0
-            or min(turn, TWO_PI - turn) > MERGE_TOL
-            or up.bonds is not None and (low.bonds is None or up.bonds.parents is not low.bonds.parents)
-        ):
-            return False
-    below = np.concatenate([s.arrays for s in lower], axis=1)
-    above = np.concatenate([s.arrays for s in upper], axis=1)
-    amps = below[1] * (below[0] / s0)
-    kept = amps >= AMPLITUDE_FLOOR
-    if np.count_nonzero(kept) != above.shape[1]:
-        return False
-    turn = (above[2] - below[2, kept] - quarter) % TWO_PI
-    nodes_below = np.concatenate([_term_nodes(s) for s in lower])[kept]
-    nodes_above = np.concatenate([_term_nodes(s) for s in upper])
-    bonded = nodes_above >= 0
-    return bool(
-        np.array_equal(above[0], below[0, kept])
-        and np.all(np.abs(above[1] - amps[kept]) <= MERGE_TOL * amps[kept])
-        and np.all(np.minimum(turn, TWO_PI - turn) <= MERGE_TOL)
-        and np.array_equal(nodes_above[bonded], nodes_below[bonded])
-    )
-
-
-def _term_nodes(series: SpectralSeries) -> np.ndarray:
-    """The bond plan node of each term, or -1 for each term without one."""
-    if series.bonds is None:
-        return np.full(len(series.terms), -1)
-    return series.bonds.nodes
+    @cached_property
+    def levels(self) -> tuple[SpectralSeries, ...]:
+        """Levels 0..M as series, each the derivative series of the one below."""
+        levels = [self.series]
+        for _ in range(self.order):
+            levels.append(derivative_series(levels[-1]))
+        return tuple(levels)
 
 
 class SpectrumEntry(NamedTuple):
@@ -202,24 +154,29 @@ class DescentTrace:
 
 
 def build_chain(series: SpectralSeries, margin: float = DEFAULT_MARGIN) -> DescentChain:
-    """Materialize derivative levels up to the first regular one.
+    """The chain of the series up to its first regular level.
 
-    Termination is guaranteed by the strict action gap: every ratio
-    action/leading_action is below 1, so amplitudes decay geometrically.
-    A gap so small that ``MAX_ORDER`` levels do not suffice raises
-    ``NotRegular``.
+    The order is found from the amplitudes alone, multiplied by the action
+    ratios once per level as :func:`derivative_series` does, so the top
+    level's term sum is the one ``base_separators`` checks.  Termination is
+    guaranteed by the strict action gap: every ratio action/leading_action
+    is below 1, so amplitudes decay geometrically.  A gap so small that
+    ``MAX_ORDER`` levels do not suffice raises ``NotRegular``.
     """
     if not (0.0 < margin < 1.0):
         raise ValueError(f"margin must lie in (0, 1), got {margin!r}")
-    levels = [series]
-    while regularity_sum(levels[-1]) > 1.0 - margin:
-        if len(levels) > MAX_ORDER:
+    actions, amps, _ = series.arrays
+    ratios = actions / series.leading_action
+    order = 0
+    while (total := math.fsum(amps.tolist())) > 1.0 - margin:
+        if order >= MAX_ORDER:
             raise NotRegular(
-                f"term sum {regularity_sum(levels[-1]):g} is still above {1.0 - margin:g} "
+                f"term sum {total:g} is still above {1.0 - margin:g} "
                 f"after {MAX_ORDER} derivative levels; the action gap is too small"
             )
-        levels.append(derivative_series(levels[-1]))
-    return DescentChain(levels=tuple(levels), margin=margin)
+        amps = amps * ratios
+        order += 1
+    return DescentChain(series, order, margin)
 
 
 def regularization_order(series: SpectralSeries, margin: float = DEFAULT_MARGIN) -> int:
@@ -238,7 +195,8 @@ def base_separators(
     At each grid point the leading cosine is +-1 while the terms sum to
     less than 1 - margin in magnitude, so the series sign alternates and
     consecutive grid points bracket exactly one root.  Requires the series
-    to be regular at the given margin.
+    to be regular at the given margin.  A grid of ``MAX_GRID_CELLS`` cells
+    or more raises ``SizeCapExceeded`` before anything is allocated.
     """
     if regularity_sum(series) > 1.0 - margin:
         raise NotRegular(
@@ -248,8 +206,12 @@ def base_separators(
         return np.empty(0)
     s0 = series.leading_action
     phi0 = series.leading_phase
-    q_lo = math.ceil((s0 * lo + phi0) / math.pi - 1e-12)
-    q_hi = math.floor((s0 * hi + phi0) / math.pi + 1e-12)
+    q_lo = (s0 * lo + phi0) / math.pi - 1e-12
+    q_hi = (s0 * hi + phi0) / math.pi + 1e-12
+    if not q_hi - q_lo < MAX_GRID_CELLS:
+        raise SizeCapExceeded(f"window: [{lo!r}, {hi!r}] spans {q_hi - q_lo:.3g} separator "
+                              f"cells, above the cap of {MAX_GRID_CELLS}")
+    q_lo, q_hi = math.ceil(q_lo), math.floor(q_hi)
     if q_hi < q_lo:
         return np.empty(0)
     qs = np.arange(q_lo, q_hi + 1)
@@ -262,9 +224,9 @@ def _model_roots(
     a: np.ndarray,
     b: np.ndarray,
     half: float = 0.0,
-    below: SpectralSeries | None = None,
+    level: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Model values at ``x`` and the roots of the series' Taylor models there.
+    """Model values at ``x`` and the roots of level ``level``'s Taylor models there.
 
     Runs ``MODEL_NEWTON_STEPS`` Newton steps on each polynomial
     ``p(u) = sum_n c_n u**n`` (n up to N, ``u = s0 * (k - x)``) from u = 0,
@@ -274,21 +236,17 @@ def _model_roots(
     wavenumbers, bounds on their distance from a root of the series (the
     last step plus the model's error over the slope), the model's certified
     signs ``half`` either side of each root, and the values of the level
-    ``below`` at the roots (None at level 0).
+    below at the roots (None at level 0).
 
-    At level 0 the ``c_n`` are the series' own (:func:`taylor_array`), the
-    remainder at most ``tail * |u|**(N+1)``, ``tail = (1 + sum a_j
-    r_j**(N+1)) / (N+1)!``.  Above, ``below`` is the level the series was
-    differentiated from: with its coefficients ``d_n`` to order N + 1,
-    ``c_n = (n + 1) d_(n+1)`` models its slope g'/s0, with ``b_j
-    r_j**(N+2)`` of its terms in ``tail``.  The slope is the series plus
-    the terms it dropped, each below ``AMPLITUDE_FLOOR``: at most
-    ``dropped``, the floor times their count.  So ``c_0`` has the series' sign wherever the series
-    exceeds ``dropped`` plus rounding, and ``dropped`` joins the remainder.
-    The level below's value at the root, ``sum_n d_n u**n``, is within
-    ``tail * |u|**(N+2) / (N+2)`` plus the rounding bound; the last item
-    holds it moved toward zero by that bound (0 when the bound exceeds it):
-    nearer zero than the true value, with its sign.
+    Every level is read off level 0 (:func:`taylor_array`).  At level 0 the
+    ``c_n`` are the series' own, the remainder at most ``tail *
+    |u|**(N+1)``, ``tail = (1 + sum a_j r_j**(N+1)) / (N+1)!``.  At level m
+    above, ``c_n = (n + 1) d_(n+1)``, from level m - 1's coefficients to
+    order N + 1, models its slope, level m, and ``tail`` has ``a_j
+    r_j**(m+N+1)``.  The level below's value at the root, ``sum_n d_n
+    u**n``, is within ``tail * |u|**(N+2) / (N+2)`` plus the rounding bound;
+    the last item holds it moved toward zero by that bound (0 when the
+    bound exceeds it): nearer zero than the true value, with its sign.
 
     With ``half`` > 0 the polynomial is also evaluated at ``u -+ half``.  The
     fourth returned array holds, per lane, the sign at ``u - half`` when the
@@ -300,25 +258,25 @@ def _model_roots(
     sum, at most ``e**|u|`` times the coefficient errors.  Points go through
     ``MODEL_BLOCK`` at a time, certificate and level below included.
     """
-    source = series if below is None else below
-    actions, amps, _ = source.arrays
+    actions, amps, _ = series.arrays
     s0 = series.leading_action
+    ratios = actions / s0
     top = MODEL_ORDER + 1
-    order = MODEL_ORDER + (below is not None)
-    tail = (1.0 + amps @ (actions / s0) ** (order + 1)) / math.factorial(top)
-    noise = 4.0 * np.finfo(float).eps * (1.0 + amps.sum())
-    dropped = 0.0 if below is None else AMPLITUDE_FLOOR * (len(amps) - len(series.terms))
+    source = max(level - 1, 0)  # the level whose model is computed
+    order = MODEL_ORDER + (level > 0)
+    tail = (1.0 + amps @ ratios ** (level + top)) / math.factorial(top)
+    noise = 4.0 * np.finfo(float).eps * (1.0 + (amps * ratios**source).sum())
     n = np.arange(1, top)[:, None]
     f, root, error = np.empty(x.size), np.empty(x.size), np.empty(x.size)
     side = np.zeros(x.size, dtype=np.int8)
-    level_below = None if below is None else np.empty(x.size)
+    level_below = np.empty(x.size) if level else None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, x.size, MODEL_BLOCK):
             block = slice(start, start + MODEL_BLOCK)
             xb = x[block]
             lo, hi = s0 * (a[block] - xb), s0 * (b[block] - xb)
-            d = taylor_array(source, xb, order)
-            c = d if below is None else np.arange(1, top + 1)[:, None] * d[1:]
+            d = taylor_array(series, xb, order, source)
+            c = np.arange(1, top + 1)[:, None] * d[1:] if level else d
             f[block] = c[0]
             dc = n * c[1:]
             u = np.clip(0.0 - c[0] / c[1], lo, hi)
@@ -334,17 +292,17 @@ def _model_roots(
                 du = np.abs(new - u)
                 u = new
             root[block] = xb + u / s0
-            error[block] = (du + (tail * np.abs(u) ** top + dropped) / np.abs(dp)) / s0
+            error[block] = (du + tail * np.abs(u) ** top / np.abs(dp)) / s0
             rounding = s0 * np.abs(xb) + len(amps) + 30.0
             if half:
                 v = np.stack((u - half, u + half))
                 pv = _polyval(c, v)
                 v = np.abs(v)
-                bound = tail * v**top + dropped + noise * np.exp(v) * rounding
+                bound = tail * v**top + noise * np.exp(v) * rounding
                 clear = (np.abs(pv) > bound).all(axis=0) & (pv[0] * pv[1] < 0.0)
                 side[block] = np.where(clear, np.sign(pv[0]), 0.0)
                 del v, pv, bound, clear
-            if below is not None:
+            if level:
                 value = _polyval(d, u)
                 v = np.abs(u)
                 bound = tail * v ** (top + 1) / (top + 1) + noise * np.exp(v) * rounding
@@ -368,41 +326,37 @@ def _refine_brackets(
     b: np.ndarray,
     fa: np.ndarray,
     *,
-    separators: bool = False,
-    below: SpectralSeries | None = None,
+    level: int = 0,
     values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink sign-change brackets onto their roots by Newton on a Taylor model.
+    """Shrink sign-change brackets of level ``level`` onto their roots by
+    Newton on a Taylor model.
 
     Each step evaluates the open lanes only, at one point each.  A lane
-    still on the model gets the Taylor model of the series there
-    (:func:`_model_roots`): the sign of its row 0 moves one end of the
-    lane's bracket, and Newton on the polynomial gives a candidate root
-    with a bound on its distance from the series root.  Row 0 is the series
-    value at level 0 and, at a separator level, the slope of the level
-    below: within the bound on the dropped terms, plus rounding, of it.
+    still on the model gets the level's Taylor model there, read off level
+    0 (:func:`_model_roots`): the sign of its row 0, the level's value,
+    moves one end of the lane's bracket, and Newton on the polynomial gives
+    a candidate root with a bound on its distance from the level's root.
     When the candidate lies in the bracket and that bound is at most a
     quarter of the target width ``BRACKET_REL_WIDTH * max(1, |x|)``, the
     lane stops there and is certified.  Otherwise the candidate is taken
     when it lies strictly inside the bracket at most half the lane's
     previous step away, and the lane bisects when it does not.
 
-    A lane of the reported level is certified by one probe pair of the
+    A lane of the reported level 0 is certified by one probe pair of the
     series half the target width on either side.  A lane of a separator
-    level (``separators``) is certified by the model it already holds, when
-    the polynomial's signs ``delta`` either side of the candidate clear its
+    level (m >= 1) is certified by the model it already holds, when the
+    polynomial's signs ``delta`` either side of the candidate clear its
     remainder and rounding and ``candidate -+ delta`` lies in the bracket;
-    only the lanes the model leaves open take the probe pair.  Here
-    ``s0 * delta = 0.25 * sqrt(ENDPOINT_TOL / (1 + sum a_j r_j))`` bounds the
-    change of the level below across the enclosure, ``(1 + sum a_j r_j) *
-    (s0 * delta)**2 / 2``, by ``ENDPOINT_TOL / 32``: a separator that passes
-    the level below's ``ENDPOINT_TOL`` guard has the sign of the true
-    extremum, and no root of that level falls between the two.
-
-    With ``below``, the level the series was differentiated from, each
-    lane the model certifies also gets that level's value at its root, the
-    model's source, moved toward zero by its error bound, in ``values``;
-    the other lanes' entries are left as they are.
+    only the lanes the model leaves open take the probe pair.  Here ``s0 *
+    delta = 0.25 * sqrt(ENDPOINT_TOL / (1 + sum a_j r_j**(m+1)))`` bounds
+    the change of the level below across the enclosure, ``(1 + sum a_j
+    r_j**(m+1)) * (s0 * delta)**2 / 2``, by ``ENDPOINT_TOL / 32``: a
+    separator that passes the level below's ``ENDPOINT_TOL`` guard has the
+    sign of the true extremum, and no root of that level falls between the
+    two.  Each lane the model certifies also gets the level below's value
+    at its root, moved toward zero by its error bound, in ``values``; the
+    other lanes' entries are left as they are.
 
     A probe on a bracket end takes the sign recorded for that end instead
     of a fresh evaluation, which could flip a noise-level sign.  A pair
@@ -419,10 +373,9 @@ def _refine_brackets(
     step = b - a  # each lane's last step
     model = np.ones(x.size, dtype=bool)
     open_ = np.ones(x.size, dtype=bool)
-    half = 0.0
-    if separators:
-        actions, amps, _ = series.arrays
-        half = 0.25 * math.sqrt(ENDPOINT_TOL / (1.0 + amps @ (actions / series.leading_action)))
+    actions, amps, _ = series.arrays
+    slope = amps @ (actions / series.leading_action) ** (level + 1)
+    half = 0.25 * math.sqrt(ENDPOINT_TOL / (1.0 + slope)) if level else 0.0
     delta = half / series.leading_action
     for _ in range(200):
         mid = 0.5 * (a + b)
@@ -438,11 +391,11 @@ def _refine_brackets(
         f, cand, error = np.empty(lanes.size), xl.copy(), np.full(lanes.size, np.inf)
         side = np.zeros(lanes.size, dtype=np.int8)
         if not mt.all():
-            f[~mt] = evaluate_array(series, xl[~mt])
+            f[~mt] = evaluate_array(series, xl[~mt], level)
         level_below = None
         if mt.any():
             f[mt], cand[mt], error[mt], side[mt], level_below = _model_roots(
-                series, xl[mt], a[lanes[mt]], b[lanes[mt]], half, below
+                series, xl[mt], a[lanes[mt]], b[lanes[mt]], half, level
             )
         left = np.sign(f) == sl
         al = np.where(left, xl, a[lanes])
@@ -459,7 +412,7 @@ def _refine_brackets(
         probe = near & ~held
         if probe.any():
             al[probe], bl[probe], paired = _probe_pair(
-                series, xn[probe], al[probe], bl[probe], sl[probe]
+                series, xn[probe], al[probe], bl[probe], sl[probe], level
             )
             xn[probe] = np.where(paired, xn[probe], 0.5 * (al[probe] + bl[probe]))
             held[probe] = paired
@@ -477,8 +430,10 @@ def _probe_pair(
     a: np.ndarray,
     b: np.ndarray,
     sa: np.ndarray,
+    level: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Test the signs half the target width either side of converged points.
+    """Test the signs of level ``level`` half the target width either side
+    of converged points.
 
     A probe beyond a bracket end moves onto it and takes the sign recorded
     there.  Returns the brackets shrunk by the probe signs and whether each
@@ -490,7 +445,8 @@ def _probe_pair(
     s_lo, s_hi = sa.copy(), -sa
     fresh_lo, fresh_hi = lo > a, hi < b
     if fresh_lo.any() or fresh_hi.any():
-        signs = np.sign(evaluate_array(series, np.concatenate((lo[fresh_lo], hi[fresh_hi]))))
+        probes = np.concatenate((lo[fresh_lo], hi[fresh_hi]))
+        signs = np.sign(evaluate_array(series, probes, level))
         n_lo = np.count_nonzero(fresh_lo)
         s_lo[fresh_lo] = signs[:n_lo]
         s_hi[fresh_hi] = signs[n_lo:]
@@ -501,8 +457,9 @@ def _probe_pair(
     return a, b, lo_left & ~hi_left
 
 
-def _floor_escape(series: SpectralSeries, start: float, cap: float) -> float:
-    """First point of a geometric climb from ``start`` whose value is resolvable.
+def _floor_escape(series: SpectralSeries, start: float, cap: float, level: int = 0) -> float:
+    """First point of a geometric climb from ``start`` whose value at level
+    ``level`` is resolvable.
 
     Near k = 0 a series with an even symmetry (every secular series of a
     graph with real couplings, for instance) has a systematic zero whose
@@ -513,13 +470,13 @@ def _floor_escape(series: SpectralSeries, start: float, cap: float) -> float:
     point whose value exceeds ``ENDPOINT_TOL``.  ``start`` is most often
     resolvable, so it is evaluated alone; the rest of the climb, in one call.
     """
-    if abs(evaluate_array(series, np.array([start]))[0]) > ENDPOINT_TOL:
+    if abs(evaluate_array(series, np.array([start]), level)[0]) > ENDPOINT_TOL:
         return start
     climb, x = [], start
     while x < cap:
         x = min(x * 4.0, cap)
         climb.append(x)
-    values = evaluate_array(series, np.array(climb))
+    values = evaluate_array(series, np.array(climb), level)
     resolvable = np.flatnonzero(np.abs(values) > ENDPOINT_TOL)
     if resolvable.size == 0:
         raise DegenerateSpectrum(f"series is numerically zero on [{start:g}, {cap:g}]")
@@ -532,9 +489,9 @@ def _level_pass(
     values: np.ndarray,
     *,
     interior: slice | None = None,
-    below: SpectralSeries | None = None,
+    level: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Sign-test consecutive cells of one level; return roots and enclosures.
+    """Sign-test consecutive cells of level ``level``; return roots and enclosures.
 
     ``bounds`` are the two padded edges and the separators between them.
     ``values`` holds, per bound, NaN or a value with the series' sign that
@@ -544,13 +501,12 @@ def _level_pass(
     are evaluated by the series in one call.  A separator value at noise
     level (``ENDPOINT_TOL``) signals a (near-)double root and raises; an
     edge value at noise level counts as positive (see the module
-    docstring).  With ``below``, the level this one was differentiated
-    from, the third returned array holds that level's values at the roots
-    in the same form, written over ``values`` once their signs are read;
-    at level 0 it is None.
+    docstring).  Above level 0 the third returned array holds the level
+    below's values at the roots in the same form, written over ``values``
+    once their signs are read; at level 0 it is None.
     """
     fresh = ~(np.abs(values) > ENDPOINT_TOL)
-    values[fresh] = evaluate_array(series, bounds[fresh])
+    values[fresh] = evaluate_array(series, bounds[fresh], level)
     small = np.abs(values[1:-1]) <= ENDPOINT_TOL
     if small.any():
         where = float(bounds[1 + int(np.argmax(small))])
@@ -562,7 +518,7 @@ def _level_pass(
     if interior is not None and not change[interior].all():
         raise AssertionError("regular-level cell without a sign change; separator logic broken")
     known = None
-    if below is not None:
+    if level:
         known = values[: np.count_nonzero(change)]
         known.fill(np.nan)
     if not change.any():
@@ -572,8 +528,7 @@ def _level_pass(
         bounds[:-1][change],
         bounds[1:][change],
         signs[:-1][change],
-        separators=below is not None,
-        below=below,
+        level=level,
         values=known,
     )
     return roots, encl, known
@@ -591,16 +546,15 @@ def descend_with_trace(
     if not k_hi > k_lo:
         raise EmptyWindow(f"window [{k_lo!r}, {k_hi!r}] contains no interval")
 
-    levels = chain.levels
-    top = chain.order
-    cell = math.pi / levels[0].leading_action
+    series, top = chain.series, chain.order
+    cell = math.pi / series.leading_action
     pad = (top + 1) * cell
     lo_pad = max(k_lo - pad, POSITIVE_FLOOR)
     hi_pad = k_hi + pad
     width_tol = 1e-9 * cell
     # The regular level is separated by the extrema of its leading cosine,
     # every level below by the roots of the level above.
-    seps = roots = base_separators(levels[top], lo_pad, hi_pad, chain.margin)
+    seps = roots = base_separators(chain.levels[top], lo_pad, hi_pad, chain.margin)
     known = np.full(roots.size, np.nan)  # the grid's values are evaluated
     level_roots: list[np.ndarray] = []  # top level first
     # Each level is the derivative of the level below, so a systematic zero
@@ -609,19 +563,16 @@ def descend_with_trace(
     # floor, as the oracle's scan does.
     climbed = lo_pad
     for m in range(top, -1, -1):
-        series = levels[m]
         lo_edge = lo_pad
         if lo_pad == POSITIVE_FLOOR:
             start = climbed if m else lo_pad
-            lo_edge = climbed = _floor_escape(series, start, lo_pad + 0.25 * cell)
+            lo_edge = climbed = _floor_escape(series, start, lo_pad + 0.25 * cell, m)
         inside = (roots > lo_edge + width_tol) & (roots < hi_pad - width_tol)
         bounds = np.concatenate(([lo_edge], roots[inside], [hi_pad]))
         values = np.concatenate(([np.nan], known[inside], [np.nan]))
         del known  # the level above's array: free it for this level's pass
         interior = slice(1, -1) if m == top and len(bounds) > 3 else None
-        roots, encl, known = _level_pass(
-            series, bounds, values, interior=interior, below=levels[m - 1] if m else None
-        )
+        roots, encl, known = _level_pass(series, bounds, values, interior=interior, level=m)
         level_roots.append(roots)
 
     slack = EDGE_SLACK_REL * max(1.0, abs(k_lo), abs(k_hi))

@@ -122,8 +122,9 @@ def dirichlet_star(lengths) -> QuantumGraph:
 
 def make_wheel5() -> QuantumGraph:
     """A hub joined to a 4-cycle of scaling-delta vertices: 8 bonds, 162
-    series terms, a constant term among them, and one term that falls
-    below ``AMPLITUDE_FLOOR`` at the top derivative level."""
+    series terms, a constant term among them, which every derivative level
+    drops, and one term whose amplitude at the top level is below
+    ``AMPLITUDE_FLOOR``, which no level drops."""
     edges = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1))
     lengths = (0.83, 0.52, 0.97, 0.61, 0.74, 0.58, 0.89, 0.66)
     deltas = (1.3, 1.25, 1.45, 1.55)
@@ -177,15 +178,16 @@ def model_separator_values(monkeypatch, chain, window):
     """Descend, recording the separator values each level pass takes from
     the model of the level above rather than evaluating them.
 
-    Returns the descent's result and, per level pass, the level's series,
-    the separators whose value came from the model, and those values.
+    Returns the descent's result and, per level pass, the level's series
+    (``chain.levels[level]``), the separators whose value came from the
+    model, and those values.
     """
     passes = []
     level_pass = solver._level_pass
 
     def recording(series, bounds, values, **kwargs):
         known = np.abs(values) > solver.ENDPOINT_TOL
-        passes.append((series, bounds[known], values[known]))
+        passes.append((chain.levels[kwargs.get("level", 0)], bounds[known], values[known]))
         return level_pass(series, bounds, values, **kwargs)
 
     monkeypatch.setattr(solver, "_level_pass", recording)

@@ -381,6 +381,41 @@ class TestMain:
         assert err.startswith("error:")
         assert "derivative levels" in err
 
+    @pytest.mark.parametrize(
+        "command, s0, window",
+        [
+            ("solve", 1.0, (1e300, 1.0000001e300)),
+            ("solve", 1e300, (0.0, 1.0)),
+            ("sample", 1.0, (0.0, 1e12)),
+        ],
+        ids=["solve-wide", "solve-fast", "sample-wide"],
+    )
+    def test_window_beyond_the_grid_cap_exit_2(self, tmp_path, capsys, command, s0, window):
+        # Grids of 3e292, 3e299 and 6e12 cells: refused before any is built.
+        doc = {
+            "series": {"s0": s0, "phi0": 0.0, "terms": [[0.5, 0.3, 0.0]]},
+            "window": {"kmin": window[0], "kmax": window[1]},
+        }
+        assert main([command, write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "above the cap" in err
+
+    def test_sample_grid_cap(self, tmp_path, capsys, monkeypatch):
+        import qgspectra.cli as cli_module
+
+        # 20 rows per half-period: 10 half-periods give 200 rows.
+        doc = {
+            "series": {"s0": 1.0, "phi0": 0.0, "terms": []},
+            "window": {"kmin": 0.0, "kmax": 10 * math.pi},
+        }
+        path = write_config(tmp_path, doc)
+        monkeypatch.setattr(cli_module, "MAX_GRID_CELLS", 201)
+        assert main(["sample", path]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 201
+        monkeypatch.setattr(cli_module, "MAX_GRID_CELLS", 200)
+        assert main(["sample", path]) == 2
+        assert "above the cap of 200" in capsys.readouterr().err
+
     def test_other_library_errors_exit_2(self, tmp_path, capsys, monkeypatch):
         # Config validation keeps an empty window from reaching the solver,
         # but any SpectralError the library raises must still map to exit 2.
@@ -445,10 +480,10 @@ def reference_csv(command, config):
             fields = (e.wavenumber, e.energy, e.enclosure)
             lines.append(",".join([str(e.index)] + [format(x, ".17g") for x in fields]))
     else:
-        step = math.pi / (chain.levels[0].leading_action * 20)
+        step = math.pi / (chain.series.leading_action * 20)
         k_lo, k_hi = config.window
         ks = np.linspace(k_lo, k_hi, math.ceil((k_hi - k_lo) / step) + 1)
-        columns = [evaluate_array(level, ks) for level in chain.levels]
+        columns = [evaluate_array(chain.series, ks, m) for m in range(chain.order + 1)]
         lines = ["k," + ",".join(f"g{m}" for m in range(len(columns)))]
         for i, k in enumerate(ks):
             lines.append(",".join(format(float(x), ".17g") for x in [k] + [c[i] for c in columns]))

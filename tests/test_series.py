@@ -22,7 +22,6 @@ from qgspectra import (
 from qgspectra import series as series_module
 from qgspectra.fuzz import random_series, standard_window
 from qgspectra.series import (
-    AMPLITUDE_FLOOR,
     EVAL_BLOCK,
     BondTerms,
     SpectralSeries,
@@ -31,6 +30,7 @@ from qgspectra.series import (
     regularity_sum,
     taylor_array,
 )
+from qgspectra.solver import DescentChain
 
 from conftest import ALL_GRAPHS, STAR_LENGTHS, dirichlet_star, make_bond_dd, make_star3, make_wheel5
 
@@ -212,31 +212,68 @@ def bond_graphs():
     return graphs
 
 
+def hand_built_series():
+    """Three bonds and six terms, a constant term (row 0) and one of
+    amplitude 1.5e-14 among them, built from bond rows by hand."""
+    bond_actions = np.array([1.0, 0.7, 0.4])
+    rows = np.array([[0, 0, 0], [-1, 1, 1], [1, -1, 1], [1, 0, -1], [1, 1, -1], [1, 1, 0]])
+    amps = [0.3, 1.5e-14, 0.4, 0.6, 0.2, 0.5]
+    actions = (rows @ bond_actions).tolist()
+    terms = tuple(TrigTerm(a, amp, 0.3 + j) for j, (a, amp) in enumerate(zip(actions, amps)))
+    return SpectralSeries(2.1, 0.2, terms, BondTerms.from_rows(bond_actions, rows, actions))
+
+
 class TestBondKernel:
     """Term phasors from bond phasors against one cosine and one sine per term."""
 
     FACTORIALS = np.array([math.factorial(n) for n in range(18)], dtype=float)[:, None]
     SCALES = (1e2, 1e4, 1e6, 1e9)
 
-    @pytest.mark.parametrize("name", sorted(bond_graphs()))
+    @pytest.mark.parametrize("name", sorted(bond_graphs()) + ["hand_built"])
     def test_rows_match_the_per_term_kernel(self, name, monkeypatch):
-        # Every level's rows, forced onto bond phasors even where 2B >= J,
-        # agree with the per-term kernel's within the certificate's rounding
-        # term 4 eps (1 + sum a) (s0 |x| + J + 30) per n! c_n.
+        # The rows of every level m up to M + 1, odd and even, read off level
+        # 0 on bond phasors (forced even where 2B >= J) and on term phasors,
+        # agree with the per-term kernel's on the derived level, which drops
+        # the constant term, within the certificate's rounding term
+        # 4 eps (1 + sum a) (s0 |x| + J + 30) per n! c_n.
         monkeypatch.setattr(series_module, "_by_bonds", lambda series: series.bonds is not None)
         rng = np.random.default_rng(7)
-        for level in build_chain(secular_series(bond_graphs()[name])).levels:
+        graphs = bond_graphs()
+        series = secular_series(graphs[name]) if name in graphs else hand_built_series()
+        plain = SpectralSeries(series.leading_action, series.leading_phase, series.terms)
+        chain = build_chain(series)
+        levels = DescentChain(series, chain.order + 1, chain.margin).levels
+        assert len(levels) >= 2
+        for m, level in enumerate(levels):
             per_term = SpectralSeries(level.leading_action, level.leading_phase, level.terms)
             for scale in self.SCALES:
                 ks = scale + rng.uniform(0.0, 10.0, 40)
                 bound = (
                     4 * EPS * (1.0 + regularity_sum(level))
-                    * (level.leading_action * ks + len(level.terms) + 30.0)
+                    * (series.leading_action * ks + len(series.terms) + 30.0)
                 )
                 for order in (17, 16, 0):
-                    diff = np.abs(taylor_array(level, ks, order) - taylor_array(per_term, ks, order))
-                    diff *= self.FACTORIALS[: order + 1]
-                    assert np.all(diff <= bound), (name, scale, order)
+                    want = taylor_array(per_term, ks, order)
+                    for source in (series, plain):
+                        diff = np.abs(taylor_array(source, ks, order, level=m) - want)
+                        diff *= self.FACTORIALS[: order + 1]
+                        assert np.all(diff <= bound), (name, m, scale, order)
+
+    def test_drift_row_at_every_level(self, monkeypatch):
+        # Term actions 1e-9 off their bond sums, far more drift than rounding
+        # leaves: at every level, odd and even, the drift row turns the value
+        # onto the float actions up to (d x)**2 / 2, about 5e-13 here.
+        monkeypatch.setattr(series_module, "_by_bonds", lambda series: series.bonds is not None)
+        base = hand_built_series()
+        terms = tuple(t._replace(action=t.action + 1e-9) for t in base.terms)
+        bonds = BondTerms.from_rows(base.bonds.actions, base.bonds.rows, [t.action for t in terms])
+        assert np.allclose(bonds.drift, 1e-9, rtol=1e-6)
+        series = SpectralSeries(base.leading_action, base.leading_phase, terms, bonds)
+        ks = np.linspace(100.0, 1000.0, 200)
+        for m, level in enumerate(DescentChain(series, 3, 0.5).levels):
+            per_term = SpectralSeries(level.leading_action, level.leading_phase, level.terms)
+            diff = evaluate_array(series, ks, m) - evaluate_array(per_term, ks)
+            assert np.max(np.abs(diff)) <= 1e-11, m
 
     @pytest.mark.parametrize("name", ["star6", "star7", "star8", "wheel5"])
     def test_phasors_at_40_digits(self, name):
@@ -295,40 +332,6 @@ class TestBondKernel:
         assert len(series.terms) > 2 * series.bonds.actions.size
         assert series_module._by_bonds(series)
 
-    def test_rows_follow_the_terms_a_level_drops(self):
-        # The wheel's constant term leaves at level 1 and one more term at
-        # the top level; every level's bond rows still sum to its actions.
-        chain = build_chain(secular_series(make_wheel5()))
-        counts = [len(level.terms) for level in chain.levels]
-        assert chain.levels[0].terms[0].action == 0.0 and counts[1] == counts[0] - 1
-        assert counts[-1] < counts[-2]
-        for lower, level in zip(chain.levels, chain.levels[1:]):
-            bonds = level.bonds
-            assert bonds.nodes.size == len(level.terms) == len(bonds.rows)
-            assert bonds.parents is lower.bonds.parents
-            assert np.allclose(bonds.rows @ bonds.actions, level.arrays[0], rtol=0.0, atol=1e-13)
-            kept = np.isin(lower.arrays[0], level.arrays[0])
-            assert np.array_equal(bonds.nodes, lower.bonds.nodes[kept])
-
-    def test_hand_built_rows_through_dropped_terms(self, monkeypatch):
-        # Three bonds; a constant term (row 0) and a term whose amplitude
-        # falls below AMPLITUDE_FLOOR one level up both leave, and the
-        # kernel still weights each remaining term by its own phasor.
-        monkeypatch.setattr(series_module, "_by_bonds", lambda series: series.bonds is not None)
-        bond_actions = np.array([1.0, 0.7, 0.4])
-        rows = np.array([[0, 0, 0], [-1, 1, 1], [1, -1, 1], [1, 0, -1], [1, 1, -1], [1, 1, 0]])
-        amps = [0.3, 1.5e-14, 0.4, 0.6, 0.2, 0.5]
-        actions = (rows @ bond_actions).tolist()
-        terms = tuple(TrigTerm(a, amp, 0.3 + j) for j, (a, amp) in enumerate(zip(actions, amps)))
-        series = SpectralSeries(2.1, 0.2, terms, BondTerms.from_rows(bond_actions, rows, actions))
-        up = derivative_series(series)
-        assert [t.action for t in up.terms] == actions[2:]
-        assert np.array_equal(up.bonds.rows, rows[2:])
-        ks = np.linspace(0.0, 50.0, 101)
-        for level in (series, up):
-            plain = SpectralSeries(level.leading_action, level.leading_phase, level.terms)
-            assert np.allclose(evaluate_array(level, ks), evaluate_array(plain, ks), rtol=0.0, atol=1e-13)
-
 
 class TestDerivative:
     def test_matches_the_term_by_term_form(self):
@@ -342,7 +345,7 @@ class TestDerivative:
                 want = tuple(
                     TrigTerm(t.action, t.amplitude * (t.action / s0), series_module._wrap_phase(t.phase + half))
                     for t in series.terms
-                    if t.amplitude * (t.action / s0) >= AMPLITUDE_FLOOR
+                    if t.amplitude * (t.action / s0) > 0.0
                 )
                 series = derivative_series(series)
                 assert series.terms == want

@@ -11,6 +11,7 @@ from qgspectra import (
     DegenerateSpectrum,
     EmptyWindow,
     NotRegular,
+    SizeCapExceeded,
     build_chain,
     canonicalize,
     descend,
@@ -23,7 +24,6 @@ from qgspectra import (
 from qgspectra.fuzz import random_series, standard_window
 from qgspectra.series import (
     AMPLITUDE_FLOOR,
-    SpectralSeries,
     derivative_series,
     evaluate,
     regularity_sum,
@@ -82,6 +82,16 @@ class TestBaseSeparators:
         with pytest.raises(NotRegular):
             base_separators(s, 0.0, 10.0)
 
+    def test_grid_cap(self, monkeypatch):
+        # Windows one cell either side of a cap of 100 cells.
+        s = canonicalize(1.0, 0.0, [(0.5, 0.5, 0.0)])
+        monkeypatch.setattr(solver, "MAX_GRID_CELLS", 100)
+        assert base_separators(s, 0.5, 99.5 * math.pi).size == 99
+        with pytest.raises(SizeCapExceeded, match=r"^window: \[.*\] spans 101 separator cells"):
+            base_separators(s, 0.5, 101.5 * math.pi)
+        with pytest.raises(SizeCapExceeded):
+            descend(build_chain(s), (100.0, 100.0 + 101 * math.pi))
+
     def test_sign_is_pinned_at_separators(self):
         s = canonicalize(1.3, 0.7, [(0.9, 0.5, 2.0), (0.4, 0.3, 5.0)])
         seps = base_separators(s, 0.0, 40.0)
@@ -131,64 +141,38 @@ class TestBuildChain:
 
 
 class TestChainCheck:
-    """A chain's levels must be successive derivative series."""
+    """A chain is a series, an order and a margin; its levels are derived."""
 
-    SERIES = canonicalize(1.0, 0.0, [(0.5, 1.5, 0.2)])  # cos k - 1.5 cos(k/2 + 0.2)
+    SERIES = canonicalize(1.0, 0.0, [(0.9, 2.4, 0.0)])  # M = 9
 
-    def test_unrelated_level_is_refused(self):
-        unrelated = canonicalize(1.0, 0.3, [(0.4, 0.5, 1.0), (0.7, 0.2, 2.0)])
-        with pytest.raises(ValueError, match=r"^chain level 1 is not the derivative series of level 0$"):
-            solver.DescentChain(levels=(self.SERIES, unrelated), margin=1e-6)
+    def test_order_below_regularity_is_refused(self):
+        chain = solver.DescentChain(self.SERIES, build_chain(self.SERIES).order - 1, 1e-6)
+        with pytest.raises(NotRegular, match=r"^term sum \S+ is not at most 0\.999999$"):
+            descend(chain, (0.0, 30.0))
 
-    @pytest.mark.parametrize(
-        "leading_action, leading_phase, terms",
-        [
-            (1.1, math.pi / 2, [(0.5, 0.75, 0.2 + math.pi / 2)]),  # leading action
-            (1.0, 0.0, [(0.5, 0.75, 0.2 + math.pi / 2)]),  # leading phase
-            (1.0, math.pi / 2, [(0.5, 0.75, 0.2)]),  # term phase
-            (1.0, math.pi / 2, [(0.5, 0.7, 0.2 + math.pi / 2)]),  # amplitude
-            (1.0, math.pi / 2, [(0.6, 0.75, 0.2 + math.pi / 2)]),  # action
-            (1.0, math.pi / 2, []),  # a term dropped above the floor
-        ],
-    )
-    def test_each_relation_is_checked(self, leading_action, leading_phase, terms):
-        level = canonicalize(leading_action, leading_phase, terms)
-        with pytest.raises(ValueError, match="chain level 1"):
-            solver.DescentChain(levels=(self.SERIES, level, derivative_series(level)), margin=1e-6)
-
-    def test_later_level_is_named(self):
-        chain = build_chain(canonicalize(1.0, 0.0, [(0.9, 2.4, 0.0)]))
-        levels = list(chain.levels)
-        levels[5] = levels[4]
-        with pytest.raises(ValueError, match=r"^chain level 5 "):
-            solver.DescentChain(levels=tuple(levels), margin=chain.margin)
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            solver.DescentChain(self.SERIES, -1, 1e-6)
 
     def test_hand_built_derivatives_are_accepted(self):
-        # Built through canonicalize, up to its rounding of the phases.
-        level = canonicalize(1.0, math.pi / 2, [(0.5, 1.5 * 0.5, 0.2 + math.pi / 2)])
-        chain = solver.DescentChain(levels=(self.SERIES, level), margin=1e-6)
-        assert len(descend(chain, (0.0, 30.0))) == len(descend(build_chain(self.SERIES), (0.0, 30.0)))
+        # Two levels more than needed: the same roots, up to rounding.
+        chain = build_chain(self.SERIES)
+        deeper = solver.DescentChain(self.SERIES, chain.order + 2, chain.margin)
+        want = descend(chain, (0.0, 60.0)).wavenumbers
+        got = descend(deeper, (0.0, 60.0)).wavenumbers
+        assert len(got) == len(want) > 10
+        assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, want))
 
-    def test_bond_rows_are_checked(self):
-        series = secular_series(make_wheel5())
+    @pytest.mark.parametrize("make", [make_wheel5, make_star3], ids=["wheel5", "star3"])
+    def test_levels_are_derivative_series(self, make):
+        series = secular_series(make())
         chain = build_chain(series)
-        up = chain.levels[1]
-        plain = SpectralSeries(series.leading_action, series.leading_phase, series.terms)
-        # A level without bond rows above one with them is accepted.
-        solver.DescentChain(levels=(series, derivative_series(plain)), margin=chain.margin)
-        # Rows of other terms, rows above a level without them, and level-0
-        # rows that do not sum to its actions are refused.
-        misaligned = series.bonds.kept(np.arange(len(up.terms)))  # level 1 keeps 1..J-1
-        refused = [
-            (series, SpectralSeries(up.leading_action, up.leading_phase, up.terms, misaligned)),
-            (plain, up),
-        ]
-        for levels in refused:
-            with pytest.raises(ValueError, match="^chain level 1 "):
-                solver.DescentChain(levels=levels, margin=chain.margin)
-        wrong = SpectralSeries(series.leading_action, series.leading_phase, series.terms, up.bonds)
-        with pytest.raises(ValueError, match="^chain level 0 "):
-            solver.DescentChain(levels=(wrong,), margin=chain.margin)
+        level = series
+        for m, got in enumerate(chain.levels):
+            assert got.terms == level.terms and got.leading_phase == level.leading_phase, m
+            assert got.arrays.tobytes() == level.arrays.tobytes()
+            level = derivative_series(level)
+        assert len(chain.levels) == chain.order + 1
 
 
 class TestDescend:
@@ -311,11 +295,11 @@ class TestDescend:
     def test_refinement_survives_a_wrong_derivative(self, wrong_deriv, monkeypatch):
         series = canonicalize(1.0, 0.0, [(0.5, 0.5, 0.0)])
 
-        def wrong_model(s, ks, order):
+        def wrong_model(s, ks, order, level=0):
             # Row 0 from the true series; rows n >= 1 from the wrong series
             # standing in for g'/s0, whose row n - 1 over n is row n of g.
             rows = taylor_array(wrong_deriv, ks, order - 1) / np.arange(1, order + 1)[:, None]
-            return np.vstack((taylor_array(s, ks, 0), rows))
+            return np.vstack((taylor_array(s, ks, 0, level), rows))
 
         monkeypatch.setattr(solver, "taylor_array", wrong_model)
         # Below k = 18 the target width is under 1e-12 (2 * 18 * BRACKET_REL_WIDTH).
@@ -335,45 +319,58 @@ class TestDescend:
         # value is at noise level and moves a bracket end onto the root.
         chain = build_chain(canonicalize(1.0, 0.0, [(0.6, 1.2, 0.3)]))
         assert chain.order == 1
-        series = chain.levels[1]
-        seps = base_separators(series, *window)
-        return series, seps[:-1], seps[1:], evaluate_array(series, seps[:-1])
+        seps = base_separators(chain.levels[1], *window)
+        fa = evaluate_array(chain.series, seps[:-1], 1)
+        return chain, seps[:-1], seps[1:], fa
 
-    def refine_counting_probes(self, monkeypatch, series, a, b, fa):
+    @staticmethod
+    def refine_counting_probes(monkeypatch, series, a, b, fa, certify=True):
+        # Level 1's brackets, with the model's certificate or, to give the
+        # probe-pair path, with every lane's certified sign cleared.
         probes = []
-        probe_pair = solver._probe_pair
+        probe_pair, model_roots = solver._probe_pair, solver._model_roots
 
         def counted(series, x, *rest):
             probes.append(x.size)
             return probe_pair(series, x, *rest)
 
+        def uncertified(*args):
+            f, root, error, side, values = model_roots(*args)
+            return f, root, error, np.zeros_like(side), values
+
         monkeypatch.setattr(solver, "_probe_pair", counted)
-        got = solver._refine_brackets(series, a, b, fa, separators=True)
+        if not certify:
+            monkeypatch.setattr(solver, "_model_roots", uncertified)
+        got = solver._refine_brackets(series, a, b, fa, level=1, values=np.full(a.size, np.nan))
         monkeypatch.undo()
         return got, probes
 
     def test_separator_model_certificate_accepts(self, monkeypatch):
-        series, a, b, fa = self.separator_brackets((0.0, 60.0))
-        (ks, encl), probes = self.refine_counting_probes(monkeypatch, series, a, b, fa)
+        chain, a, b, fa = self.separator_brackets((0.0, 60.0))
+        (ks, encl), probes = self.refine_counting_probes(monkeypatch, chain.series, a, b, fa)
         assert probes == []
         # The same roots as the probe-pair path, enclosed by the model's
         # half-width, across which the series changes sign.
-        ref, _ = solver._refine_brackets(series, a, b, fa)
-        assert np.array_equal(ks, ref)
-        slope = regularity_sum(derivative_series(series))
-        delta = 0.25 * math.sqrt(solver.ENDPOINT_TOL / (1.0 + slope)) / series.leading_action
-        assert np.allclose(encl, delta, rtol=1e-6)
+        (ref, _), probes = self.refine_counting_probes(
+            monkeypatch, chain.series, a, b, fa, certify=False
+        )
+        assert np.array_equal(ks, ref) and sum(probes) == len(ks)
+        levels = solver.DescentChain(chain.series, 2, chain.margin).levels
+        delta = 0.25 * math.sqrt(solver.ENDPOINT_TOL / (1.0 + regularity_sum(levels[2])))
+        assert np.allclose(encl, delta / chain.series.leading_action, rtol=1e-6)
         for k, e in zip(ks, encl):
-            assert evaluate(series, k - e) * evaluate(series, k + e) < 0.0
+            assert evaluate(levels[1], k - e) * evaluate(levels[1], k + e) < 0.0
 
     def test_separator_model_certificate_declines(self, monkeypatch):
         # Near k = 1e9 the model's coefficients carry angle errors of about
         # eps * 1e9, above the polynomial's values delta either side of a
         # root, so every lane falls back to the series probe pair.
-        series, a, b, fa = self.separator_brackets((1e9, 1e9 + 30.0))
-        (ks, encl), probes = self.refine_counting_probes(monkeypatch, series, a, b, fa)
+        chain, a, b, fa = self.separator_brackets((1e9, 1e9 + 30.0))
+        (ks, encl), probes = self.refine_counting_probes(monkeypatch, chain.series, a, b, fa)
         assert sum(probes) == len(ks) > 5
-        ref, ref_encl = solver._refine_brackets(series, a, b, fa)
+        (ref, ref_encl), _ = self.refine_counting_probes(
+            monkeypatch, chain.series, a, b, fa, certify=False
+        )
         assert np.array_equal(ks, ref) and np.array_equal(encl, ref_encl)
 
     def test_model_certificate_declines_far_from_its_centre(self):
@@ -403,21 +400,20 @@ class TestDescend:
             descend(chain, (0.0, 10.0))
 
 
-def reference_model_roots(series, x, a, b, half=0.0, below=None):
+def reference_model_roots(series, x, a, b, half=0.0, level=0):
     """``solver._model_roots`` with the Newton kernel it had before: the
     power table rebuilt by ``cumprod`` at every step from u = 0, and ``p'``
     by a three-operand ``einsum``.  The kernel must match it bit for bit.
-    With ``below``, the coefficients ``(n + 1) d_(n+1)`` come from the
-    order N + 1 model of the level below, and the bound on the terms this
-    level dropped joins the remainder, as in the solver."""
-    source = series if below is None else below
-    order = solver.MODEL_ORDER + (below is not None)
-    actions, amps, _ = source.arrays
+    Above level 0, the coefficients ``(n + 1) d_(n+1)`` come from the
+    order N + 1 model of the level below, as in the solver."""
+    source = max(level - 1, 0)
+    order = solver.MODEL_ORDER + (level > 0)
+    actions, amps, _ = series.arrays
     s0 = series.leading_action
+    ratios = actions / s0
     top = solver.MODEL_ORDER + 1
-    tail = (1.0 + amps @ (actions / s0) ** (order + 1)) / math.factorial(top)
-    noise = 4.0 * np.finfo(float).eps * (1.0 + amps.sum())
-    dropped = 0.0 if below is None else AMPLITUDE_FLOOR * (len(amps) - len(series.terms))
+    tail = (1.0 + amps @ ratios ** (level + top)) / math.factorial(top)
+    noise = 4.0 * np.finfo(float).eps * (1.0 + (amps * ratios**source).sum())
     n = np.arange(1, top)[:, None]
     f, root, error = np.empty(x.size), np.empty(x.size), np.empty(x.size)
     side = np.zeros(x.size, dtype=np.int8)
@@ -426,8 +422,8 @@ def reference_model_roots(series, x, a, b, half=0.0, below=None):
             block = slice(start, start + solver.MODEL_BLOCK)
             xb = x[block]
             lo, hi = s0 * (a[block] - xb), s0 * (b[block] - xb)
-            d = taylor_array(source, xb, order)
-            c = d if below is None else np.arange(1, top + 1)[:, None] * d[1:]
+            d = taylor_array(series, xb, order, source)
+            c = np.arange(1, top + 1)[:, None] * d[1:] if level else d
             f[block] = c[0]
             powers = np.ones_like(c)
             u = np.zeros(xb.size)
@@ -440,7 +436,7 @@ def reference_model_roots(series, x, a, b, half=0.0, below=None):
                 du = np.abs(new - u)
                 u = new
             root[block] = xb + u / s0
-            error[block] = (du + (tail * np.abs(u) ** top + dropped) / np.abs(dp)) / s0
+            error[block] = (du + tail * np.abs(u) ** top / np.abs(dp)) / s0
             if half:
                 v = np.stack((u - half, u + half))
                 pv = np.zeros_like(v)
@@ -449,7 +445,7 @@ def reference_model_roots(series, x, a, b, half=0.0, below=None):
                     pv += c[row]
                 v = np.abs(v)
                 rounding = s0 * np.abs(xb) + len(amps) + 30.0
-                bound = tail * v**top + dropped + noise * np.exp(v) * rounding
+                bound = tail * v**top + noise * np.exp(v) * rounding
                 clear = (np.abs(pv) > bound).all(axis=0) & (pv[0] * pv[1] < 0.0)
                 side[block] = np.where(clear, np.sign(pv[0]), 0.0)
     return f, root, error, side
@@ -459,9 +455,9 @@ class TestModelKernel:
     LANES = 3 * solver.MODEL_BLOCK + 17  # several blocks and a ragged last one
 
     @staticmethod
-    def assert_matches_reference(series, x, a, b, half=0.0, below=None):
-        got = solver._model_roots(series, x, a, b, half, below)
-        want = reference_model_roots(series, x, a, b, half, below)
+    def assert_matches_reference(series, x, a, b, half=0.0, level=0):
+        got = solver._model_roots(series, x, a, b, half, level)
+        want = reference_model_roots(series, x, a, b, half, level)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         return got
@@ -495,16 +491,15 @@ class TestModelKernel:
         rng = np.random.default_rng(7)
         chain = build_chain(random_series(rng, amp_sum_range=(2.0, 3.0)))
         assert chain.order >= 2
-        series = chain.levels[1]
+        series = chain.series
         seps = base_separators(chain.levels[-1], 0.0, 1000.0)
         roots = descend_with_trace(chain, (0.0, 1000.0))[1].level_roots[1]
         # Centres a little off the roots, in brackets reaching the separators.
         x = roots + rng.uniform(-0.3, 0.3, roots.size) / series.leading_action
         i = np.clip(np.searchsorted(seps, roots), 1, seps.size - 1)
         a, b = np.minimum(seps[i - 1], x), np.maximum(seps[i], x)
-        slope = regularity_sum(derivative_series(series))
-        half = 0.25 * math.sqrt(solver.ENDPOINT_TOL / (1.0 + slope))
-        got = self.assert_matches_reference(series, x, a, b, half, chain.levels[0])
+        half = 0.25 * math.sqrt(solver.ENDPOINT_TOL / (1.0 + regularity_sum(chain.levels[2])))
+        got = self.assert_matches_reference(series, x, a, b, half, 1)
         assert x.size > solver.MODEL_BLOCK and np.count_nonzero(got[3]) > x.size // 2
         assert got[4].shape == x.shape
 
@@ -547,11 +542,14 @@ class TestSeparatorValues:
         assert used > 0.9 * separators > 1000
 
     def test_terms_dropped_a_level_up(self, monkeypatch):
-        # Level 1 drops the constant term and the one whose amplitude falls
-        # below AMPLITUDE_FLOOR; level 0's values still count them.
+        # Level 1 drops the constant term only: the term whose amplitude
+        # falls below AMPLITUDE_FLOOR there stays, and level 0's values
+        # count both.
         series = canonicalize(1.0, 0.4, [(0.0, 0.4, 0.3), (0.1, 5e-14, 0.7), (0.6, 0.9, 1.0)])
         chain = build_chain(series)
-        assert chain.order == 1 and len(chain.levels[1].terms) == 1
+        assert chain.order == 1
+        assert [t.action for t in chain.levels[1].terms] == [0.1, 0.6]
+        assert chain.levels[1].terms[0].amplitude == 5e-14 * 0.1 < AMPLITUDE_FLOOR
         used, separators = self.check(monkeypatch, chain, (0.0, 100.0))
         assert used > 0.9 * separators > 20
 
@@ -566,10 +564,10 @@ class TestSeparatorValues:
         assert evaluate(level1, math.pi) == pytest.approx(0.0, abs=1e-12)
         evaluated = []
 
-        def recording(series, ks):
-            if series is level1:
+        def recording(series, ks, level=0):
+            if level == 1:
                 evaluated.extend(np.asarray(ks).tolist())
-            return evaluate_array(series, ks)
+            return evaluate_array(series, ks, level)
 
         monkeypatch.setattr(solver, "evaluate_array", recording)
         with pytest.raises(
@@ -604,14 +602,14 @@ class TestSolveGraph:
         chain = build_chain(secular_series(dirichlet_star(STAR_LENGTHS)))
         points = []
 
-        def counted(series, ks):
+        def counted(series, ks, level=0):
             points.append(np.asarray(ks).size)
-            return evaluate_array(series, ks)
+            return evaluate_array(series, ks, level)
 
-        def counted_model(series, ks, order):
+        def counted_model(series, ks, order, level=0):
             # One cosine and one sine per term: two points' worth of trig.
             points.append(2 * np.asarray(ks).size)
-            return taylor_array(series, ks, order)
+            return taylor_array(series, ks, order, level)
 
         monkeypatch.setattr(solver, "evaluate_array", counted)
         monkeypatch.setattr(solver, "taylor_array", counted_model)
@@ -653,11 +651,11 @@ class TestSolveGraph:
         assert report.max_deviation <= 1e-8
 
 
-def sequential_floor_escape(series, start, cap, climbs=None):
+def sequential_floor_escape(series, start, cap, level=0, climbs=None):
     """Reference floor climb: the candidates of ``solver._floor_escape``
     tried one evaluation at a time, stopping at the first resolvable one."""
     x = start
-    while abs(float(evaluate_array(series, np.array([x]))[0])) <= solver.ENDPOINT_TOL:
+    while abs(float(evaluate_array(series, np.array([x]), level)[0])) <= solver.ENDPOINT_TOL:
         if x >= cap:
             raise DegenerateSpectrum("zero on the climb")
         x = min(x * 4.0, cap)
@@ -715,9 +713,9 @@ class TestEdgeClimb:
         series = canonicalize(1.0, 0.0, [(0.5, 0.5, 0.0)])
         points = []
 
-        def counting(s, ks):
+        def counting(s, ks, level=0):
             points.append(np.size(ks))
-            return evaluate_array(s, ks)
+            return evaluate_array(s, ks, level)
 
         monkeypatch.setattr(solver, "evaluate_array", counting)
         start = solver.POSITIVE_FLOOR
