@@ -439,6 +439,10 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateSpectrum as exc:
         print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
         return 3
+    except SizeCapExceeded as exc:  # a window the solver refuses, not a model defect
+        for violation in exc.violations:
+            print(f"error: {violation}", file=sys.stderr)
+        return 2
     except (RealificationFailure, ValidationError, NotRegular) as exc:
         print(f"error: unsupported model: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -462,24 +462,16 @@ def derivative_series(series: SpectralSeries) -> SpectralSeries:
     pi/2.  Actions do not change, so no two terms can merge; only a term
     whose amplitude becomes exactly 0 (the constant term) leaves, and the
     result is again a canonical series one level up.  It carries no bond
-    rows: :func:`taylor_array` reads every level off level 0 instead.
+    rows; no solve calls it, as every level is read off level 0 instead.
     """
-    s0 = series.leading_action
-    half = 0.5 * math.pi
-    actions, amps, phases = series.arrays
-    amps = amps * (actions / s0)
-    kept = amps > 0.0
-    phases = np.fmod(phases[kept] + half, TWO_PI)  # as _wrap_phase, term by term
-    phases[phases < 0.0] += TWO_PI
-    phases[phases >= TWO_PI] = 0.0
-    arrays = np.array((actions[kept], amps[kept], phases))
-    derived = SpectralSeries(
-        leading_action=s0,
-        leading_phase=_wrap_phase(series.leading_phase + half),
-        terms=tuple(map(partial(tuple.__new__, TrigTerm), zip(*arrays.tolist()))),
+    s0, half = series.leading_action, 0.5 * math.pi
+    terms = (
+        TrigTerm(t.action, t.amplitude * (t.action / s0), _wrap_phase(t.phase + half))
+        for t in series.terms
     )
-    derived.__dict__["arrays"] = arrays  # the cached property, already at hand
-    return derived
+    return SpectralSeries(
+        s0, _wrap_phase(series.leading_phase + half), tuple(t for t in terms if t.amplitude > 0.0)
+    )
 
 
 def regularity_sum(series: SpectralSeries) -> float:

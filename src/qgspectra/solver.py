@@ -22,13 +22,14 @@ root is returned inside a bracket whose two ends have certified opposite
 signs.
 
 The chain is one series, its order M and its margin; no level drops a
-term, so every level is read off level 0 (``level`` of :func:`taylor_array`).
-A level above 0 is the slope of the level below, so its model is the
-derivative of the level below's model one order higher, and the model
-that closes a lane also gives that level's value at the root.  The level
-below reads its sign at such a separator from that value when the value
-clears its error bound by ``ENDPOINT_TOL``, and evaluates the series at
-every other separator and at the edges.
+term, so a solve reads every level off level 0 (``level`` of
+:func:`taylor_array` and :func:`base_separators`).  A level above 0 is
+the slope of the level below, so its model is the derivative of the level
+below's model one order higher, and the model that closes a lane also
+returns the level below's value at the root.  The level below reads its
+sign at such a separator from that value when the value clears its error
+bound by ``ENDPOINT_TOL``, and evaluates the series at every other
+separator and at the edges.
 
 Every level runs between the same two edges, the window padded by M + 1
 leading cells (the lower edge clamped at ``POSITIVE_FLOOR`` and, there,
@@ -53,9 +54,9 @@ from .series import (
     DEFAULT_MARGIN,
     EVAL_BLOCK,
     SpectralSeries,
+    _wrap_phase,
     derivative_series,
     evaluate_array,
-    regularity_sum,
     taylor_array,
 )
 
@@ -189,28 +190,53 @@ def base_separators(
     lo: float,
     hi: float,
     margin: float = DEFAULT_MARGIN,
+    level: int = 0,
 ) -> np.ndarray:
-    """Extremal grid of the leading cosine inside [lo, hi].
+    """Extremal grid of the leading cosine of level ``level`` inside [lo, hi].
 
     At each grid point the leading cosine is +-1 while the terms sum to
     less than 1 - margin in magnitude, so the series sign alternates and
-    consecutive grid points bracket exactly one root.  Requires the series
-    to be regular at the given margin.  A grid of ``MAX_GRID_CELLS`` cells
-    or more raises ``SizeCapExceeded`` before anything is allocated.
+    consecutive grid points bracket exactly one root.  Level m is read off
+    level 0 with the amplitudes and phase that :func:`derivative_series`
+    gives it, so the grid is that of ``DescentChain.levels[m]``.  Requires
+    the level to be regular at the given margin.  A grid of ``MAX_GRID_CELLS``
+    cells or more raises ``SizeCapExceeded`` before anything is allocated.
+
+    So does a window beyond float resolution, checked after the cap.  A
+    grid point ``(q * pi - phi0) / s0`` takes three roundings of at most
+    eps/2 relative and ``math.pi``'s error, below eps/4 relative (q itself
+    is exact below 2**53, which holds wherever the check passes); the
+    series reads its leading angle ``s0 * x + phi0`` with two more.  So the
+    leading angle read at a grid point x is within ``3.25 eps (s0 |x| +
+    2 pi)`` of its extremum q pi, which is below ``6.5 s0 h + 1e-14`` with
+    h the float spacing at ``hi`` (``eps |x| < 2 h`` for ``|x| <= hi``).
+    The leading cosine there is at least the cosine of that bound, so it
+    keeps the series sign against the level's term sum T only while the
+    bound is below ``acos(T)``; a window where it is not is refused.
     """
-    if regularity_sum(series) > 1.0 - margin:
-        raise NotRegular(
-            f"term sum {regularity_sum(series):g} is not at most {1.0 - margin:g}"
-        )
+    s0, phi0 = series.leading_action, series.leading_phase
+    actions, amps, _ = series.arrays
+    ratios = actions / s0
+    for _ in range(level):
+        amps = amps * ratios
+        phi0 = _wrap_phase(phi0 + 0.5 * math.pi)
+    total = math.fsum(amps.tolist())
+    if total > 1.0 - margin:
+        raise NotRegular(f"term sum {total:g} is not at most {1.0 - margin:g}")
     if hi < lo:
         return np.empty(0)
-    s0 = series.leading_action
-    phi0 = series.leading_phase
     q_lo = (s0 * lo + phi0) / math.pi - 1e-12
     q_hi = (s0 * hi + phi0) / math.pi + 1e-12
     if not q_hi - q_lo < MAX_GRID_CELLS:
         raise SizeCapExceeded(f"window: [{lo!r}, {hi!r}] spans {q_hi - q_lo:.3g} separator "
                               f"cells, above the cap of {MAX_GRID_CELLS}")
+    spread = 6.5 * s0 * math.ulp(hi) + 1e-14
+    if not spread < math.acos(total):
+        raise SizeCapExceeded(
+            f"window: [{lo!r}, {hi!r}] is beyond float resolution: its float spacing "
+            f"{math.ulp(hi):.3g} puts the separators up to {spread:.3g} rad "
+            f"off the leading cosine's extrema, where the term sum {total:g} can outweigh it"
+        )
     q_lo, q_hi = math.ceil(q_lo), math.floor(q_hi)
     if q_hi < q_lo:
         return np.empty(0)
@@ -325,10 +351,8 @@ def _refine_brackets(
     a: np.ndarray,
     b: np.ndarray,
     fa: np.ndarray,
-    *,
     level: int = 0,
-    values: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Shrink sign-change brackets of level ``level`` onto their roots by
     Newton on a Taylor model.
 
@@ -354,9 +378,9 @@ def _refine_brackets(
     r_j**(m+1)) * (s0 * delta)**2 / 2``, by ``ENDPOINT_TOL / 32``: a
     separator that passes the level below's ``ENDPOINT_TOL`` guard has the
     sign of the true extremum, and no root of that level falls between the
-    two.  Each lane the model certifies also gets the level below's value
-    at its root, moved toward zero by its error bound, in ``values``; the
-    other lanes' entries are left as they are.
+    two.  Returns the roots, their enclosures and the level below's values
+    at the roots: at a root the model certified, its value moved toward
+    zero by its error bound; NaN at every other root; None at level 0.
 
     A probe on a bracket end takes the sign recorded for that end instead
     of a fresh evaluation, which could flip a noise-level sign.  A pair
@@ -373,6 +397,7 @@ def _refine_brackets(
     step = b - a  # each lane's last step
     model = np.ones(x.size, dtype=bool)
     open_ = np.ones(x.size, dtype=bool)
+    values = np.full(x.size, np.nan) if level else None
     actions, amps, _ = series.arrays
     slope = amps @ (actions / series.leading_action) ** (level + 1)
     half = 0.25 * math.sqrt(ENDPOINT_TOL / (1.0 + slope)) if level else 0.0
@@ -392,7 +417,6 @@ def _refine_brackets(
         side = np.zeros(lanes.size, dtype=np.int8)
         if not mt.all():
             f[~mt] = evaluate_array(series, xl[~mt], level)
-        level_below = None
         if mt.any():
             f[mt], cand[mt], error[mt], side[mt], level_below = _model_roots(
                 series, xl[mt], a[lanes[mt]], b[lanes[mt]], half, level
@@ -406,9 +430,8 @@ def _refine_brackets(
         xn = np.where(near | take, cand, 0.5 * (al + bl))
         held = near & (side == sl) & (cand - delta >= al) & (cand + delta <= bl)
         al[held], bl[held] = cand[held] - delta, cand[held] + delta
-        if level_below is not None:
-            closed = held[mt]
-            values[lanes[mt][closed]] = level_below[closed]
+        if level and mt.any():
+            values[lanes[mt & held]] = level_below[held[mt]]
         probe = near & ~held
         if probe.any():
             al[probe], bl[probe], paired = _probe_pair(
@@ -421,7 +444,7 @@ def _refine_brackets(
         step[lanes] = np.abs(xn - xl)
         x[lanes], a[lanes], b[lanes] = xn, al, bl
     enclosure = np.maximum(x - a, b - x)
-    return x, enclosure
+    return x, enclosure, values
 
 
 def _probe_pair(
@@ -501,9 +524,8 @@ def _level_pass(
     are evaluated by the series in one call.  A separator value at noise
     level (``ENDPOINT_TOL``) signals a (near-)double root and raises; an
     edge value at noise level counts as positive (see the module
-    docstring).  Above level 0 the third returned array holds the level
-    below's values at the roots in the same form, written over ``values``
-    once their signs are read; at level 0 it is None.
+    docstring).  Returns :func:`_refine_brackets`' roots, enclosures and
+    level-below values at the roots.
     """
     fresh = ~(np.abs(values) > ENDPOINT_TOL)
     values[fresh] = evaluate_array(series, bounds[fresh], level)
@@ -517,21 +539,9 @@ def _level_pass(
     change = signs[:-1] != signs[1:]
     if interior is not None and not change[interior].all():
         raise AssertionError("regular-level cell without a sign change; separator logic broken")
-    known = None
-    if level:
-        known = values[: np.count_nonzero(change)]
-        known.fill(np.nan)
-    if not change.any():
-        return np.empty(0), np.empty(0), known
-    roots, encl = _refine_brackets(
-        series,
-        bounds[:-1][change],
-        bounds[1:][change],
-        signs[:-1][change],
-        level=level,
-        values=known,
+    return _refine_brackets(
+        series, bounds[:-1][change], bounds[1:][change], signs[:-1][change], level
     )
-    return roots, encl, known
 
 
 def descend_with_trace(
@@ -554,7 +564,7 @@ def descend_with_trace(
     width_tol = 1e-9 * cell
     # The regular level is separated by the extrema of its leading cosine,
     # every level below by the roots of the level above.
-    seps = roots = base_separators(chain.levels[top], lo_pad, hi_pad, chain.margin)
+    seps = roots = base_separators(series, lo_pad, hi_pad, chain.margin, top)
     known = np.full(roots.size, np.nan)  # the grid's values are evaluated
     level_roots: list[np.ndarray] = []  # top level first
     # Each level is the derivative of the level below, so a systematic zero

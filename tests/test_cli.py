@@ -398,7 +398,22 @@ class TestMain:
         }
         assert main([command, write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error:") and "above the cap" in err
+        assert err.count("\n") == 1 and err.startswith("error: window: ") and "above the cap" in err
+
+    @pytest.mark.parametrize(
+        "window", [(1e20, 1.0000000000001e20), (3e19, 3e19 + 4096)], ids=["1e20", "3e19"]
+    )
+    def test_window_beyond_float_resolution_exit_2(self, tmp_path, capsys, window):
+        # Float spacings of 16384 and 4096 against a leading cell of pi: the
+        # separator grid cannot be placed, so the window is refused.
+        doc = {
+            "series": {"s0": 1.0, "phi0": 0.0, "terms": [[0.5, 0.3, 0.0]]},
+            "window": {"kmin": window[0], "kmax": window[1]},
+        }
+        assert main(["solve", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: window: ")
+        assert "beyond float resolution" in err and "Traceback" not in err
 
     def test_sample_grid_cap(self, tmp_path, capsys, monkeypatch):
         import qgspectra.cli as cli_module

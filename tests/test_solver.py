@@ -1,5 +1,6 @@
 """Separator grids, the derivative chain and the descent."""
 
+import json
 import math
 import tracemalloc
 
@@ -21,6 +22,7 @@ from qgspectra import (
     secular_series,
     solve_graph,
 )
+from qgspectra.cli import main
 from qgspectra.fuzz import random_series, standard_window
 from qgspectra.series import (
     AMPLITUDE_FLOOR,
@@ -41,6 +43,7 @@ from conftest import (
     make_wheel5,
     model_separator_values,
 )
+from test_series import bond_graphs
 
 
 def bisect_oracle(f, a, b, iters=200):
@@ -91,6 +94,30 @@ class TestBaseSeparators:
             base_separators(s, 0.5, 101.5 * math.pi)
         with pytest.raises(SizeCapExceeded):
             descend(build_chain(s), (100.0, 100.0 + 101 * math.pi))
+
+    def test_levels_are_read_off_level_0(self):
+        # Level m's grid and regularity check are those of the derived series
+        # chain.levels[m], bit for bit: NotRegular below the order, alike.
+        def grid(*args, **kwargs):
+            try:
+                return base_separators(*args, **kwargs)
+            except NotRegular as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(23)
+        corpus = [secular_series(graph) for graph in bond_graphs().values()]
+        corpus += [random_series(rng) for _ in range(20)]
+        for series in corpus:
+            chain = build_chain(series)
+            for window in ((0.0, 60.0), (1e6, 1e6 + 30.0)):
+                for m, level in enumerate(chain.levels):
+                    got = grid(series, *window, chain.margin, level=m)
+                    want = grid(level, *window, chain.margin)
+                    assert isinstance(got, str) == (m < chain.order)
+                    if m < chain.order:
+                        assert got == want
+                    else:
+                        assert np.array_equal(got, want)
 
     def test_sign_is_pinned_at_separators(self):
         s = canonicalize(1.3, 0.7, [(0.9, 0.5, 2.0), (0.4, 0.3, 5.0)])
@@ -305,7 +332,7 @@ class TestDescend:
         # Below k = 18 the target width is under 1e-12 (2 * 18 * BRACKET_REL_WIDTH).
         seps = base_separators(series, 0.0, 18.0)
         a, b = seps[:-1], seps[1:]
-        ks, encl = solver._refine_brackets(series, a, b, evaluate_array(series, a))
+        ks, encl, _ = solver._refine_brackets(series, a, b, evaluate_array(series, a))
         for k, e, lo, hi in zip(ks, encl, a, b):
             expected = bisect_oracle(lambda x: math.cos(x) - 0.5 * math.cos(0.5 * x), lo, hi)
             assert k == pytest.approx(expected, abs=1e-12)
@@ -341,17 +368,21 @@ class TestDescend:
         monkeypatch.setattr(solver, "_probe_pair", counted)
         if not certify:
             monkeypatch.setattr(solver, "_model_roots", uncertified)
-        got = solver._refine_brackets(series, a, b, fa, level=1, values=np.full(a.size, np.nan))
+        got = solver._refine_brackets(series, a, b, fa, level=1)
         monkeypatch.undo()
         return got, probes
 
     def test_separator_model_certificate_accepts(self, monkeypatch):
         chain, a, b, fa = self.separator_brackets((0.0, 60.0))
-        (ks, encl), probes = self.refine_counting_probes(monkeypatch, chain.series, a, b, fa)
+        (ks, encl, values), probes = self.refine_counting_probes(
+            monkeypatch, chain.series, a, b, fa
+        )
         assert probes == []
+        # Every root was closed by the model, so each has level 0's value.
+        assert np.isfinite(values).all()
         # The same roots as the probe-pair path, enclosed by the model's
         # half-width, across which the series changes sign.
-        (ref, _), probes = self.refine_counting_probes(
+        (ref, _, _), probes = self.refine_counting_probes(
             monkeypatch, chain.series, a, b, fa, certify=False
         )
         assert np.array_equal(ks, ref) and sum(probes) == len(ks)
@@ -366,9 +397,13 @@ class TestDescend:
         # eps * 1e9, above the polynomial's values delta either side of a
         # root, so every lane falls back to the series probe pair.
         chain, a, b, fa = self.separator_brackets((1e9, 1e9 + 30.0))
-        (ks, encl), probes = self.refine_counting_probes(monkeypatch, chain.series, a, b, fa)
+        (ks, encl, values), probes = self.refine_counting_probes(
+            monkeypatch, chain.series, a, b, fa
+        )
         assert sum(probes) == len(ks) > 5
-        (ref, ref_encl), _ = self.refine_counting_probes(
+        # No root was closed by the model, so level 0 evaluates every one.
+        assert values.size == len(ks) and np.isnan(values).all()
+        (ref, ref_encl, _), _ = self.refine_counting_probes(
             monkeypatch, chain.series, a, b, fa, certify=False
         )
         assert np.array_equal(ks, ref) and np.array_equal(encl, ref_encl)
@@ -742,3 +777,85 @@ class TestEdgeClimb:
         _, trace = descend_with_trace(chain, window)
         assert abs(evaluate(chain.levels[level], trace.padded_window[1])) <= solver.ENDPOINT_TOL
         assert_matches_oracle(series, window)
+
+
+class TestNoDerivedSeries:
+    THREE_STAR = {
+        "graph": {
+            "vertices": [{"id": 0, "bc": "kirchhoff"}]
+            + [{"id": i, "bc": "dirichlet"} for i in (1, 2, 3)],
+            "bonds": [
+                {"from": 0, "to": i, "length": length}
+                for i, length in zip((1, 2, 3), (1.0, 0.71, 0.43))
+            ],
+        },
+        "window": {"kmin": 0.0, "kmax": 30.0},
+    }
+
+    def test_solves_without_derivative_series(self, monkeypatch, tmp_path, capsys):
+        # Every level is read off level 0: with derivative_series gone, the
+        # library and every command give the same output as with it.
+        config = tmp_path / "three_star.json"
+        config.write_text(json.dumps(self.THREE_STAR), encoding="utf-8")
+        fuzz = random_series(np.random.default_rng(5))
+        assert build_chain(fuzz).order >= 1
+
+        def outputs():
+            got = [
+                solve_graph(dirichlet_star(STAR_LENGTHS[:8]), (0.0, 30.0)).entries,
+                solve_graph(make_wheel5(), (0.0, 30.0)).entries,
+                descend(build_chain(fuzz), standard_window(fuzz, 50)).entries,
+            ]
+            for command in ("solve", "verify", "sample", "series"):
+                assert main([command, str(config)]) == 0
+                got.append(capsys.readouterr().out)
+            return got
+
+        expected = outputs()
+
+        def refused(series):
+            raise AssertionError("a solve built a derived series")
+
+        monkeypatch.setattr(solver, "derivative_series", refused)
+        assert outputs() == expected
+
+
+class TestFloatResolution:
+    def test_high_windows_solve_or_are_refused(self):
+        # Windows (K, K + 100] for K = 2**36 ... 2**62: each solves or is
+        # refused as beyond float resolution, and refused at every higher K
+        # once refused; none reaches the descent's internal sign check.
+        # From K = 2**60 on, K + 100 rounds to K and the window is empty.
+        rng = np.random.default_rng(29)
+        corpus = [
+            canonicalize(1.0, 0.0, [(0.5, 0.3, 0.0)]),
+            canonicalize(4.0, 0.3, [(3.0, 0.6, 0.5), (1.0, 0.3, 2.0)]),
+            secular_series(make_star3()),
+        ] + [random_series(rng) for _ in range(4)]
+        outcomes = []
+        for series in corpus:
+            chain = build_chain(series)
+            outcome = []
+            for e in range(36, 63, 2):
+                window = (2.0**e, 2.0**e + 100.0)
+                try:
+                    descend(chain, window)
+                    outcome.append("solved")
+                except SizeCapExceeded as exc:
+                    assert str(exc).startswith("window: ") and "beyond float resolution" in str(exc)
+                    outcome.append("refused")
+                except EmptyWindow:
+                    assert window[1] == window[0]
+                    outcome.append("empty")
+            assert outcome == sorted(outcome, key=["solved", "refused", "empty"].index)
+            outcomes.append(outcome)
+        # s0 = 1 with term sum 0.3: the spacing 0.25 at 2**50 is refused.
+        assert outcomes[0][:8] == ["solved"] * 7 + ["refused"]
+        assert all("solved" in o and "refused" in o for o in outcomes)
+
+    def test_three_star_solves_at_1e9_and_1e12(self):
+        # The eigenphase counts of these windows are 13 and 34; at 1e12 the
+        # edge slack, 10 wide there, also keeps roots outside the window.
+        chain = build_chain(secular_series(make_star3()))
+        assert len(descend(chain, (1e9, 1e9 + 20.0))) == 13
+        assert len(descend(chain, (1e12, 1e12 + 50.0))) >= 34
