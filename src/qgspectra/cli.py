@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -36,20 +35,20 @@ from .errors import (
     NotRegular,
     ParseError,
     RealificationFailure,
-    SizeCapExceeded,
     SpectralError,
     ValidationError,
 )
 from .graphs import BondSpec, QuantumGraph, VertexSpec, secular_series
-from .oracle import DEFAULT_OVERSAMPLING, verify_spectrum
+from .oracle import DEFAULT_OVERSAMPLING, uniform_grid, verify_spectrum
 from .series import (
     DEFAULT_MARGIN,
     SpectralSeries,
     canonicalize,
     evaluate_array,
+    is_finite_real,
     regularity_sum,
 )
-from .solver import MAX_GRID_CELLS, build_chain, descend, regularization_order
+from .solver import build_chain, descend, regularization_order
 
 _BC_MAP = {"dirichlet": "dirichlet", "kirchhoff": "kirchhoff", "delta": "scaling_delta"}
 _SAMPLE_POINTS_PER_HALF_PERIOD = 20
@@ -83,10 +82,6 @@ class ConfigDoc:
         return secular_series(self.graph)
 
 
-def _is_number(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _check_keys(obj: dict, allowed: set[str], path: str, problems: list[str]) -> None:
     for key in obj:
         if key not in allowed:
@@ -105,54 +100,39 @@ def _field(doc: dict, key: str, kind: type, path: str, problems: list[str]) -> A
     return None
 
 
+def _objects(doc: dict, key: str, allowed: set[str], problems: list[str]) -> list:
+    """The list ``graph.<key>``, each entry checked to be an object with
+    ``allowed`` keys only."""
+    items = _field(doc, key, list, f"graph.{key}", problems) or []
+    for i, item in enumerate(items):
+        if isinstance(item, dict):
+            _check_keys(item, allowed, f"graph.{key}[{i}]", problems)
+        else:
+            problems.append(f"graph.{key}[{i}]: must be an object")
+    return items
+
+
 def _parse_graph(doc: Any, problems: list[str]) -> QuantumGraph | None:
+    """The graph of a config; ``QuantumGraph`` checks its field values."""
     if not isinstance(doc, dict):
         problems.append("graph: must be an object with 'vertices' and 'bonds'")
         return None
     _check_keys(doc, {"vertices", "bonds"}, "graph", problems)
-    vertices: list[VertexSpec] = []
-    bonds: list[BondSpec] = []
-    for i, v in enumerate(_field(doc, "vertices", list, "graph.vertices", problems) or []):
-        path = f"graph.vertices[{i}]"
-        if not isinstance(v, dict):
-            problems.append(f"{path}: must be an object")
-            continue
-        _check_keys(v, {"id", "bc", "lambda"}, path, problems)
-        if not isinstance(v.get("id"), int) or isinstance(v.get("id"), bool):
-            problems.append(f"{path}.id: integer id required")
-            continue
-        bc = v.get("bc")
-        if bc not in _BC_MAP:
-            problems.append(f"{path}.bc: must be one of {sorted(_BC_MAP)}, got {bc!r}")
-            continue
-        lam = v.get("lambda", 0.0)
-        if not _is_number(lam):
-            problems.append(f"{path}.lambda: finite number required")
-            continue
-        vertices.append(VertexSpec(id=v["id"], condition=_BC_MAP[bc], delta_strength=float(lam)))
-    for i, b in enumerate(_field(doc, "bonds", list, "graph.bonds", problems) or []):
-        path = f"graph.bonds[{i}]"
-        if not isinstance(b, dict):
-            problems.append(f"{path}: must be an object")
-            continue
-        _check_keys(b, {"from", "to", "length", "potential_lambda"}, path, problems)
-        if not all(isinstance(b.get(key), int) and not isinstance(b.get(key), bool) for key in ("from", "to")):
-            problems.append(f"{path}: integer 'from' and 'to' vertex ids required")
-            continue
-        if not _is_number(b.get("length")):
-            problems.append(f"{path}.length: finite number required")
-            continue
-        lam = b.get("potential_lambda", 0.0)
-        if not _is_number(lam):
-            problems.append(f"{path}.potential_lambda: finite number required")
-            continue
-        bonds.append(
-            BondSpec(endpoints=(b["from"], b["to"]), length=float(b["length"]), potential_fraction=float(lam))
-        )
+    vertices = _objects(doc, "vertices", {"id", "bc", "lambda"}, problems)
+    bonds = _objects(doc, "bonds", {"from", "to", "length", "potential_lambda"}, problems)
+    for i, v in enumerate(vertices):
+        if isinstance(v, dict) and not (isinstance(v.get("bc"), str) and v["bc"] in _BC_MAP):
+            problems.append(f"graph.vertices[{i}].bc: must be one of {sorted(_BC_MAP)}, got {v.get('bc')!r}")
     if problems:
         return None
     try:
-        return QuantumGraph(vertices=tuple(vertices), bonds=tuple(bonds))
+        return QuantumGraph(
+            vertices=tuple(VertexSpec(v.get("id"), _BC_MAP[v["bc"]], v.get("lambda", 0.0)) for v in vertices),
+            bonds=tuple(
+                BondSpec((b.get("from"), b.get("to")), b.get("length"), b.get("potential_lambda", 0.0))
+                for b in bonds
+            ),
+        )
     except ValidationError as exc:
         problems.extend(exc.violations)
         return None
@@ -163,9 +143,9 @@ def _parse_series(doc: Any, problems: list[str]) -> SpectralSeries | None:
         problems.append("series: must be an object with 's0', 'phi0' and 'terms'")
         return None
     _check_keys(doc, {"s0", "phi0", "terms"}, "series", problems)
-    if not _is_number(doc.get("s0")):
+    if not is_finite_real(doc.get("s0")):
         problems.append("series.s0: finite number required")
-    if not _is_number(doc.get("phi0")):
+    if not is_finite_real(doc.get("phi0")):
         problems.append("series.phi0: finite number required")
     terms = doc.get("terms", [])
     if not isinstance(terms, list):
@@ -173,7 +153,7 @@ def _parse_series(doc: Any, problems: list[str]) -> SpectralSeries | None:
         terms = []
     triples: list[tuple[float, float, float]] = []
     for i, t in enumerate(terms):
-        if not (isinstance(t, list) and len(t) == 3 and all(_is_number(x) for x in t)):
+        if not (isinstance(t, list) and len(t) == 3 and all(is_finite_real(x) for x in t)):
             problems.append(f"series.terms[{i}]: expected [action, amplitude, phase] numbers")
             continue
         triples.append((float(t[0]), float(t[1]), float(t[2])))
@@ -198,6 +178,8 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("arrays or objects nested too deeply to parse") from exc
 
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -229,17 +211,17 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
     kmax = window_doc.get("kmax")
     if window is not None:  # a window that is not an object is reported alone
         _check_keys(window_doc, {"kmin", "kmax"}, "window", problems)
-        if not _is_number(kmin) or kmin < 0:
+        if not is_finite_real(kmin) or kmin < 0:
             problems.append(f"window.kmin: number >= 0 required, got {kmin!r}")
-        if not _is_number(kmax) or (_is_number(kmin) and not kmax > kmin):
+        if not is_finite_real(kmax) or (is_finite_real(kmin) and not kmax > kmin):
             problems.append(f"window.kmax: number > kmin required, got {kmax!r}")
 
     _check_keys(options, {"margin", "oversampling"}, "options", problems)
     margin = options.get("margin", DEFAULT_MARGIN)
-    if not _is_number(margin) or not (0.0 < margin < 1.0):
+    if not is_finite_real(margin) or not (0.0 < margin < 1.0):
         problems.append(f"options.margin: number in (0, 1) required, got {margin!r}")
     oversampling = options.get("oversampling", DEFAULT_OVERSAMPLING)
-    if not isinstance(oversampling, int) or isinstance(oversampling, bool) or oversampling < 8:
+    if not (isinstance(oversampling, int) and is_finite_real(oversampling) and oversampling >= 8):
         problems.append(f"options.oversampling: integer >= 8 required, got {oversampling!r}")
 
     if problems:
@@ -317,15 +299,7 @@ def _write_verify(config: ConfigDoc, out: TextIO) -> int:
 def _write_sample(config: ConfigDoc, out: TextIO) -> int:
     chain = build_chain(config.secular(), config.margin)
     points = config.given_oversampling or _SAMPLE_POINTS_PER_HALF_PERIOD
-    step = math.pi / (chain.series.leading_action * points)
-    k_lo, k_hi = config.window
-    n = (k_hi - k_lo) / step
-    if not n < MAX_GRID_CELLS:
-        raise SizeCapExceeded(
-            f"window: [{k_lo!r}, {k_hi!r}] takes a sample grid of {n:.3g} rows, "
-            f"above the cap of {MAX_GRID_CELLS}"
-        )
-    ks = np.linspace(k_lo, k_hi, max(1, math.ceil(n)) + 1)
+    ks = uniform_grid(chain.series, *config.window, points)
     table = np.empty((ks.size, chain.order + 2))
     table[:, 0] = ks
     for m in range(chain.order + 1):
@@ -414,15 +388,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         config = load_config(text, overrides)
-    except (ParseError, ValidationError) as exc:
-        if isinstance(exc, ValidationError):
-            for violation in exc.violations:
-                print(f"error: {violation}", file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.out is not None:
             return _run_to_file(args.command, config, args.out)
         code = run(args.command, config, sys.stdout)
@@ -436,17 +401,17 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out or 'standard output'}: {exc}", file=sys.stderr)
         return 2
-    except DegenerateSpectrum as exc:
-        print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
-        return 3
-    except SizeCapExceeded as exc:  # a window the solver refuses, not a model defect
+    except ValidationError as exc:  # an invalid config, or a window over a size cap
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
         return 2
-    except (RealificationFailure, ValidationError, NotRegular) as exc:
+    except DegenerateSpectrum as exc:
+        print(f"error: degenerate spectrum: {exc}", file=sys.stderr)
+        return 3
+    except (RealificationFailure, NotRegular) as exc:
         print(f"error: unsupported model: {exc}", file=sys.stderr)
         return 2
-    except SpectralError as exc:
+    except SpectralError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

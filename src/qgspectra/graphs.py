@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
@@ -38,7 +39,7 @@ from .errors import (
     SizeCapExceeded,
     ValidationError,
 )
-from .series import MERGE_TOL, BondTerms, SpectralSeries, canonicalize
+from .series import MERGE_TOL, BondTerms, SpectralSeries, canonicalize, is_finite_real
 
 # Cap on directed bonds (2 per undirected bond).  It bounds the descent and
 # the k = 0 floor, not the determinant: on a 2-vCPU Xeon VM (one BLAS
@@ -112,24 +113,32 @@ class QuantumGraph:
         return d
 
 
+def _is_id(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def validate_graph(vertices, bonds) -> list[str]:
-    """Collect every violated graph invariant; empty list means valid."""
+    """Collect every violated graph invariant; empty list means valid.
+
+    Messages are anchored at config paths, where ``lambda`` is a vertex's
+    delta strength and ``potential_lambda`` a bond's potential fraction."""
     problems: list[str] = []
-    ids = [v.id for v in vertices]
+    ids = [v.id for v in vertices if _is_id(v.id)]
     if len(set(ids)) != len(ids):
         problems.append("graph.vertices: vertex ids must be unique")
     known = set(ids)
     if not vertices:
         problems.append("graph.vertices: at least one vertex is required")
     for i, v in enumerate(vertices):
+        path = f"graph.vertices[{i}]"
+        if not _is_id(v.id):
+            problems.append(f"{path}.id: integer id required, got {v.id!r}")
         if v.condition not in _CONDITIONS:
-            problems.append(f"graph.vertices[{i}]: unknown condition {v.condition!r}")
-        if not math.isfinite(v.delta_strength):
-            problems.append(f"graph.vertices[{i}]: delta strength must be finite")
+            problems.append(f"{path}: unknown condition {v.condition!r}")
+        if not is_finite_real(v.delta_strength):
+            problems.append(f"{path}.lambda: delta strength must be a finite number, got {v.delta_strength!r}")
         elif v.condition != "scaling_delta" and v.delta_strength != 0.0:
-            problems.append(
-                f"graph.vertices[{i}]: delta strength is only meaningful for scaling_delta vertices"
-            )
+            problems.append(f"{path}: delta strength is only meaningful for scaling_delta vertices")
     if not bonds:
         problems.append("graph.bonds: at least one bond is required")
     if 2 * len(bonds) > MAX_DIRECTED_BONDS:
@@ -137,16 +146,21 @@ def validate_graph(vertices, bonds) -> list[str]:
             f"graph.bonds: {2 * len(bonds)} directed bonds exceed the expansion cap of {MAX_DIRECTED_BONDS}"
         )
     for i, b in enumerate(bonds):
-        if not (math.isfinite(b.length) and b.length > 0.0):
-            problems.append(f"graph.bonds[{i}].length: must be > 0, got {b.length!r}")
-        if not math.isfinite(b.potential_fraction) or b.potential_fraction >= 1.0:
+        path = f"graph.bonds[{i}]"
+        if not (is_finite_real(b.length) and b.length > 0.0):
+            problems.append(f"{path}.length: finite number > 0 required, got {b.length!r}")
+        if not (is_finite_real(b.potential_fraction) and b.potential_fraction < 1.0):
             problems.append(
-                f"graph.bonds[{i}].potential_lambda: potential_fraction must be < 1 "
+                f"{path}.potential_lambda: potential_fraction must be < 1 "
                 f"(got {b.potential_fraction!r}; fractions >= 1 create classically forbidden bonds)"
             )
-        for e in b.endpoints:
+        ends = b.endpoints
+        if not (isinstance(ends, (tuple, list)) and len(ends) == 2 and all(map(_is_id, ends))):
+            problems.append(f"{path}: two integer vertex ids ('from' and 'to') required, got {ends!r}")
+            continue
+        for e in ends:
             if e not in known:
-                problems.append(f"graph.bonds[{i}]: endpoint {e!r} is not a vertex id")
+                problems.append(f"{path}: endpoint {e!r} is not a vertex id")
 
     # Connectivity over the vertices actually referenced; degree >= 1 everywhere.
     if vertices and bonds and not problems:
@@ -406,6 +420,11 @@ def expand_secular(graph: QuantumGraph) -> SecularExpansion:
         else:
             clusters.append([kappa, 0.5 * (p + q), n])
     clusters = [c for c in clusters if abs(c[1]) >= expo.floor]
+    if not clusters or clusters[-1][0] <= MERGE_TOL:
+        raise RealificationFailure(
+            f"no cosine above the constant term: the bond actions sum to {theta!r}, "
+            f"within {MERGE_TOL} of zero"
+        )
 
     _, r_lead, _ = clusters.pop()
     lead_amp = abs(r_lead)

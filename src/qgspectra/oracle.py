@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, EmptyWindow
+from .errors import DegenerateSpectrum, EmptyWindow, SizeCapExceeded
 from .series import DEFAULT_MARGIN, SpectralSeries, evaluate_array
 from .solver import (
     EDGE_SLACK_REL,
+    MAX_GRID_CELLS,
     POSITIVE_FLOOR,
     _floor_escape,
     build_chain,
@@ -44,6 +45,23 @@ class VerificationReport:
         return not self.missing and not self.spurious
 
 
+def uniform_grid(series: SpectralSeries, lo: float, hi: float, per_half_period: int) -> np.ndarray:
+    """Grid from ``lo`` to ``hi`` with ``per_half_period`` points per
+    half-period of the leading cosine, rounded up to whole cells, at least
+    one.  A grid of ``MAX_GRID_CELLS`` cells or more raises
+    ``SizeCapExceeded`` before it is built."""
+    step = math.pi / (series.leading_action * per_half_period)
+    if step:
+        cells = (hi - lo) / step
+    else:  # s0 * per_half_period overflowed
+        cells = (hi - lo) / math.pi * series.leading_action * per_half_period
+    if not cells < MAX_GRID_CELLS:
+        raise SizeCapExceeded(
+            f"window: [{lo!r}, {hi!r}] takes a grid of {cells:.3g} cells, above the cap of {MAX_GRID_CELLS}"
+        )
+    return np.linspace(lo, hi, max(1, math.ceil(cells)) + 1)
+
+
 def scan_roots(
     series: SpectralSeries,
     window: tuple[float, float],
@@ -51,8 +69,8 @@ def scan_roots(
 ) -> np.ndarray:
     """All roots in the window, by dense sampling plus bisection.
 
-    The grid step is pi/(leading_action * oversampling): ``oversampling``
-    points per half-period of the fastest cosine.  Sign changes are
+    The grid is ``uniform_grid`` with ``oversampling`` points per
+    half-period of the fastest cosine, under the same cap.  Sign changes are
     bisected to width ``SCAN_WIDTH`` and midpoints returned, sorted.
     """
     if int(oversampling) != oversampling or oversampling < 8:
@@ -73,16 +91,14 @@ def scan_roots(
             pass
     if hi <= lo:
         return np.empty(0)
-    step = math.pi / (series.leading_action * oversampling)
-    n = max(1, math.ceil((hi - lo) / step))
-    ks = np.linspace(lo, hi, n + 1)
+    ks = uniform_grid(series, lo, hi, oversampling)
     f = evaluate_array(series, ks)
 
     # A grid point landing exactly on a root would break the sign test.
     exact = f == 0.0
     if exact.any():
         ks = ks.copy()
-        ks[exact] += (hi - lo) / n * 1e-9
+        ks[exact] += (hi - lo) / (ks.size - 1) * 1e-9
         f = np.where(exact, evaluate_array(series, ks), f)
 
     s = np.sign(f)

@@ -32,6 +32,7 @@ and one sine per term and point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -180,6 +181,16 @@ class SpectralSeries:
         return {}
 
 
+def is_finite_real(x) -> bool:
+    """True for a real number, not a bool, whose float value is finite."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def _wrap_phase(phi: float) -> float:
     """Reduce a phase to [0, 2*pi)."""
     x = math.fmod(phi, TWO_PI)
@@ -230,6 +241,10 @@ def canonicalize(
             amplitude = -amplitude
             phase += math.pi
         folded.append((action, amplitude, _wrap_phase(phase)))
+    try:
+        math.fsum(t[1] for t in folded)
+    except OverflowError:
+        raise ValueError("term amplitudes sum beyond float range") from None
 
     folded.sort(key=lambda t: (t[0], t[2]))
 
@@ -241,10 +256,11 @@ def canonicalize(
         rep_action = folded[i][0]
         while j < len(folded) and folded[j][0] - rep_action <= MERGE_TOL:
             j += 1
-        group = folded[i:j]
+        # Actions within MERGE_TOL of one another need not be in phase order.
+        group = sorted(folded[i:j], key=lambda t: t[2])
 
         clusters: list[list[tuple[float, float, float]]] = []
-        for term in group:  # group is phase-sorted
+        for term in group:
             if clusters and term[2] - clusters[-1][0][2] <= MERGE_TOL:
                 clusters[-1].append(term)
             else:

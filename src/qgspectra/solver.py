@@ -79,7 +79,7 @@ MODEL_ORDER = 16
 # Newton steps on the Taylor polynomial per evaluation of the model, the
 # first (from the model's centre, u = 0) in closed form.
 MODEL_NEWTON_STEPS = 7
-# Cap on the cells of a padded window's separator grid and on sample rows:
+# Cap on the cells of a padded window's separator grid and of oracle.uniform_grid:
 # the descent holds about 400 bytes per cell, so a solve stays near 4 GB.
 MAX_GRID_CELLS = 10_000_000
 # Points per Taylor model block: its (N+1)-row arrays hold half an EVAL_BLOCK,

@@ -416,7 +416,7 @@ class TestMain:
         assert "beyond float resolution" in err and "Traceback" not in err
 
     def test_sample_grid_cap(self, tmp_path, capsys, monkeypatch):
-        import qgspectra.cli as cli_module
+        import qgspectra.oracle as oracle_module
 
         # 20 rows per half-period: 10 half-periods give 200 rows.
         doc = {
@@ -424,10 +424,10 @@ class TestMain:
             "window": {"kmin": 0.0, "kmax": 10 * math.pi},
         }
         path = write_config(tmp_path, doc)
-        monkeypatch.setattr(cli_module, "MAX_GRID_CELLS", 201)
+        monkeypatch.setattr(oracle_module, "MAX_GRID_CELLS", 201)
         assert main(["sample", path]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 201
-        monkeypatch.setattr(cli_module, "MAX_GRID_CELLS", 200)
+        monkeypatch.setattr(oracle_module, "MAX_GRID_CELLS", 200)
         assert main(["sample", path]) == 2
         assert "above the cap of 200" in capsys.readouterr().err
 
@@ -484,6 +484,76 @@ class TestMain:
         for row in rows:
             _, k, e, _ = row.split(",")
             assert float(e) == float(k) ** 2  # 17 digits survive the trip
+
+
+def with_field(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` (keys and indices) set."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+ALL_COMMANDS = ("solve", "series", "sample", "verify")
+SERIES_03 = {
+    "series": {"s0": 1.0, "phi0": 0.0, "terms": [[0.5, 0.3, 0.0]]},
+    "window": {"kmin": 0.0, "kmax": 10.0},
+    "options": {},
+}
+# Every numeric field that a 401-digit integer can fill: config, path, anchor.
+HUGE_INT_FIELDS = [
+    (SERIES_03, ["series", "s0"], "series.s0"),
+    (SERIES_03, ["series", "phi0"], "series.phi0"),
+    (SERIES_03, ["series", "terms", 0, 1], "series.terms[0]"),
+    (SERIES_03, ["window", "kmin"], "window.kmin"),
+    (SERIES_03, ["window", "kmax"], "window.kmax"),
+    (SERIES_03, ["options", "margin"], "options.margin"),
+    (SERIES_03, ["options", "oversampling"], "options.oversampling"),
+    (BOND_DD, ["graph", "bonds", 0, "length"], "graph.bonds[0].length"),
+    (BOND_DD, ["graph", "bonds", 0, "potential_lambda"], "graph.bonds[0].potential_lambda"),
+    (BOND_DD, ["graph", "vertices", 0, "lambda"], "graph.vertices[0].lambda"),
+]
+# Name, config (a document or raw text), the commands it reaches, and the
+# start of the error line each must print.
+BAD_INPUTS = [
+    ("oversampling-1e12", with_field(BOND_DD, ["options"], {"oversampling": 10**12}),
+     ("sample", "verify"), "error: window: "),
+    ("s0-1e308-on-1e-300", {"series": {"s0": 1e308, "phi0": 0.0, "terms": []},
+                            "window": {"kmin": 0.0, "kmax": 1e-300}},
+     ("sample",), "error: window: "),
+    ("amplitudes-overflow", with_field(SERIES_03, ["series", "terms"], [[0.5, 1e308, 0.0], [0.6, 1e308, 0.0]]),
+     ALL_COMMANDS, "error: series: "),
+    ("bond-1e-300", with_field(BOND_DD, ["graph", "bonds", 0, "length"], 1e-300),
+     ALL_COMMANDS, "error: unsupported model: "),
+    ("nested-1e5", "[" * 100_000 + "]" * 100_000, ALL_COMMANDS, "error: arrays or objects nested"),
+    ("bc-list", with_field(BOND_DD, ["graph", "vertices", 0, "bc"], []),
+     ALL_COMMANDS, "error: graph.vertices[0].bc: "),
+    ("vertex-id-list", with_field(BOND_DD, ["graph", "vertices", 0, "id"], [0]),
+     ALL_COMMANDS, "error: graph.vertices[0].id: "),
+    ("length-str", with_field(BOND_DD, ["graph", "bonds", 0, "length"], "1.0"),
+     ALL_COMMANDS, "error: graph.bonds[0].length: "),
+] + [
+    (f"401-digits-{anchor}", with_field(doc, path, 10**400), ALL_COMMANDS, f"error: {anchor}: ")
+    for doc, path, anchor in HUGE_INT_FIELDS
+]
+
+
+@pytest.mark.parametrize(
+    "config, command, first",
+    [(config, command, first) for _, config, commands, first in BAD_INPUTS for command in commands],
+    ids=[f"{name}-{command}" for name, _, commands, _ in BAD_INPUTS for command in commands],
+)
+def test_bad_input_exit_2(tmp_path, capsys, config, command, first):
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert lines and all(line.startswith("error: ") for line in lines), err
+    assert any(line.startswith(first) for line in lines), err
+    assert "Traceback" not in err
 
 
 def reference_csv(command, config):

@@ -252,6 +252,23 @@ class TestGraphValidation:
                 bonds=(BondSpec((0, 1), 1.0),),
             )
 
+    @pytest.mark.parametrize(
+        "vertex, bond, anchor",
+        [
+            (VertexSpec(0, "dirichlet"), BondSpec((0, 1), "1.0"), "graph.bonds[0].length: "),
+            (VertexSpec(0, "dirichlet"), BondSpec((0, 1), None), "graph.bonds[0].length: "),
+            (VertexSpec(0, "dirichlet"), BondSpec((0, 1), 1j), "graph.bonds[0].length: "),
+            (VertexSpec(0, "scaling_delta", "x"), BondSpec((0, 1), 1.0), "graph.vertices[0].lambda: "),
+            (VertexSpec([0], "dirichlet"), BondSpec((0, 1), 1.0), "graph.vertices[0].id: "),
+            (VertexSpec(0, "dirichlet"), BondSpec((0,), 1.0), "graph.bonds[0]: "),
+        ],
+        ids=["length-str", "length-none", "length-complex", "lambda-str", "id-list", "one-endpoint"],
+    )
+    def test_malformed_field_types(self, vertex, bond, anchor):
+        with pytest.raises(ValidationError) as info:
+            QuantumGraph(vertices=(vertex, VertexSpec(1, "dirichlet")), bonds=(bond,))
+        assert any(v.startswith(anchor) for v in info.value.violations), info.value.violations
+
     def test_bond_action_folds_potential(self):
         bond = BondSpec((0, 1), 2.0, 0.75)
         assert bond.action == pytest.approx(1.0, abs=1e-15)
@@ -397,6 +414,16 @@ class TestSecularSeries:
         monkeypatch.setattr(graphs_module, "vertex_coupling", lambda v, d: 0.75 * coupling(v, d))
         with pytest.raises(RealificationFailure, match="not conjugate"):
             expand_secular(make_star3())
+
+    def test_vanishing_total_action_is_refused(self):
+        # Every total action lies within MERGE_TOL of the centre, so no
+        # cosine is left to lead the series.
+        graph = QuantumGraph(
+            vertices=(VertexSpec(0, "dirichlet"), VertexSpec(1, "dirichlet")),
+            bonds=(BondSpec((0, 1), 1e-13),),
+        )
+        with pytest.raises(RealificationFailure, match="no cosine above the constant term"):
+            expand_secular(graph)
 
 
 def mp_det(rows):

@@ -103,6 +103,18 @@ class TestCanonicalize:
         s = canonicalize(1.0, 0.0, [TrigTerm(0.5, 0.4, 1.0)])
         assert s.terms == (TrigTerm(0.5, 0.4, 1.0),)
 
+    @pytest.mark.parametrize("phases", [(3.0, 0.5), (0.5, 3.0)])
+    def test_near_equal_actions_cluster_by_phase(self, phases):
+        # Actions 1e-13 apart share a group, in which (action, phase) order
+        # need not be phase order; only phases within MERGE_TOL merge.
+        terms = [TrigTerm(1.0, 0.3, phases[0]), TrigTerm(1.0 + 1e-13, 0.2, phases[1])]
+        assert canonicalize(2.0, 0.0, terms).terms == tuple(terms)
+
+    def test_amplitude_sum_beyond_float_range_rejected(self):
+        for terms in ([(0.5, 1e308, 0.0), (0.6, 1e308, 0.0)], [(0.5, 1e308, 0.0)] * 2):
+            with pytest.raises(ValueError, match="beyond float range"):
+                canonicalize(1.0, 0.0, terms)
+
 
 class TestEvaluate:
     def test_pure_cosine_values(self):
