@@ -19,8 +19,9 @@ prod_b (1 - z_b^2) and a determinant over the vertices that are not
 Dirichlet, far smaller than the 2B x 2B one.  Because Sigma is
 unitary, the coefficients come in mirror pairs c_(2-n) = det Sigma *
 conj(c_n), so centering the total actions on S0 = sum_b S_b and rotating by
-one unimodular constant folds each pair into a real cosine: the result is
-the canonical cosine series consumed by the solver.
+one unimodular constant folds each pair into a real cosine, and the
+cosines of one action sum into one: the result is the canonical cosine
+series consumed by the solver.
 """
 
 from __future__ import annotations
@@ -384,18 +385,26 @@ def expand_secular(graph: QuantumGraph) -> SecularExpansion:
     actions are centered on theta = S0 = sum_b S_b.  A unimodular rotation
     makes every mirror pair complex conjugate (the leading phase is placed
     within a quarter turn of the real axis); each coefficient at centered
-    action kappa >= 0 is averaged with its conjugated mirror, clusters of
-    equal kappa are summed into cosines, kappa = 0 into the constant, and
-    the leading amplitude is normalized to one.
+    action kappa >= 0 is averaged with its conjugated mirror and, the
+    leading amplitude normalized to one, handed to :func:`canonicalize` as
+    one raw term, a cosine at kappa or its real part at kappa = 0.
+    ``canonicalize`` merges the terms of one action into one cosine.
     """
     expo = transfer_determinant(graph)
     coefficients = expo.coefficients
     n_bonds = len(expo.actions)
     theta = math.fsum(expo.actions)
+    if theta <= MERGE_TOL:
+        raise RealificationFailure(
+            f"no cosine above the constant term: the bond actions sum to {theta!r}, "
+            f"within {MERGE_TOL} of zero"
+        )
 
     # c_top must rotate onto conj(c_0): two unimodular solutions, pi apart.
+    # The leading monomial alone has kappa = theta: fsum(2 S) is 2 theta exactly.
+    top = (2,) * n_bonds
     c_0 = coefficients[(0,) * n_bonds]
-    c_top = coefficients[(2,) * n_bonds]
+    c_top = coefficients[top]
     rotation = cmath.exp(0.5j * cmath.phase(c_0.conjugate() / c_top))
     lead = rotation * c_top
     # Keep the leading phase within a quarter turn of zero; on the pure
@@ -404,41 +413,32 @@ def expand_secular(graph: QuantumGraph) -> SecularExpansion:
     if lead.real < -boundary or (abs(lead.real) <= boundary and lead.imag > 0.0):
         rotation = -rotation
 
-    centered = sorted((expo.total_action(n) - theta, n) for n in coefficients)
-    clusters: list[list] = []  # [smallest kappa, summed rotated coefficient, its exponents]
-    for kappa, n in centered:
+    r_lead = 0.5 * (rotation * c_top + (rotation * c_0).conjugate())
+    lead_amp = abs(r_lead)
+    scale = 2.0 * lead_amp
+    raw_terms = []
+    # Each term's action is sum_b (n_b - 1) S_b over the exponents of the
+    # first monomial, in exponent order, at its action; the constant
+    # term's row is 0.
+    rows = {0.0: (0,) * n_bonds}
+    for n, c in coefficients.items():
+        kappa = expo.total_action(n) - theta
         if kappa < -MERGE_TOL:
             continue  # looked up as the mirror of 2 - n
-        p = rotation * coefficients[n]
+        p = rotation * c
         q = (rotation * coefficients.get(tuple(2 - b for b in n), 0.0)).conjugate()
         if abs(p - q) > CONJUGATE_TOL:
             raise RealificationFailure(
                 f"coefficients of exponents {n} and their mirror are not conjugate: {p!r} vs {q!r}"
             )
-        if clusters and kappa - clusters[-1][0] <= MERGE_TOL:
-            clusters[-1][1] += 0.5 * (p + q)
-        else:
-            clusters.append([kappa, 0.5 * (p + q), n])
-    clusters = [c for c in clusters if abs(c[1]) >= expo.floor]
-    if not clusters or clusters[-1][0] <= MERGE_TOL:
-        raise RealificationFailure(
-            f"no cosine above the constant term: the bond actions sum to {theta!r}, "
-            f"within {MERGE_TOL} of zero"
-        )
-
-    _, r_lead, _ = clusters.pop()
-    lead_amp = abs(r_lead)
-    scale = 2.0 * lead_amp
-    raw_terms = []
-    # Each term's action is sum_b (n_b - 1) S_b over the exponents of its
-    # smallest kappa; the constant term's row is 0.
-    rows = {0.0: (0,) * n_bonds}
-    for kappa, r, n in clusters:
+        if n == top:
+            continue  # the leading cosine, r_lead
+        r = 0.5 * (p + q)
         if abs(kappa) <= MERGE_TOL:
             raw_terms.append((0.0, -r.real / scale, 0.0))
         else:
             raw_terms.append((kappa, -abs(r) / lead_amp, math.atan2(r.imag, r.real)))
-            rows[kappa] = tuple(b - 1 for b in n)
+            rows.setdefault(kappa, tuple(b - 1 for b in n))
     series = canonicalize(theta, math.atan2(r_lead.imag, r_lead.real), raw_terms)
     bonds = BondTerms.from_rows(
         expo.actions, [rows[t.action] for t in series.terms], series.arrays[0]

@@ -19,6 +19,7 @@ from .solver import (
     EDGE_SLACK_REL,
     MAX_GRID_CELLS,
     POSITIVE_FLOOR,
+    _checked_window,
     _floor_escape,
     build_chain,
     descend,
@@ -45,20 +46,30 @@ class VerificationReport:
         return not self.missing and not self.spurious
 
 
+def _grid_cells(series: SpectralSeries, lo: float, hi: float, per_half_period: int) -> float:
+    """Cells from ``lo`` to ``hi`` at ``per_half_period`` per half-period of
+    the leading cosine; ``MAX_GRID_CELLS`` or more raise ``SizeCapExceeded``."""
+    try:
+        step = math.pi / (series.leading_action * per_half_period)
+        if step:
+            cells = (hi - lo) / step
+        else:  # s0 * per_half_period overflowed
+            cells = (hi - lo) / math.pi * series.leading_action * per_half_period
+    except OverflowError:  # an int per_half_period beyond float range
+        cells = math.inf
+    if not cells < MAX_GRID_CELLS:
+        raise SizeCapExceeded(
+            f"window: [{lo!r}, {hi!r}] takes a grid of {cells:.3g} cells, above the cap of {MAX_GRID_CELLS}"
+        )
+    return cells
+
+
 def uniform_grid(series: SpectralSeries, lo: float, hi: float, per_half_period: int) -> np.ndarray:
     """Grid from ``lo`` to ``hi`` with ``per_half_period`` points per
     half-period of the leading cosine, rounded up to whole cells, at least
     one.  A grid of ``MAX_GRID_CELLS`` cells or more raises
     ``SizeCapExceeded`` before it is built."""
-    step = math.pi / (series.leading_action * per_half_period)
-    if step:
-        cells = (hi - lo) / step
-    else:  # s0 * per_half_period overflowed
-        cells = (hi - lo) / math.pi * series.leading_action * per_half_period
-    if not cells < MAX_GRID_CELLS:
-        raise SizeCapExceeded(
-            f"window: [{lo!r}, {hi!r}] takes a grid of {cells:.3g} cells, above the cap of {MAX_GRID_CELLS}"
-        )
+    cells = _grid_cells(series, lo, hi, per_half_period)
     return np.linspace(lo, hi, max(1, math.ceil(cells)) + 1)
 
 
@@ -132,8 +143,10 @@ def verify_spectrum(
 
     Roots are paired greedily in sorted order within ``PAIRING_TOL``; any
     unpaired root on either side is reported.  An empty diff certifies the
-    solver output on this instance.
+    solver output on this instance.  A scan grid over the cap is refused,
+    quoting the window as given, before the descent runs.
     """
+    _grid_cells(series, *_checked_window(window), oversampling)
     spectrum = descend(build_chain(series, margin), window)
     solver_ks = spectrum.wavenumbers
     oracle_ks = scan_roots(series, window, oversampling)

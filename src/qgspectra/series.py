@@ -5,9 +5,11 @@ A series represents the almost-periodic function
     g(k) = cos(s0*k + phi0) - sum_j a_j * cos(s_j*k + phi_j)
 
 where every term action ``s_j`` lies strictly below the leading action
-``s0``.  The family is closed under (d/dk)/s0: derivative level m is level
-0 with amplitudes ``a_j r_j**m`` (``r_j = s_j/s0``) and every phase m
-quarter periods on, so no level drops a term but the constant one.
+``s0``, one cosine per action: :func:`canonicalize` is the one place
+where terms of one action merge, as a sum of phasors.  The family is
+closed under (d/dk)/s0: derivative level m is level 0 with amplitudes
+``a_j r_j**m`` (``r_j = s_j/s0``) and every phase m quarter periods on,
+so no level drops a term but the constant one.
 Because all ratios are below one, repeated differentiation eventually
 pushes the term sum below 1, after which the leading cosine pins the sign
 of the series at its own extrema.  That decay is what the spectral
@@ -43,9 +45,10 @@ from .errors import NonpositiveLeadingAction, TermActionExceedsLeading
 
 TWO_PI = 2.0 * math.pi
 
-# Actions (and phases, circularly) closer than this refer to the same term.
+# Terms whose actions lie within this of their group's first action are one
+# cosine: canonicalize sums them as phasors.
 MERGE_TOL = 1e-12
-# Merged amplitudes below this are dropped outright.
+# Canonical amplitudes below this are dropped outright.
 AMPLITUDE_FLOOR = 1e-14
 # Default headroom below 1 required of a regular term sum.
 DEFAULT_MARGIN = 1e-6
@@ -158,10 +161,10 @@ class SpectralSeries:
 
     Instances should be built through :func:`canonicalize` (or by
     :func:`derivative_series`), which guarantees positive amplitudes,
-    phases in [0, 2*pi), strictly sub-leading actions and action-sorted,
-    duplicate-free terms.  The secular series of a graph also carries
-    ``bonds``, its terms as products of bond phasors; it takes no part in
-    equality, hashing or repr.
+    phases in [0, 2*pi), strictly sub-leading actions and one term per
+    action: actions rise by more than ``MERGE_TOL``.  The secular series
+    of a graph also carries ``bonds``, its terms as products of bond
+    phasors; it takes no part in equality, hashing or repr.
     """
 
     leading_action: float
@@ -208,10 +211,13 @@ def canonicalize(
 ) -> SpectralSeries:
     """Build the canonical form of a series from raw term triples.
 
-    Negative amplitudes are folded into a pi phase shift, phases are
-    reduced mod 2*pi, terms sharing (action, phase) within ``MERGE_TOL``
-    are merged by amplitude addition, merged amplitudes below
-    ``AMPLITUDE_FLOOR`` are dropped, and the result is sorted by action.
+    Terms are sorted by action and grouped: a group holds every term whose
+    action lies within ``MERGE_TOL`` of the group's first action and
+    becomes one cosine at that action, its amplitude and phase those of the
+    ``math.fsum`` of the group's phasors ``a * exp(i phi)``.  A group of one
+    term keeps its bits.  A negative amplitude is folded into a pi phase
+    shift, phases are reduced mod 2*pi and amplitudes below
+    ``AMPLITUDE_FLOOR`` are dropped, so a cancelling group leaves no term.
 
     Raises ``NonpositiveLeadingAction`` or ``TermActionExceedsLeading``
     when the dominance structure is broken.
@@ -222,7 +228,7 @@ def canonicalize(
     if not math.isfinite(leading_phase):
         raise ValueError(f"leading phase must be finite, got {leading_phase!r}")
 
-    folded: list[tuple[float, float, float]] = []
+    terms: list[tuple[float, float, float]] = []
     for action, amplitude, phase in raw_terms:
         action = float(action)
         amplitude = float(amplitude)
@@ -235,52 +241,35 @@ def canonicalize(
             raise TermActionExceedsLeading(
                 f"term action {action!r} is not strictly below the leading action {s0!r}"
             )
-        if amplitude == 0.0:
-            continue
-        if amplitude < 0.0:
-            amplitude = -amplitude
-            phase += math.pi
-        folded.append((action, amplitude, _wrap_phase(phase)))
+        if amplitude != 0.0:
+            terms.append((action, amplitude, phase))
     try:
-        math.fsum(t[1] for t in folded)
+        math.fsum(abs(t[1]) for t in terms)
     except OverflowError:
         raise ValueError("term amplitudes sum beyond float range") from None
 
-    folded.sort(key=lambda t: (t[0], t[2]))
-
-    # Group by action, then merge circularly close phases within a group.
-    merged: list[tuple[float, float, float]] = []
+    terms.sort(key=lambda t: t[0])
+    merged: list[TrigTerm] = []
     i = 0
-    while i < len(folded):
-        j = i
-        rep_action = folded[i][0]
-        while j < len(folded) and folded[j][0] - rep_action <= MERGE_TOL:
+    while i < len(terms):
+        j = i + 1
+        while j < len(terms) and terms[j][0] - terms[i][0] <= MERGE_TOL:
             j += 1
-        # Actions within MERGE_TOL of one another need not be in phase order.
-        group = sorted(folded[i:j], key=lambda t: t[2])
-
-        clusters: list[list[tuple[float, float, float]]] = []
-        for term in group:
-            if clusters and term[2] - clusters[-1][0][2] <= MERGE_TOL:
-                clusters[-1].append(term)
-            else:
-                clusters.append([term])
-        # Phases just below 2*pi wrap around onto the first cluster.
-        if len(clusters) > 1 and (clusters[0][0][2] + TWO_PI) - clusters[-1][0][2] <= MERGE_TOL:
-            clusters[0].extend(clusters.pop())
-
-        for cluster in clusters:
-            amp = math.fsum(t[1] for t in cluster)
-            if amp < AMPLITUDE_FLOOR:
-                continue
-            merged.append((cluster[0][0], amp, cluster[0][2]))
+        action, amplitude, phase = terms[i]
+        if j > i + 1:  # one cosine at the group's first action
+            x = math.fsum(a * math.cos(p) for _, a, p in terms[i:j])
+            y = math.fsum(a * math.sin(p) for _, a, p in terms[i:j])
+            amplitude, phase = math.hypot(x, y), math.atan2(y, x)
+        if amplitude < 0.0:
+            amplitude, phase = -amplitude, phase + math.pi
+        if amplitude >= AMPLITUDE_FLOOR:
+            merged.append(TrigTerm(action, amplitude, _wrap_phase(phase)))
         i = j
 
-    merged.sort(key=lambda t: (t[0], t[2]))
     return SpectralSeries(
         leading_action=s0,
         leading_phase=_wrap_phase(float(leading_phase)),
-        terms=tuple(TrigTerm(*t) for t in merged),
+        terms=tuple(merged),
     )
 
 

@@ -212,7 +212,11 @@ def base_separators(
     h the float spacing at ``hi`` (``eps |x| < 2 h`` for ``|x| <= hi``).
     The leading cosine there is at least the cosine of that bound, so it
     keeps the series sign against the level's term sum T only while the
-    bound is below ``acos(T)``; a window where it is not is refused.
+    bound is below ``acos(T)``; a window where it is not is refused.  So
+    is a window where the target bracket width ``BRACKET_REL_WIDTH *
+    max(1, |hi|)`` reaches a leading cell ``pi / s0``, from about k =
+    ``pi / (s0 * 1e-13)`` on: every bracket there is narrow before its
+    first step, and the roots are no longer refined.
     """
     s0, phi0 = series.leading_action, series.leading_phase
     actions, amps, _ = series.arrays
@@ -237,6 +241,9 @@ def base_separators(
             f"{math.ulp(hi):.3g} puts the separators up to {spread:.3g} rad "
             f"off the leading cosine's extrema, where the term sum {total:g} can outweigh it"
         )
+    if not BRACKET_REL_WIDTH * max(1.0, abs(hi)) < math.pi / s0:
+        raise SizeCapExceeded(f"window: [{lo!r}, {hi!r}] is beyond float resolution: the target "
+                              f"bracket width there reaches a leading cell {math.pi / s0:.3g}")
     q_lo, q_hi = math.ceil(q_lo), math.floor(q_hi)
     if q_hi < q_lo:
         return np.empty(0)
@@ -544,10 +551,10 @@ def _level_pass(
     )
 
 
-def descend_with_trace(
-    chain: DescentChain, window: tuple[float, float]
-) -> tuple[Spectrum, DescentTrace]:
-    """Run the descent and also return per-level roots for inspection."""
+def _checked_window(window: tuple[float, float]) -> tuple[float, float]:
+    """The window's bounds as floats; raises ``ValueError`` unless they are
+    finite and nonnegative, and ``EmptyWindow`` unless the upper one is the
+    greater."""
     k_lo, k_hi = float(window[0]), float(window[1])
     if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
         raise ValueError("window bounds must be finite")
@@ -555,7 +562,14 @@ def descend_with_trace(
         raise ValueError(f"window must start at a nonnegative wavenumber, got {k_lo!r}")
     if not k_hi > k_lo:
         raise EmptyWindow(f"window [{k_lo!r}, {k_hi!r}] contains no interval")
+    return k_lo, k_hi
 
+
+def descend_with_trace(
+    chain: DescentChain, window: tuple[float, float]
+) -> tuple[Spectrum, DescentTrace]:
+    """Run the descent and also return per-level roots for inspection."""
+    k_lo, k_hi = _checked_window(window)
     series, top = chain.series, chain.order
     cell = math.pi / series.leading_action
     pad = (top + 1) * cell

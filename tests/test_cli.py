@@ -415,6 +415,20 @@ class TestMain:
         assert err.count("\n") == 1 and err.startswith("error: window: ")
         assert "beyond float resolution" in err and "Traceback" not in err
 
+    def test_verify_scan_grid_cap_before_the_descent(self, tmp_path, capsys, monkeypatch):
+        # 10**8 scan points per half-period of (0, 1e4]: 3.2e11 cells, refused
+        # quoting the window as given, as sample does, and before any descent.
+        import qgspectra.oracle as oracle_module
+
+        def refused(chain, window):
+            raise AssertionError("verify descended before checking its scan grid")
+
+        monkeypatch.setattr(oracle_module, "descend", refused)
+        doc = dict(BOND_DD, window={"kmin": 0.0, "kmax": 1e4})
+        assert main(["verify", write_config(tmp_path, doc), "--oversampling", str(10**8)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window: [0.0, 10000.0] takes a grid of ") and "above the cap" in err
+
     def test_sample_grid_cap(self, tmp_path, capsys, monkeypatch):
         import qgspectra.oracle as oracle_module
 

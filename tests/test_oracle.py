@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qgspectra import canonicalize, scan_roots, verify_spectrum
+from qgspectra import EmptyWindow, SizeCapExceeded, canonicalize, scan_roots, verify_spectrum
 from qgspectra.fuzz import random_series, standard_window
 from qgspectra.series import evaluate
 
@@ -28,6 +28,10 @@ class TestScanRoots:
     def test_oversampling_validation(self):
         with pytest.raises(ValueError):
             scan_roots(canonicalize(1.0, 0.0), (0.0, 10.0), oversampling=4)
+
+    def test_oversampling_beyond_float_range_is_over_the_cap(self):
+        with pytest.raises(SizeCapExceeded, match="above the cap"):
+            scan_roots(canonicalize(1.0, 0.0), (0.0, 10.0), 10**400)
 
     def test_roots_are_roots(self):
         rng = np.random.default_rng(41)
@@ -69,6 +73,17 @@ class TestVerifySpectrum:
         report = verify_spectrum(series, (0.0, 40.0))
         assert report.clean
         assert report.matched > 10
+
+    @pytest.mark.parametrize(
+        "window, error",
+        [((-1.0, 1e20), ValueError), ((0.0, math.inf), ValueError), ((5.0, 5.0), EmptyWindow)],
+        ids=["negative", "infinite", "empty"],
+    )
+    def test_invalid_window_raises_before_the_grid_cap(self, window, error):
+        # Each of these windows raises what the descent raises for it, not the
+        # scan grid's cap, although its grid would be over the cap.
+        with pytest.raises(error):
+            verify_spectrum(canonicalize(1.0, 0.0), window, oversampling=10**8)
 
     def test_random_batch_clean(self):
         rng = np.random.default_rng(53)

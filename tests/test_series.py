@@ -17,12 +17,14 @@ from qgspectra import (
     descend,
     evaluate_array,
     regularization_order,
+    scan_roots,
     secular_series,
 )
 from qgspectra import series as series_module
 from qgspectra.fuzz import random_series, standard_window
 from qgspectra.series import (
     EVAL_BLOCK,
+    MERGE_TOL,
     BondTerms,
     SpectralSeries,
     TrigTerm,
@@ -94,21 +96,50 @@ class TestCanonicalize:
         assert len(s.terms) == 1
         assert s.terms[0].amplitude == pytest.approx(0.5, abs=1e-15)
 
-    def test_opposite_phases_do_not_merge(self):
-        # Same action, phases pi apart: cancellation is left to the caller.
+    def test_opposite_phases_cancel(self):
+        # Same action, phases pi apart: the phasors cancel and no term is left.
         s = canonicalize(1.0, 0.0, [(0.5, 0.3, 0.0), (0.5, -0.3, 0.0)])
-        assert len(s.terms) == 2
+        assert s.terms == ()
 
     def test_accepts_trig_terms(self):
         s = canonicalize(1.0, 0.0, [TrigTerm(0.5, 0.4, 1.0)])
         assert s.terms == (TrigTerm(0.5, 0.4, 1.0),)
 
     @pytest.mark.parametrize("phases", [(3.0, 0.5), (0.5, 3.0)])
-    def test_near_equal_actions_cluster_by_phase(self, phases):
-        # Actions 1e-13 apart share a group, in which (action, phase) order
-        # need not be phase order; only phases within MERGE_TOL merge.
+    def test_near_equal_actions_merge_as_phasors(self, phases):
+        # Actions 1e-13 apart share a group: one cosine at the first action,
+        # whatever the phases, with the values of the two-term sum.
         terms = [TrigTerm(1.0, 0.3, phases[0]), TrigTerm(1.0 + 1e-13, 0.2, phases[1])]
-        assert canonicalize(2.0, 0.0, terms).terms == tuple(terms)
+        s = canonicalize(2.0, 0.0, terms)
+        assert len(s.terms) == 1 and s.terms[0].action == 1.0
+        ks = np.linspace(0.0, 50.0, 201)
+        raw = SpectralSeries(2.0, 0.0, tuple(terms))
+        # The second term moves by 1e-13 in action: by 0.2e-13 k in value.
+        assert np.all(np.abs(evaluate_array(s, ks) - evaluate_array(raw, ks)) <= 2e-14 * (1 + ks))
+
+    @pytest.mark.parametrize(
+        "terms, merged",
+        [
+            ([(0.5, 0.8, 0.0), (0.5, -0.8, 0.0)], ()),
+            ([(0.5, 0.6, 0.0), (0.5, 0.6, math.pi / 2)], ((0.6 * math.sqrt(2.0), math.pi / 4),)),
+        ],
+        ids=["cancel", "quarter-turn"],
+    )
+    def test_one_action_one_cosine(self, terms, merged):
+        # Unmerged, each pair sums to 1.6 and the series needs one
+        # derivative level; merged, it is regular at level 0.  The roots,
+        # those of the same function, are the dense scan's of the pair.
+        folded = ((x, abs(a), phi + math.pi * (a < 0)) for x, a, phi in terms)
+        raw = SpectralSeries(1.0, 0.0, tuple(TrigTerm(*t) for t in folded))
+        assert regularization_order(raw) == 1
+        s = canonicalize(1.0, 0.0, terms)
+        got = [(t.amplitude, t.phase) for t in s.terms]
+        assert len(got) == len(merged) and np.allclose(got, merged, rtol=0, atol=1e-15)
+        assert regularization_order(s) == 0
+        window = (0.0, 60.0)
+        roots = descend(build_chain(s), window).wavenumbers
+        assert roots.size == 19
+        assert np.max(np.abs(roots - scan_roots(raw, window))) <= 1e-9
 
     def test_amplitude_sum_beyond_float_range_rejected(self):
         for terms in ([(0.5, 1e308, 0.0), (0.6, 1e308, 0.0)], [(0.5, 1e308, 0.0)] * 2):
@@ -433,6 +464,41 @@ def raw_series(draw, max_terms=5):
         terms.append((action, amplitude, phase))
     phi0 = draw(st.floats(-10.0, 10.0))
     return s0, phi0, terms
+
+
+@st.composite
+def pooled_series(draw, max_terms=6):
+    """Raw series whose term actions come from at most three values, so
+    that several terms share an action; the values lie at least s0 / 100
+    apart."""
+    s0 = draw(st.floats(0.3, 4.0))
+    pool = draw(st.lists(st.integers(0, 96), min_size=1, max_size=3, unique=True))
+    terms = [
+        (draw(st.sampled_from(pool)) / 100 * s0, draw(st.floats(-2.0, 2.0)), draw(st.floats(-10.0, 10.0)))
+        for _ in range(draw(st.integers(0, max_terms)))
+    ]
+    return s0, draw(st.floats(-10.0, 10.0)), terms
+
+
+@given(pooled_series())
+def test_one_cosine_per_action(raw):
+    actions = [t.action for t in canonicalize(*raw).terms]
+    assert all(b - a > MERGE_TOL for a, b in zip(actions, actions[1:]))
+
+
+@given(pooled_series(), st.floats(0.0, 50.0))
+def test_merging_keeps_values(raw, k):
+    s0, phi0, terms = raw
+    total = math.cos(s0 * k + phi0) - math.fsum(a * math.cos(s * k + p) for s, a, p in terms)
+    bound = 1e-12 * (1.0 + math.fsum(abs(a) for _, a, _ in terms))
+    assert abs(evaluate(canonicalize(*raw), k) - total) <= bound
+
+
+@given(pooled_series())
+def test_merging_never_raises_the_term_sum(raw):
+    # Up to rounding: a merged amplitude is its group's rounded phasor sum,
+    # whose cosines, sines and products each err by about an ulp.
+    assert regularity_sum(canonicalize(*raw)) <= math.fsum(abs(t[1]) for t in raw[2]) * (1 + 8 * EPS)
 
 
 @given(raw_series())

@@ -849,9 +849,36 @@ class TestFloatResolution:
                     outcome.append("empty")
             assert outcome == sorted(outcome, key=["solved", "refused", "empty"].index)
             outcomes.append(outcome)
-        # s0 = 1 with term sum 0.3: the spacing 0.25 at 2**50 is refused.
-        assert outcomes[0][:8] == ["solved"] * 7 + ["refused"]
+        # s0 = 1 with term sum 0.3: from 2**46 on, where the target bracket
+        # width 1e-13 * k passes the leading cell pi, every window is refused.
+        assert outcomes[0][:8] == ["solved"] * 5 + ["refused"] * 3
         assert all("solved" in o and "refused" in o for o in outcomes)
+
+    def test_windows_past_the_bracket_width_are_refused(self):
+        # The first fuzz series of seed 7 (s0 = 1.788, M = 1).  At 2**46 the
+        # target bracket width, 7, exceeds the leading cell, 1.76: every
+        # level-1 root would be a cell midpoint, and the descent would count
+        # 10 roots where a 45-digit scan finds 11.  Windows are refused from
+        # about k = pi / (s0 * 1e-13) = 1.76e13 on; at 2**43 the roots inside
+        # the window are the scan's, one in each of its sign-change cells.
+        mpmath = pytest.importorskip("mpmath")
+        series = random_series(np.random.default_rng(7))
+        chain = build_chain(series)
+        with pytest.raises(SizeCapExceeded, match=r"^window: .*beyond float resolution"):
+            descend(chain, (2.0**46, 2.0**46 + 20.0))
+        k_lo, k_hi = 2.0**43, 2.0**43 + 20.0
+        ks = descend(chain, (k_lo, k_hi)).wavenumbers
+        ks = ks[(ks > k_lo) & (ks <= k_hi)]
+        mpf = mpmath.mpf
+        with mpmath.workdps(45):
+            terms = [(mpf(series.leading_action), mpf(1), mpf(series.leading_phase))]
+            terms += [(mpf(t.action), -mpf(t.amplitude), mpf(t.phase)) for t in series.terms]
+            grid = [mpf(k_lo) + mpf(k_hi - k_lo) * i / 4000 for i in range(4001)]
+            signs = [mpmath.sign(mpmath.fsum(a * mpmath.cos(s * k + p) for s, a, p in terms))
+                     for k in grid]
+            cells = [(grid[i], grid[i + 1]) for i in range(4000) if signs[i] != signs[i + 1]]
+            assert len(cells) == ks.size == 7
+            assert all(a <= mpf(k) <= b for k, (a, b) in zip(ks.tolist(), cells))
 
     def test_three_star_solves_at_1e9_and_1e12(self):
         # The eigenphase counts of these windows are 13 and 34; at 1e12 the
