@@ -36,7 +36,8 @@ class SizeCapExceeded(ValidationError):
     determinant expansion, a window whose separator grid or uniform (scan
     or sample) grid has more cells than the solver's ``MAX_GRID_CELLS``, or
     a window so high that the float spacing there unpins the separator
-    grid; it is refused before anything of that size is allocated."""
+    grid or the target bracket width reaches a leading cell; it is refused
+    before anything of that size is allocated."""
 
 
 class RealificationFailure(SpectralError):

@@ -2,8 +2,10 @@
 
 The scan samples the series far above its fastest oscillation (the leading
 action sets the highest frequency) and bisects every sign-change interval.
-It shares nothing with the descent machinery except the series evaluator,
-so agreement between the two is meaningful evidence.
+It shares the series evaluator, the window check, the grid cap and the
+floor climb off k = 0 with the solver, and none of the descent: no chain,
+no separators and no Taylor model, so agreement between the two is
+meaningful evidence.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, EmptyWindow, SizeCapExceeded
+from .errors import DegenerateSpectrum, SizeCapExceeded
 from .series import DEFAULT_MARGIN, SpectralSeries, evaluate_array
 from .solver import (
-    EDGE_SLACK_REL,
     MAX_GRID_CELLS,
     POSITIVE_FLOOR,
     _checked_window,
@@ -27,7 +28,9 @@ from .solver import (
 
 # Solver and oracle roots closer than this are considered the same root.
 PAIRING_TOL = 1e-7
-# Oracle brackets are bisected to this absolute width.
+# Oracle brackets are bisected to this width or, where the float spacing is
+# wider (from k = 8192 on), to adjacent floats, which a further pass would
+# not move.
 SCAN_WIDTH = 1e-12
 DEFAULT_OVERSAMPLING = 50
 
@@ -48,7 +51,11 @@ class VerificationReport:
 
 def _grid_cells(series: SpectralSeries, lo: float, hi: float, per_half_period: int) -> float:
     """Cells from ``lo`` to ``hi`` at ``per_half_period`` per half-period of
-    the leading cosine; ``MAX_GRID_CELLS`` or more raise ``SizeCapExceeded``."""
+    the leading cosine.  A ``per_half_period`` other than an integer >= 8
+    raises ``ValueError``; ``MAX_GRID_CELLS`` cells or more raise
+    ``SizeCapExceeded``."""
+    if int(per_half_period) != per_half_period or per_half_period < 8:
+        raise ValueError(f"oversampling must be an integer >= 8, got {per_half_period!r}")
     try:
         step = math.pi / (series.leading_action * per_half_period)
         if step:
@@ -80,19 +87,18 @@ def scan_roots(
 ) -> np.ndarray:
     """All roots in the window, by dense sampling plus bisection.
 
-    The grid is ``uniform_grid`` with ``oversampling`` points per
-    half-period of the fastest cosine, under the same cap.  Sign changes are
-    bisected to width ``SCAN_WIDTH`` and midpoints returned, sorted.
+    The window is checked as the descent checks it, and its grid against
+    the cap, quoting the window as given.  The grid is ``uniform_grid``
+    with ``oversampling`` points per half-period of the fastest cosine,
+    over the window padded by ``SCAN_WIDTH * max(1, |k|)`` on each side, at
+    least one final bracket width.  Sign changes are bisected to width
+    ``SCAN_WIDTH`` or to adjacent floats, and the midpoints of the brackets
+    that meet the window are returned, sorted.
     """
-    if int(oversampling) != oversampling or oversampling < 8:
-        raise ValueError(f"oversampling must be an integer >= 8, got {oversampling!r}")
-    k_lo, k_hi = float(window[0]), float(window[1])
-    if not k_hi > k_lo:
-        raise EmptyWindow(f"window [{k_lo!r}, {k_hi!r}] contains no interval")
-
-    slack = EDGE_SLACK_REL * max(1.0, abs(k_lo), abs(k_hi))
-    lo = max(k_lo - slack, POSITIVE_FLOOR)
-    hi = k_hi + slack
+    k_lo, k_hi = _checked_window(window)
+    _grid_cells(series, k_lo, k_hi, oversampling)
+    lo = max(k_lo - SCAN_WIDTH * max(1.0, k_lo), POSITIVE_FLOOR)
+    hi = k_hi + SCAN_WIDTH * max(1.0, k_hi)
     if lo <= POSITIVE_FLOOR:
         # Same origin handling as the solver: skip the region where the
         # systematic k = 0 zero drowns the series in float noise.
@@ -119,17 +125,15 @@ def scan_roots(
     a = ks[:-1][change]
     b = ks[1:][change]
     sa = s[:-1][change]
-    for _ in range(200):
-        active = (b - a) > SCAN_WIDTH
-        if not active.any():
-            break
+    while (active := b - a > np.maximum(SCAN_WIDTH, np.spacing(b))).any():
         mid = 0.5 * (a + b)
         fm = evaluate_array(series, mid)
         go_left = active & (np.sign(fm) == sa)
         go_right = active & ~go_left
         a = np.where(go_left, mid, a)
         b = np.where(go_right, mid, b)
-    return 0.5 * (a + b)
+    meets = (a <= k_hi) & (b >= k_lo)
+    return 0.5 * (a[meets] + b[meets])
 
 
 def verify_spectrum(
@@ -143,8 +147,9 @@ def verify_spectrum(
 
     Roots are paired greedily in sorted order within ``PAIRING_TOL``; any
     unpaired root on either side is reported.  An empty diff certifies the
-    solver output on this instance.  A scan grid over the cap is refused,
-    quoting the window as given, before the descent runs.
+    solver output on this instance.  An oversampling other than an integer
+    >= 8 and a scan grid over the cap are refused, quoting the window as
+    given, before the descent runs.
     """
     _grid_cells(series, *_checked_window(window), oversampling)
     spectrum = descend(build_chain(series, margin), window)

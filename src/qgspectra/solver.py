@@ -36,7 +36,8 @@ leading cells (the lower edge clamped at ``POSITIVE_FLOOR`` and, there,
 climbed off the systematic zero at k = 0).  The edges are arbitrary
 points: an edge value at noise level counts as positive, since a wrong
 edge sign can only change the roots of the edge cells, and each level
-spreads that at most one cell further inward, inside the padding.
+spreads that at most one cell further inward, inside the padding.  A
+level-0 root is reported when its certified interval meets the window.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ POSITIVE_FLOOR = 1e-9
 ENDPOINT_TOL = 1e-12
 # Target bracket width, relative to max(1, |k|): refinement stops below it.
 BRACKET_REL_WIDTH = 1e-13
-# Window membership slack for roots sitting on a float window edge.
-EDGE_SLACK_REL = 1e-11
 # Degree N of the Taylor model that refinement steps on.  Its remainder at
 # u = s0 * (k - x) is at most (1 + sum a) * |u|**17 / 17!: about 6e-12 *
 # (1 + sum a) half a leading cell from x (|u| = pi/2), so the first model
@@ -568,7 +567,11 @@ def _checked_window(window: tuple[float, float]) -> tuple[float, float]:
 def descend_with_trace(
     chain: DescentChain, window: tuple[float, float]
 ) -> tuple[Spectrum, DescentTrace]:
-    """Run the descent and also return per-level roots for inspection."""
+    """Run the descent and also return per-level roots for inspection.
+
+    A window over the grid cap or beyond float resolution is refused
+    quoting the window as given, not the padded one.
+    """
     k_lo, k_hi = _checked_window(window)
     series, top = chain.series, chain.order
     cell = math.pi / series.leading_action
@@ -578,7 +581,11 @@ def descend_with_trace(
     width_tol = 1e-9 * cell
     # The regular level is separated by the extrema of its leading cosine,
     # every level below by the roots of the level above.
-    seps = roots = base_separators(series, lo_pad, hi_pad, chain.margin, top)
+    try:
+        seps = roots = base_separators(series, lo_pad, hi_pad, chain.margin, top)
+    except SizeCapExceeded as exc:
+        quoted = str(exc).replace(f"[{lo_pad!r}, {hi_pad!r}]", f"[{k_lo!r}, {k_hi!r}]", 1)
+        raise SizeCapExceeded(quoted) from None
     known = np.full(roots.size, np.nan)  # the grid's values are evaluated
     level_roots: list[np.ndarray] = []  # top level first
     # Each level is the derivative of the level below, so a systematic zero
@@ -599,8 +606,7 @@ def descend_with_trace(
         roots, encl, known = _level_pass(series, bounds, values, interior=interior, level=m)
         level_roots.append(roots)
 
-    slack = EDGE_SLACK_REL * max(1.0, abs(k_lo), abs(k_hi))
-    keep = (roots >= k_lo - slack) & (roots <= k_hi + slack)
+    keep = (roots - encl <= k_hi) & (roots + encl >= k_lo)
     ks = roots[keep]
     encls = encl[keep]
     entries = tuple(
@@ -615,7 +621,8 @@ def descend_with_trace(
 
 
 def descend(chain: DescentChain, window: tuple[float, float]) -> Spectrum:
-    """Extract every root of level 0 inside the window, sorted and indexed."""
+    """Every root of level 0 whose certified interval ``[k - enclosure, k +
+    enclosure]`` meets the window ``[k_lo, k_hi]``, sorted and indexed from 1."""
     spectrum, _ = descend_with_trace(chain, window)
     return spectrum
 

@@ -415,6 +415,25 @@ class TestMain:
         assert err.count("\n") == 1 and err.startswith("error: window: ")
         assert "beyond float resolution" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "bounds, quoted, reason",
+        [
+            (("0", "1e8"), "[0.0, 100000000.0]", "spans 3.18e+07 separator cells"),
+            (("1e15", "1.00000000001e15"), "[1000000000000000.0, 1000000000010000.0]",
+             "beyond float resolution"),
+        ],
+        ids=["grid_cap", "float_resolution"],
+    )
+    def test_solve_refusals_quote_the_window_as_given(self, tmp_path, capsys, bounds, quoted, reason):
+        # The descent pads the window by M + 1 leading cells; its refusals
+        # quote the window the command was given, not the padded one.
+        doc = {"series": {"s0": 1.0, "phi0": 0.0, "terms": [[0.5, 0.3, 0.0]]},
+               "window": {"kmin": 0.0, "kmax": 10.0}}
+        argv = ["solve", write_config(tmp_path, doc), "--kmin", bounds[0], "--kmax", bounds[1]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: window: {quoted} ") and reason in err
+
     def test_verify_scan_grid_cap_before_the_descent(self, tmp_path, capsys, monkeypatch):
         # 10**8 scan points per half-period of (0, 1e4]: 3.2e11 cells, refused
         # quoting the window as given, as sample does, and before any descent.

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from qgspectra import EmptyWindow, SizeCapExceeded, canonicalize, scan_roots, verify_spectrum
+from qgspectra import (
+    EmptyWindow,
+    SizeCapExceeded,
+    canonicalize,
+    evaluate_array,
+    scan_roots,
+    verify_spectrum,
+)
 from qgspectra.fuzz import random_series, standard_window
 from qgspectra.series import evaluate
 
@@ -30,8 +37,43 @@ class TestScanRoots:
             scan_roots(canonicalize(1.0, 0.0), (0.0, 10.0), oversampling=4)
 
     def test_oversampling_beyond_float_range_is_over_the_cap(self):
-        with pytest.raises(SizeCapExceeded, match="above the cap"):
+        # The refusal quotes the window as given, not the padded scan window.
+        with pytest.raises(SizeCapExceeded, match=r"^window: \[0\.0, 10\.0\] .*above the cap"):
             scan_roots(canonicalize(1.0, 0.0), (0.0, 10.0), 10**400)
+
+    @pytest.mark.parametrize("window", [(-1.0, 5.0), (math.nan, 1.0)], ids=["negative", "nan"])
+    def test_invalid_window_raises_value_error(self, window):
+        # As the descent does for the same windows.
+        with pytest.raises(ValueError):
+            scan_roots(canonicalize(1.0, 0.0), window)
+
+    def test_bisection_stops_at_adjacent_floats(self, monkeypatch):
+        # Near k = 1e4 the float spacing, 1.8e-12, is above SCAN_WIDTH:
+        # cells of pi/50 halve to adjacent floats in 35 passes, where
+        # bisecting on to the width ran all 200.
+        import qgspectra.oracle as oracle_module
+
+        calls = []
+
+        def counted(series, ks, level=0):
+            calls.append(np.size(ks))
+            return evaluate_array(series, ks, level)
+
+        monkeypatch.setattr(oracle_module, "evaluate_array", counted)
+        series = canonicalize(1.0, 0.0, [(0.5, 0.3, 0.0)])
+        roots = scan_roots(series, (1e4, 1e4 + 100.0))
+        assert len(calls) <= 40
+        assert roots.size == 32
+        assert np.all(np.abs(evaluate_array(series, roots)) <= 1e-11)
+
+    def test_only_brackets_meeting_the_window_are_returned(self):
+        # The scan window is padded by 1e-12 * max(1, k), 1.57e-12 here, so
+        # the root pi/2, 1.3e-12 beyond each window, is bracketed; its
+        # bracket, at most 1e-12 wide, does not meet the window.
+        series = canonicalize(1.0, 0.0)
+        assert scan_roots(series, (0.0, math.pi / 2 - 1.3e-12)).size == 0
+        assert scan_roots(series, (math.pi / 2 + 1.3e-12, 4.0)).size == 0
+        assert scan_roots(series, (1.0, 2.0)).size == 1
 
     def test_roots_are_roots(self):
         rng = np.random.default_rng(41)
@@ -84,6 +126,18 @@ class TestVerifySpectrum:
         # scan grid's cap, although its grid would be over the cap.
         with pytest.raises(error):
             verify_spectrum(canonicalize(1.0, 0.0), window, oversampling=10**8)
+
+    def test_bad_oversampling_is_refused_before_the_descent(self, monkeypatch):
+        import qgspectra.oracle as oracle_module
+
+        def refused(chain, window):
+            raise AssertionError("verify_spectrum descended before checking its oversampling")
+
+        monkeypatch.setattr(oracle_module, "descend", refused)
+        series = canonicalize(1.0, 0.0, [(0.5, 0.3, 0.0)])
+        for oversampling in (4, 8.5):
+            with pytest.raises(ValueError, match="oversampling must be an integer >= 8"):
+                verify_spectrum(series, (0.0, 1e4), oversampling=oversampling)
 
     def test_random_batch_clean(self):
         rng = np.random.default_rng(53)

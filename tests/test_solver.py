@@ -881,8 +881,85 @@ class TestFloatResolution:
             assert all(a <= mpf(k) <= b for k, (a, b) in zip(ks.tolist(), cells))
 
     def test_three_star_solves_at_1e9_and_1e12(self):
-        # The eigenphase counts of these windows are 13 and 34; at 1e12 the
-        # edge slack, 10 wide there, also keeps roots outside the window.
+        # The counts are the windows' eigenphase counts, and every reported
+        # root's enclosure meets its window.
         chain = build_chain(secular_series(make_star3()))
-        assert len(descend(chain, (1e9, 1e9 + 20.0))) == 13
-        assert len(descend(chain, (1e12, 1e12 + 50.0))) >= 34
+        for window, count in [
+            ((1e9, 1e9 + 20.0), 13),
+            ((1e12, 1e12 + 50.0), 34),
+            ((1e12, 1e12 + 10.0), 7),
+            ((1e12, 1e12 + 0.01), 0),
+        ]:
+            spectrum = descend(chain, window)
+            assert len(spectrum) == count
+            for e in spectrum:
+                assert e.wavenumber - e.enclosure <= window[1]
+                assert e.wavenumber + e.enclosure >= window[0]
+
+
+class TestWindowMembership:
+    def test_enclosure_decides_membership(self):
+        # cos k has its root at pi/2, enclosed to below 1e-13: a window
+        # 1e-12 short of it reports nothing, and a window that stops half an
+        # enclosure short of the reported k still meets the enclosure.
+        chain = build_chain(canonicalize(1.0, 0.0))
+        assert len(descend(chain, (0.0, math.pi / 2 - 1e-12))) == 0
+        assert len(descend(chain, (math.pi / 2 + 1e-12, 3.0))) == 0
+        (entry,) = descend(chain, (0.0, math.pi / 2))
+        k, half = entry.wavenumber, 0.5 * entry.enclosure
+        assert 0.0 < entry.enclosure < 1e-12
+        assert descend(chain, (0.0, k - half)).wavenumbers.tolist() == [k]
+        assert descend(chain, (k + half, 3.0)).wavenumbers.tolist() == [k]
+
+    @staticmethod
+    def sub_windows(rng, ks, window):
+        """Random sub-windows inside ``window``, and sub-windows whose edges
+        sit three target bracket widths either side of two of the roots."""
+        for _ in range(4):
+            a, b = np.sort(rng.uniform(*window, size=2))
+            yield float(a), float(b)
+        if ks.size >= 2:
+            i, j = sorted(rng.choice(ks.size, size=2, replace=False))
+            near = 3.0 * solver.BRACKET_REL_WIDTH * ks[[i, j]]
+            yield float(ks[i] - near[0]), float(ks[j] + near[1])
+            yield float(ks[i] + near[0]), float(ks[j] - near[1])
+
+    def assert_local(self, series, window, rng, bitwise):
+        # A sub-window's solve reports the whole window's roots whose
+        # enclosure meets the sub-window: the padding keeps the edge cells'
+        # effects out of the window.
+        chain = build_chain(series)
+        spectrum = descend(chain, window)
+        ks = spectrum.wavenumbers
+        encl = np.array([e.enclosure for e in spectrum])
+        for sub in self.sub_windows(rng, ks, window):
+            got = descend(chain, sub)
+            got_ks = got.wavenumbers
+            got_encl = np.array([e.enclosure for e in got])
+            meets = (ks - encl <= sub[1]) & (ks + encl >= sub[0])
+            assert got_ks.size == np.count_nonzero(meets), (series, sub)
+            if bitwise:
+                assert got_ks.tolist() == ks[meets].tolist(), (series, sub)
+                assert got_encl.tolist() == encl[meets].tolist(), (series, sub)
+            else:
+                assert np.all(np.abs(got_ks - ks[meets]) <= got_encl + encl[meets]), (series, sub)
+
+    def test_sub_windows_of_fuzz_series(self):
+        # The per-term kernel evaluates each point alike in any batch, so
+        # the roots and enclosures are the whole window's, bit for bit.
+        rng = np.random.default_rng(67)
+        for _ in range(40):
+            series = random_series(rng)
+            cell = math.pi / series.leading_action
+            self.assert_local(series, (10 * cell, 60 * cell), rng, bitwise=True)
+
+    @pytest.mark.parametrize("arms", [6, 7])
+    def test_sub_windows_of_stars(self, arms):
+        # The bond kernel's matrix product can round a point's value by a
+        # last bit that depends on the points it shares a block with, so a
+        # root may move inside its enclosure; the two certified intervals
+        # still overlap.
+        rng = np.random.default_rng(arms)
+        for _ in range(2):
+            star = dirichlet_star(rng.uniform(0.5, 1.5, size=arms))
+            self.assert_local(secular_series(star), (20.0, 120.0), rng, bitwise=False)
