@@ -4,7 +4,8 @@ Commands
 --------
 solve   eigenvalue table ``n,k_n,E_n,enclosure`` as CSV
 series  canonical secular series (s0, phi0, terms) as a reusable JSON config
-verify  solver-versus-scan diff as JSON; exit 0 only on an empty diff
+verify  solver diff as JSON, against eigenphase counts for a graph and the
+        dense scan for a series; exit 0 only on an empty diff
 sample  grid values of every derivative level as CSV, for plotting
 
 With ``--out PATH`` the output replaces PATH only once the command has
@@ -21,6 +22,7 @@ writer ended by that signal).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -237,14 +239,16 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
 
 def _write_rows(out: TextIO, template: str, rows) -> None:
     """Write ``template % row`` for every row, at most ``_WRITE_BLOCK`` rows
-    per write; numpy rows go through ``tolist`` a block at a time.
+    per write, each block formatted by one ``%`` over its flattened values.
     ``%.17g`` prints a float exactly as ``format(x, ".17g")`` does.
     """
     for start in range(0, len(rows), _WRITE_BLOCK):
         block = rows[start:start + _WRITE_BLOCK]
         if isinstance(block, np.ndarray):
-            block = block.tolist()
-        out.write("".join(template % tuple(row) for row in block))
+            values = tuple(block.ravel().tolist())
+        else:
+            values = tuple(itertools.chain.from_iterable(block))
+        out.write((template * len(block)) % values)
 
 
 def _write_solve(config: ConfigDoc, out: TextIO) -> int:
@@ -280,7 +284,7 @@ def _write_series(config: ConfigDoc, out: TextIO) -> int:
 
 def _write_verify(config: ConfigDoc, out: TextIO) -> int:
     report = verify_spectrum(
-        config.secular(),
+        config.graph or config.series,
         config.window,
         margin=config.margin,
         oversampling=config.oversampling,

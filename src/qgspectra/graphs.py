@@ -354,11 +354,15 @@ def transfer_determinant(graph: QuantumGraph) -> ExpoPolynomial:
     return ExpoPolynomial(coefficients=coefficients, actions=actions, floor=floor)
 
 
-def transfer_matrix(graph: QuantumGraph, k: float) -> np.ndarray:
-    """Numeric D(k) Sigma at wavenumber ``k`` (for cross-checks)."""
+def transfer_matrix(graph: QuantumGraph, k) -> np.ndarray:
+    """The unitary bond map U(k) = D(k) Sigma, one 2B x 2B matrix per
+    wavenumber: a float ``k`` gives one matrix, an array of k a stack of
+    them with the array's shape in front.  Its eigenphases rise with k, and
+    their wrapped sum gives the eigenphase count of ``oracle.verify_spectrum``.
+    """
     sigma = bond_scattering_matrix(graph)
-    phases = np.exp(1j * np.repeat([b.action for b in graph.bonds], 2) * k)
-    return phases[:, None] * sigma
+    phases = np.exp(1j * np.repeat([b.action for b in graph.bonds], 2) * np.asarray(k)[..., None])
+    return phases[..., :, None] * sigma
 
 
 @dataclass(frozen=True)

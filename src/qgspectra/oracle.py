@@ -1,11 +1,19 @@
-"""Brute-force verification: dense-scan root finding and solver diffing.
+"""Independent checks of the descent solver: eigenphase counts and a dense scan.
 
-The scan samples the series far above its fastest oscillation (the leading
-action sets the highest frequency) and bisects every sign-change interval.
-It shares the series evaluator, the window check, the grid cap and the
-floor climb off k = 0 with the solver, and none of the descent: no chain,
-no separators and no Taylor model, so agreement between the two is
-meaningful evidence.
+A graph is checked through its unitary bond map U(k) = D(k) Sigma.  Every
+eigenphase of U rises with k and their sum rises as 2 S0 k, so the number
+of roots in (a, b] is (2 S0 (b - a) + W(a) - W(b)) / 2 pi, with W the sum
+of the eigenphases wrapped into [0, 2 pi) (Kottos and Smilansky, Ann.
+Phys. 274, 76 (1999)).  The solver's roots cut the window into cells, one
+root each, and each cell is counted from two eigendecompositions: no grid,
+no pairing tolerance, and none of the secular series' construction.
+
+A bare series has no Sigma.  Its scan samples the series far above its
+fastest oscillation (the leading action sets the highest frequency) and
+bisects every sign-change interval.  It shares the series evaluator, the
+window check, the grid cap and the floor climb off k = 0 with the solver,
+and none of the descent: no chain, no separators and no Taylor model, so
+agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -16,16 +24,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, SizeCapExceeded
+from .graphs import QuantumGraph, secular_series, transfer_matrix
 from .series import DEFAULT_MARGIN, SpectralSeries, evaluate_array
 from .solver import (
     MAX_GRID_CELLS,
     POSITIVE_FLOOR,
+    Spectrum,
     _checked_window,
     _floor_escape,
     build_chain,
     descend,
 )
 
+# An eigenphase count farther than this from an integer is a mismatch.  The
+# distance is the count's rounding error, which grows with k as the phases
+# S_b k lose digits: on the three-star 4e-15 on (0, 120], 3.0e-11 at
+# k = 1e6, 4.3e-8 at 1e9, 4.0e-5 at 1e12 and 2.8e-4 at 1e13.
+COUNT_TOL = 1e-3
+# Matrices per batched eigenvalue call, which bounds its memory.
+COUNT_BLOCK = 1024
 # Solver and oracle roots closer than this are considered the same root.
 PAIRING_TOL = 1e-7
 # Oracle brackets are bisected to this width or, where the float spacing is
@@ -37,11 +54,11 @@ DEFAULT_OVERSAMPLING = 50
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Pairing statistics between descent roots and dense-scan roots."""
+    """The solver's roots against the eigenphase count or the dense scan."""
 
     matched: int
-    missing: tuple[float, ...]   # found only by the dense scan
-    spurious: tuple[float, ...]  # found only by the solver
+    missing: tuple[float, ...]   # roots the check finds and the solver does not
+    spurious: tuple[float, ...]  # solver roots the check does not confirm
     max_deviation: float
 
     @property
@@ -80,6 +97,18 @@ def uniform_grid(series: SpectralSeries, lo: float, hi: float, per_half_period: 
     return np.linspace(lo, hi, max(1, math.ceil(cells)) + 1)
 
 
+def _above_floor(series: SpectralSeries, lo: float) -> float:
+    """``lo``, or, when it is at ``POSITIVE_FLOOR``, the solver's escape
+    point off the systematic k = 0 zero, where the series is in float noise
+    and U(k) has an eigenphase at 0 that may wrap either way."""
+    if lo <= POSITIVE_FLOOR:
+        try:
+            return _floor_escape(series, lo, lo + 0.25 * math.pi / series.leading_action)
+        except DegenerateSpectrum:
+            pass
+    return lo
+
+
 def scan_roots(
     series: SpectralSeries,
     window: tuple[float, float],
@@ -99,13 +128,7 @@ def scan_roots(
     _grid_cells(series, k_lo, k_hi, oversampling)
     lo = max(k_lo - SCAN_WIDTH * max(1.0, k_lo), POSITIVE_FLOOR)
     hi = k_hi + SCAN_WIDTH * max(1.0, k_hi)
-    if lo <= POSITIVE_FLOOR:
-        # Same origin handling as the solver: skip the region where the
-        # systematic k = 0 zero drowns the series in float noise.
-        try:
-            lo = _floor_escape(series, lo, lo + 0.25 * math.pi / series.leading_action)
-        except DegenerateSpectrum:
-            pass
+    lo = _above_floor(series, lo)
     if hi <= lo:
         return np.empty(0)
     ks = uniform_grid(series, lo, hi, oversampling)
@@ -136,23 +159,93 @@ def scan_roots(
     return 0.5 * (a[meets] + b[meets])
 
 
+def _cell_counts(graph: QuantumGraph, edges: np.ndarray) -> np.ndarray:
+    """Eigenphase count of the roots in each cell (edges[i], edges[i + 1]].
+
+    The count is (2 S0 (b - a) + W(a) - W(b)) / 2 pi, with W the sum of the
+    eigenphases of ``transfer_matrix`` wrapped into [0, 2 pi); it is an
+    integer up to rounding, and multiple roots count with multiplicity.
+    """
+    sums = np.empty(edges.size)
+    for start in range(0, edges.size, COUNT_BLOCK):
+        eigenvalues = np.linalg.eigvals(transfer_matrix(graph, edges[start:start + COUNT_BLOCK]))
+        sums[start:start + COUNT_BLOCK] = np.sum(np.angle(eigenvalues) % (2 * math.pi), axis=-1)
+    s0 = math.fsum(b.action for b in graph.bonds)
+    return (2 * s0 * np.diff(edges) + sums[:-1] - sums[1:]) / (2 * math.pi)
+
+
+def _count_diff(
+    graph: QuantumGraph, series: SpectralSeries, spectrum: Spectrum, k_lo: float, k_hi: float
+) -> VerificationReport:
+    """The solver's roots against one eigenphase count per cell.
+
+    The cells are cut at the midpoints between consecutive roots; the outer
+    edges are ``k_lo`` (the floor escape point when the window starts at
+    the floor) and ``k_hi``, widened to cover the first and last certified
+    intervals.  A cell holds one solver root, or none when the solver found
+    none.  A root whose cell counts 0 is spurious; each root counted beyond
+    the cell's own adds a missing entry, a wavenumber spaced evenly inside
+    the cell; a count farther than ``COUNT_TOL`` from an integer confirms
+    nothing, so its cell's root is spurious and its midpoint missing.
+    """
+    ks = spectrum.wavenumbers
+    # An escape point beyond the window leaves one empty cell, counting 0.
+    lo = min(_above_floor(series, max(k_lo, POSITIVE_FLOOR)), k_hi)
+    edges = np.concatenate(([lo], 0.5 * (ks[1:] + ks[:-1]), [k_hi]))
+    if ks.size:
+        edges[0] = min(edges[0], ks[0] - spectrum.entries[0].enclosure)
+        edges[-1] = max(edges[-1], ks[-1] + spectrum.entries[-1].enclosure)
+    counts = _cell_counts(graph, edges)
+    whole = np.rint(counts)
+    deviation = np.abs(counts - whole)
+    held = min(ks.size, 1)
+    missing: list[float] = []
+    spurious: list[float] = []
+    for i in np.flatnonzero((whole != held) | (deviation > COUNT_TOL)).tolist():
+        a, b, n = float(edges[i]), float(edges[i + 1]), int(whole[i])
+        root = ks[i:i + held].tolist()
+        if deviation[i] > COUNT_TOL:
+            spurious += root
+            missing.append(0.5 * (a + b))
+        elif n < held:
+            spurious += root
+        else:
+            missing += np.linspace(a, b, n - held + 2)[1:-1].tolist()
+    return VerificationReport(
+        matched=ks.size - len(spurious),
+        missing=tuple(missing),
+        spurious=tuple(spurious),
+        max_deviation=float(deviation.max()),
+    )
+
+
 def verify_spectrum(
-    series: SpectralSeries,
+    model: QuantumGraph | SpectralSeries,
     window: tuple[float, float],
     *,
     margin: float = DEFAULT_MARGIN,
     oversampling: int = DEFAULT_OVERSAMPLING,
 ) -> VerificationReport:
-    """Diff the descent solver against the dense scan on one series.
+    """Diff the descent solver against an independent check of one model.
 
-    Roots are paired greedily in sorted order within ``PAIRING_TOL``; any
-    unpaired root on either side is reported.  An empty diff certifies the
-    solver output on this instance.  An oversampling other than an integer
-    >= 8 and a scan grid over the cap are refused, quoting the window as
-    given, before the descent runs.
+    A graph's roots are checked by one eigenphase count per cell between
+    consecutive solver roots (see ``_count_diff``); ``max_deviation`` is the
+    largest distance of a count from its integer.  A series' roots are
+    paired with the dense scan's, at ``oversampling`` points per
+    half-period, greedily in sorted order within ``PAIRING_TOL``; any
+    unpaired root on either side is reported, and ``max_deviation`` is the
+    largest distance of a pair.  An empty diff certifies the solver output
+    on this instance.  An oversampling other than an integer >= 8 and a scan
+    grid over the cap are refused for both, quoting the window as given,
+    before the descent runs.
     """
-    _grid_cells(series, *_checked_window(window), oversampling)
+    graph = model if isinstance(model, QuantumGraph) else None
+    series = model if graph is None else secular_series(graph)
+    k_lo, k_hi = _checked_window(window)
+    _grid_cells(series, k_lo, k_hi, oversampling)
     spectrum = descend(build_chain(series, margin), window)
+    if graph is not None:
+        return _count_diff(graph, series, spectrum, k_lo, k_hi)
     solver_ks = spectrum.wavenumbers
     oracle_ks = scan_roots(series, window, oversampling)
 

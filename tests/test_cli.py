@@ -33,6 +33,16 @@ BOND_DD = {
     "window": {"kmin": 0.0, "kmax": 10.0},
 }
 
+# The test three-star (conftest ``make_star3``).
+STAR3 = {
+    "graph": {
+        "vertices": [{"id": 0, "bc": "kirchhoff"}]
+        + [{"id": i, "bc": "dirichlet"} for i in (1, 2, 3)],
+        "bonds": [{"from": 0, "to": i, "length": L} for i, L in ((1, 1.0), (2, 0.71), (3, 0.43))],
+    },
+    "window": {"kmin": 0.0, "kmax": 30.0},
+}
+
 IRREGULAR_SERIES = {
     "series": {"s0": 1.0, "phi0": 0.0, "terms": [[0.6, 1.2, 0.0]]},
     "window": {"kmin": 0.0, "kmax": 10.0},
@@ -209,6 +219,31 @@ class TestCommands:
         config = load_config(json.dumps(IRREGULAR_SERIES))
         out = io.StringIO()
         assert run("verify", config, out) == 4
+
+    @pytest.mark.parametrize("kmin, kmax, matched", [
+        (1e9, 1e9 + 20.0, 13),
+        (1e12, 1e12 + 50.0, 34),
+    ], ids=["1e9", "1e12"])
+    def test_graph_verify_counts_at_high_k(self, tmp_path, capsys, kmin, kmax, matched):
+        # A graph is checked by its eigenphase count; the series scan exits
+        # 4 on both windows.
+        path = write_config(tmp_path, STAR3)
+        assert main(["verify", path, "--kmin", repr(kmin), "--kmax", repr(kmax)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["matched"], doc["missing"], doc["spurious"]) == (matched, [], [])
+
+    def test_graph_verify_planted_missing_root(self, monkeypatch):
+        import qgspectra.oracle as oracle_module
+        from qgspectra.solver import Spectrum
+
+        def dropping(chain, window):
+            return Spectrum(entries=descend(chain, window).entries[1:])
+
+        monkeypatch.setattr(oracle_module, "descend", dropping)
+        out = io.StringIO()
+        assert run("verify", load_config(json.dumps(STAR3)), out) == 4
+        doc = json.loads(out.getvalue())
+        assert len(doc["missing"]) == 1 and doc["spurious"] == []
 
     def test_sample_grid(self):
         config = load_config(json.dumps(IRREGULAR_SERIES))

@@ -187,6 +187,22 @@ class TestVertexScattering:
         assert np.max(np.abs(sigma @ sigma.conj().T - np.eye(degree))) <= 1e-12
 
 
+class TestTransferMatrix:
+    KS = np.array([0.0, 1e-9, 0.37, 12.5, 987.25, 1e6 + 0.3, 1e12 + 0.7])
+
+    def test_array_of_k_equals_scalar_calls(self, any_graph):
+        # A scalar call is the one-k formula D(k) Sigma, bit for bit.
+        n = 2 * len(any_graph.bonds)
+        sigma = bond_scattering_matrix(any_graph)
+        actions = np.repeat([b.action for b in any_graph.bonds], 2)
+        stack = transfer_matrix(any_graph, self.KS)
+        assert stack.shape == (self.KS.size, n, n)
+        for k, matrix in zip(self.KS, stack):
+            assert np.array_equal(matrix, transfer_matrix(any_graph, float(k)))
+            assert np.array_equal(matrix, np.exp(1j * actions * float(k))[:, None] * sigma)
+        assert np.array_equal(transfer_matrix(any_graph, self.KS.reshape(7, 1))[:, 0], stack)
+
+
 class TestGraphValidation:
     def test_duplicate_vertex_ids(self):
         with pytest.raises(ValidationError, match="unique"):
@@ -554,3 +570,8 @@ class TestRandomGraphs:
         # close root pairs of some of these graphs.
         report = verify_spectrum(expansion.series, (0.0, 30.0), oversampling=1000)
         assert report.clean, (graph, report)
+        # The eigenphase count of the graph needs no grid, at high k too.
+        for k_lo in (1e6, 1e10):
+            report = verify_spectrum(graph, (k_lo, k_lo + 10.0))
+            assert report.clean, (graph, k_lo, report)
+            assert report.max_deviation <= 1e-5

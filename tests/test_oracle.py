@@ -6,15 +6,24 @@ import numpy as np
 import pytest
 
 from qgspectra import (
+    BondSpec,
     EmptyWindow,
+    QuantumGraph,
     SizeCapExceeded,
+    VertexSpec,
     canonicalize,
+    descend,
     evaluate_array,
     scan_roots,
+    solve_graph,
     verify_spectrum,
 )
 from qgspectra.fuzz import random_series, standard_window
+from qgspectra.oracle import _cell_counts
 from qgspectra.series import evaluate
+from qgspectra.solver import Spectrum, SpectrumEntry
+
+from conftest import SOLVABLE_GRAPHS, make_star3
 
 
 class TestScanRoots:
@@ -146,3 +155,123 @@ class TestVerifySpectrum:
             report = verify_spectrum(series, standard_window(series, 30))
             assert report.clean, (report.missing, report.spurious)
             assert report.max_deviation <= 1e-8
+
+
+def batch_star() -> QuantumGraph:
+    """The README three-star with a delta vertex and a bond potential, as in
+    the CLI benchmark configs."""
+    return QuantumGraph(
+        vertices=(
+            VertexSpec(0, "kirchhoff"),
+            VertexSpec(1, "dirichlet"),
+            VertexSpec(2, "scaling_delta", 1.3),
+            VertexSpec(3, "dirichlet"),
+        ),
+        bonds=(BondSpec((0, 1), 1.0), BondSpec((0, 2), 0.71, 0.25), BondSpec((0, 3), 0.43)),
+    )
+
+
+def planted_descend(monkeypatch, change):
+    """Make ``verify_spectrum`` see the solver's entries passed through
+    ``change``, reindexed."""
+    import qgspectra.oracle as oracle_module
+
+    def faulty(chain, window):
+        entries = change(list(descend(chain, window).entries))
+        return Spectrum(entries=tuple(SpectrumEntry(i, *e[1:]) for i, e in enumerate(entries, 1)))
+
+    monkeypatch.setattr(oracle_module, "descend", faulty)
+
+
+class TestEigenphaseCount:
+    @pytest.mark.parametrize("name", sorted(SOLVABLE_GRAPHS))
+    def test_clean_on_solvable_graphs(self, name):
+        graph = SOLVABLE_GRAPHS[name]()
+        report = verify_spectrum(graph, (0.0, 120.0))
+        assert report.clean, (report.missing, report.spurious)
+        assert report.matched == len(solve_graph(graph, (0.0, 120.0))) > 30
+        assert report.max_deviation <= 1e-12
+
+    def test_clean_on_the_batch_star(self):
+        # The scan needs 1000 points per half-period on this window; the
+        # count needs no grid.
+        report = verify_spectrum(batch_star(), (0.0, 2500.0))
+        assert report.clean, (report.missing, report.spurious)
+        assert report.matched == len(solve_graph(batch_star(), (0.0, 2500.0))) > 1500
+        assert report.max_deviation <= 1e-11
+
+    @pytest.mark.parametrize("window, roots, deviation", [
+        ((1e9, 1e9 + 20.0), 13, 1e-6),
+        ((1e12, 1e12 + 50.0), 34, 1e-4),
+    ], ids=["1e9", "1e12"])
+    def test_high_k_windows(self, window, roots, deviation):
+        # The scan's midpoints are half a float spacing off here, beyond
+        # PAIRING_TOL: it reported 8/5/5 and 13/21/21 (matched, missing,
+        # spurious) on these windows.
+        report = verify_spectrum(make_star3(), window)
+        assert report.clean, (report.missing, report.spurious)
+        assert report.matched == roots
+        assert 0.0 < report.max_deviation <= deviation
+
+    def test_dropped_root_is_missing_in_its_cell(self, monkeypatch):
+        ks = solve_graph(make_star3(), (0.0, 30.0)).wavenumbers
+        planted_descend(monkeypatch, lambda entries: entries[:10] + entries[11:])
+        report = verify_spectrum(make_star3(), (0.0, 30.0))
+        assert not report.clean
+        assert report.spurious == ()
+        assert report.matched == len(ks) - 1
+        (missing,) = report.missing
+        # The dropped root's cell runs between the midpoints that the
+        # remaining roots around it cut.
+        rest = np.delete(ks, 10)
+        edges = 0.5 * (rest[1:] + rest[:-1])
+        assert np.searchsorted(edges, missing) == np.searchsorted(edges, ks[10])
+
+    def test_added_root_is_spurious(self, monkeypatch):
+        ks = solve_graph(make_star3(), (0.0, 30.0)).wavenumbers
+        extra = 0.5 * (ks[10] + ks[11])
+
+        def add(entries):
+            return entries[:11] + [SpectrumEntry(0, extra, extra * extra, 1e-12)] + entries[11:]
+
+        planted_descend(monkeypatch, add)
+        report = verify_spectrum(make_star3(), (0.0, 30.0))
+        assert report.missing == ()
+        assert report.spurious == (extra,)
+        assert report.matched == len(ks)
+
+    def test_empty_spectrum_reports_every_root_missing(self, monkeypatch):
+        ks = solve_graph(make_star3(), (0.0, 30.0)).wavenumbers
+        planted_descend(monkeypatch, lambda entries: [])
+        report = verify_spectrum(make_star3(), (0.0, 30.0))
+        assert report.matched == 0 and report.spurious == ()
+        assert len(report.missing) == len(ks)
+        assert 0.0 < min(report.missing) and max(report.missing) < 30.0
+
+    def test_count_off_an_integer_is_a_mismatch(self, monkeypatch):
+        # At k = 1e12 the counts are off an integer by up to 4e-5; below a
+        # tolerance of 1e-6 they confirm nothing.
+        import qgspectra.oracle as oracle_module
+
+        monkeypatch.setattr(oracle_module, "COUNT_TOL", 1e-6)
+        report = verify_spectrum(make_star3(), (1e12, 1e12 + 20.0))
+        assert report.max_deviation > 1e-6
+        assert 0 < len(report.spurious) == len(report.missing)
+        assert report.matched + len(report.spurious) == 14
+
+    def test_window_from_zero_skips_the_zero_eigenphase(self):
+        # Sigma has an eigenphase at 0, so a cell starting at k = 0 itself
+        # counts the k = 0 zero or not by the sign of rounding: on the
+        # three-star it counts 2 for one root.  verify starts at the
+        # solver's floor escape point instead.
+        graph = make_star3()
+        ks = solve_graph(graph, (0.0, 10.0)).wavenumbers
+        assert _cell_counts(graph, np.array([0.0, 0.5 * (ks[0] + ks[1])])) == pytest.approx([2.0])
+        report = verify_spectrum(graph, (0.0, 10.0))
+        assert report.clean and report.matched == len(ks)
+
+    def test_oversampling_is_checked_for_graphs(self):
+        with pytest.raises(ValueError, match="oversampling must be an integer >= 8"):
+            verify_spectrum(make_star3(), (0.0, 10.0), oversampling=4)
+        with pytest.raises(SizeCapExceeded, match=r"^window: \[0\.0, 10\.0\] "):
+            verify_spectrum(make_star3(), (0.0, 10.0), oversampling=10**8)
