@@ -26,7 +26,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, TextIO
 
 import numpy as np
@@ -289,13 +289,7 @@ def _write_verify(config: ConfigDoc, out: TextIO) -> int:
         margin=config.margin,
         oversampling=config.oversampling,
     )
-    doc = {
-        "matched": report.matched,
-        "missing": list(report.missing),
-        "spurious": list(report.spurious),
-        "max_deviation": report.max_deviation,
-    }
-    json.dump(doc, out, indent=2)
+    json.dump(asdict(report), out, indent=2)
     out.write("\n")
     return 0 if report.clean else 4
 
@@ -317,7 +311,7 @@ def _write_sample(config: ConfigDoc, out: TextIO) -> int:
 COMMANDS = {
     "solve": ("eigenvalue table as CSV", _write_solve),
     "series": ("canonical secular series as a reusable JSON config", _write_series),
-    "verify": ("diff the solver against the dense-scan oracle", _write_verify),
+    "verify": ("diff the solver against eigenphase counts (graph) or the dense scan (series)", _write_verify),
     "sample": ("derivative-level values on a uniform grid as CSV", _write_sample),
 }
 
@@ -370,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--oversampling",
             type=int,
             default=None,
-            help="override options.oversampling (also sets the sample grid density)",
+            help="override options.oversampling (the scan density of a series verify; also sets the sample grid density)",
         )
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
     return parser

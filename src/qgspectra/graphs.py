@@ -232,24 +232,18 @@ def bond_scattering_matrix(graph: QuantumGraph) -> np.ndarray:
     """The 2B x 2B unitary map from incoming to outgoing directed bonds.
 
     Directed bond 2b runs from endpoints[0] to endpoints[1] of bond b, and
-    2b+1 runs back.  Entry [i, j] is the amplitude for leaving vertex
-    head(j) = tail(i) along i after arriving along j.
+    2b+1 runs back, so head(j) = tail(j ^ 1).  Entry [i, j] is the
+    amplitude for leaving vertex head(j) = tail(i) along i after arriving
+    along j: the entry of the vertex matrix c J - I, that is c - 1 on the
+    way back (i = j ^ 1) and c otherwise, with c the ``vertex_coupling`` of
+    tail(i).  Entries between bonds that do not meet are 0.
     """
-    n = 2 * len(graph.bonds)
-    tails: dict[int, list[int]] = {v.id: [] for v in graph.vertices}
-    for bi, b in enumerate(graph.bonds):
-        u, w = b.endpoints
-        tails[u].append(2 * bi)
-        tails[w].append(2 * bi + 1)
-
-    sigma = np.zeros((n, n), dtype=complex)
-    for v in graph.vertices:
-        outgoing = tails[v.id]
-        local = vertex_scattering(v, len(outgoing))
-        for pi, i in enumerate(outgoing):
-            for pj, rev_j in enumerate(outgoing):
-                sigma[i, rev_j ^ 1] = local[pi, pj]
-    return sigma
+    index = {v.id: n for n, v in enumerate(graph.vertices)}
+    coupling = np.array([vertex_coupling(v, graph.degree(v.id)) for v in graph.vertices], dtype=complex)
+    tail = np.array([index[e] for b in graph.bonds for e in b.endpoints])
+    back = np.arange(tail.size) ^ 1
+    meets = tail[:, None] == tail[back]
+    return np.where(meets, coupling[tail, None] - (back[:, None] == np.arange(tail.size)), 0)
 
 
 # Grid nodes of an axis as z_b and w_b = z_b^2.  A three-point axis takes
@@ -358,7 +352,9 @@ def transfer_matrix(graph: QuantumGraph, k) -> np.ndarray:
     """The unitary bond map U(k) = D(k) Sigma, one 2B x 2B matrix per
     wavenumber: a float ``k`` gives one matrix, an array of k a stack of
     them with the array's shape in front.  Its eigenphases rise with k, and
-    their wrapped sum gives the eigenphase count of ``oracle.verify_spectrum``.
+    their wrapped sum gives the eigenphase count of ``oracle.verify_spectrum``,
+    which starts at ``solver.POSITIVE_FLOOR``: an eigenphase at 0 for k = 0
+    has risen clear of rounding there.
     """
     sigma = bond_scattering_matrix(graph)
     phases = np.exp(1j * np.repeat([b.action for b in graph.bonds], 2) * np.asarray(k)[..., None])

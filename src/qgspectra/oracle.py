@@ -6,7 +6,9 @@ of roots in (a, b] is (2 S0 (b - a) + W(a) - W(b)) / 2 pi, with W the sum
 of the eigenphases wrapped into [0, 2 pi) (Kottos and Smilansky, Ann.
 Phys. 274, 76 (1999)).  The solver's roots cut the window into cells, one
 root each, and each cell is counted from two eigendecompositions: no grid,
-no pairing tolerance, and none of the secular series' construction.
+no pairing tolerance, and none of the secular series' construction.  The
+count starts at ``POSITIVE_FLOOR``, where an eigenphase that sits at 0 for
+k = 0 has already risen clear of rounding.
 
 A bare series has no Sigma.  Its scan samples the series far above its
 fastest oscillation (the leading action sets the highest frequency) and
@@ -97,18 +99,6 @@ def uniform_grid(series: SpectralSeries, lo: float, hi: float, per_half_period: 
     return np.linspace(lo, hi, max(1, math.ceil(cells)) + 1)
 
 
-def _above_floor(series: SpectralSeries, lo: float) -> float:
-    """``lo``, or, when it is at ``POSITIVE_FLOOR``, the solver's escape
-    point off the systematic k = 0 zero, where the series is in float noise
-    and U(k) has an eigenphase at 0 that may wrap either way."""
-    if lo <= POSITIVE_FLOOR:
-        try:
-            return _floor_escape(series, lo, lo + 0.25 * math.pi / series.leading_action)
-        except DegenerateSpectrum:
-            pass
-    return lo
-
-
 def scan_roots(
     series: SpectralSeries,
     window: tuple[float, float],
@@ -120,15 +110,22 @@ def scan_roots(
     the cap, quoting the window as given.  The grid is ``uniform_grid``
     with ``oversampling`` points per half-period of the fastest cosine,
     over the window padded by ``SCAN_WIDTH * max(1, |k|)`` on each side, at
-    least one final bracket width.  Sign changes are bisected to width
-    ``SCAN_WIDTH`` or to adjacent floats, and the midpoints of the brackets
-    that meet the window are returned, sorted.
+    least one final bracket width; when the padding reaches
+    ``POSITIVE_FLOOR`` the grid starts at the solver's escape point off the
+    systematic k = 0 zero, where the series is in float noise.  Sign
+    changes are bisected to width ``SCAN_WIDTH`` or to adjacent floats, and
+    the midpoints of the brackets that meet the window are returned,
+    sorted.
     """
     k_lo, k_hi = _checked_window(window)
     _grid_cells(series, k_lo, k_hi, oversampling)
     lo = max(k_lo - SCAN_WIDTH * max(1.0, k_lo), POSITIVE_FLOOR)
     hi = k_hi + SCAN_WIDTH * max(1.0, k_hi)
-    lo = _above_floor(series, lo)
+    if lo == POSITIVE_FLOOR:
+        try:
+            lo = _floor_escape(series, lo, lo + 0.25 * math.pi / series.leading_action)
+        except DegenerateSpectrum:
+            pass
     if hi <= lo:
         return np.empty(0)
     ks = uniform_grid(series, lo, hi, oversampling)
@@ -174,23 +171,22 @@ def _cell_counts(graph: QuantumGraph, edges: np.ndarray) -> np.ndarray:
     return (2 * s0 * np.diff(edges) + sums[:-1] - sums[1:]) / (2 * math.pi)
 
 
-def _count_diff(
-    graph: QuantumGraph, series: SpectralSeries, spectrum: Spectrum, k_lo: float, k_hi: float
-) -> VerificationReport:
+def _count_diff(graph: QuantumGraph, spectrum: Spectrum, k_lo: float, k_hi: float) -> VerificationReport:
     """The solver's roots against one eigenphase count per cell.
 
     The cells are cut at the midpoints between consecutive roots; the outer
-    edges are ``k_lo`` (the floor escape point when the window starts at
-    the floor) and ``k_hi``, widened to cover the first and last certified
-    intervals.  A cell holds one solver root, or none when the solver found
-    none.  A root whose cell counts 0 is spurious; each root counted beyond
-    the cell's own adds a missing entry, a wavenumber spaced evenly inside
-    the cell; a count farther than ``COUNT_TOL`` from an integer confirms
-    nothing, so its cell's root is spurious and its midpoint missing.
+    edges are ``k_lo``, raised to ``POSITIVE_FLOOR``, and ``k_hi``, widened
+    to cover the first and last certified intervals.  Every eigenphase of U
+    rises with k, so one that sits at 0 for k = 0 is about S0 * 1e-9 above
+    0 at the floor, far clear of the rounding that would wrap it.  A cell
+    holds one solver root, or none when the solver found none.  A root
+    whose cell counts 0 is spurious; each root counted beyond the cell's
+    own adds a missing entry, a wavenumber spaced evenly inside the cell; a
+    count farther than ``COUNT_TOL`` from an integer confirms nothing, so
+    its cell's root is spurious and its midpoint missing.
     """
     ks = spectrum.wavenumbers
-    # An escape point beyond the window leaves one empty cell, counting 0.
-    lo = min(_above_floor(series, max(k_lo, POSITIVE_FLOOR)), k_hi)
+    lo = min(max(k_lo, POSITIVE_FLOOR), k_hi)
     edges = np.concatenate(([lo], 0.5 * (ks[1:] + ks[:-1]), [k_hi]))
     if ks.size:
         edges[0] = min(edges[0], ks[0] - spectrum.entries[0].enclosure)
@@ -235,19 +231,19 @@ def verify_spectrum(
     half-period, greedily in sorted order within ``PAIRING_TOL``; any
     unpaired root on either side is reported, and ``max_deviation`` is the
     largest distance of a pair.  An empty diff certifies the solver output
-    on this instance.  An oversampling other than an integer >= 8 and a scan
-    grid over the cap are refused for both, quoting the window as given,
-    before the descent runs.
+    on this instance.  A graph builds no grid and ignores ``oversampling``;
+    for a series, an oversampling other than an integer >= 8 and a scan
+    grid over the cap are refused, quoting the window as given, before the
+    descent runs.
     """
-    graph = model if isinstance(model, QuantumGraph) else None
-    series = model if graph is None else secular_series(graph)
     k_lo, k_hi = _checked_window(window)
-    _grid_cells(series, k_lo, k_hi, oversampling)
-    spectrum = descend(build_chain(series, margin), window)
-    if graph is not None:
-        return _count_diff(graph, series, spectrum, k_lo, k_hi)
+    if isinstance(model, QuantumGraph):
+        spectrum = descend(build_chain(secular_series(model), margin), window)
+        return _count_diff(model, spectrum, k_lo, k_hi)
+    _grid_cells(model, k_lo, k_hi, oversampling)
+    spectrum = descend(build_chain(model, margin), window)
     solver_ks = spectrum.wavenumbers
-    oracle_ks = scan_roots(series, window, oversampling)
+    oracle_ks = scan_roots(model, window, oversampling)
 
     matched = 0
     max_dev = 0.0

@@ -245,6 +245,19 @@ class TestCommands:
         doc = json.loads(out.getvalue())
         assert len(doc["missing"]) == 1 and doc["spurious"] == []
 
+    def test_series_verify_planted_missing_root(self, monkeypatch):
+        import qgspectra.oracle as oracle_module
+        from qgspectra.solver import Spectrum
+
+        def dropping(chain, window):
+            return Spectrum(entries=descend(chain, window).entries[1:])
+
+        monkeypatch.setattr(oracle_module, "descend", dropping)
+        out = io.StringIO()
+        assert run("verify", load_config(json.dumps(IRREGULAR_SERIES)), out) == 4
+        doc = json.loads(out.getvalue())
+        assert len(doc["missing"]) == 1 and doc["spurious"] == []
+
     def test_sample_grid(self):
         config = load_config(json.dumps(IRREGULAR_SERIES))
         out = io.StringIO()
@@ -470,15 +483,21 @@ class TestMain:
         assert err.count("\n") == 1 and err.startswith(f"error: window: {quoted} ") and reason in err
 
     def test_verify_scan_grid_cap_before_the_descent(self, tmp_path, capsys, monkeypatch):
-        # 10**8 scan points per half-period of (0, 1e4]: 3.2e11 cells, refused
-        # quoting the window as given, as sample does, and before any descent.
+        # 10**8 scan points per half-period of (0, 1e4]: 3.2e11 cells.  A
+        # series config is refused quoting the window as given, as sample
+        # does, and before any descent; a graph config builds no grid.
         import qgspectra.oracle as oracle_module
+
+        window = {"kmin": 0.0, "kmax": 1e4}
+        graph = write_config(tmp_path, dict(BOND_DD, window=window), "graph.json")
+        assert main(["verify", graph, "--oversampling", str(10**8)]) == 0
+        assert json.loads(capsys.readouterr().out)["matched"] == 3183
 
         def refused(chain, window):
             raise AssertionError("verify descended before checking its scan grid")
 
         monkeypatch.setattr(oracle_module, "descend", refused)
-        doc = dict(BOND_DD, window={"kmin": 0.0, "kmax": 1e4})
+        doc = dict(IRREGULAR_SERIES, window=window)
         assert main(["verify", write_config(tmp_path, doc), "--oversampling", str(10**8)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: window: [0.0, 10000.0] takes a grid of ") and "above the cap" in err
@@ -586,7 +605,7 @@ HUGE_INT_FIELDS = [
 # Name, config (a document or raw text), the commands it reaches, and the
 # start of the error line each must print.
 BAD_INPUTS = [
-    ("oversampling-1e12", with_field(BOND_DD, ["options"], {"oversampling": 10**12}),
+    ("oversampling-1e12", with_field(SERIES_03, ["options"], {"oversampling": 10**12}),
      ("sample", "verify"), "error: window: "),
     ("s0-1e308-on-1e-300", {"series": {"s0": 1e308, "phi0": 0.0, "terms": []},
                             "window": {"kmin": 0.0, "kmax": 1e-300}},
@@ -602,6 +621,13 @@ BAD_INPUTS = [
      ALL_COMMANDS, "error: graph.vertices[0].id: "),
     ("length-str", with_field(BOND_DD, ["graph", "bonds", 0, "length"], "1.0"),
      ALL_COMMANDS, "error: graph.bonds[0].length: "),
+    ("top-level-list", "[]", ALL_COMMANDS, "error: top level: must be a JSON object"),
+    ("graph-list", with_field(BOND_DD, ["graph"], []), ALL_COMMANDS, "error: graph: must be an object"),
+    ("vertex-int", with_field(BOND_DD, ["graph", "vertices", 0], 7),
+     ALL_COMMANDS, "error: graph.vertices[0]: must be an object"),
+    ("series-list", with_field(SERIES_03, ["series"], []), ALL_COMMANDS, "error: series: must be an object"),
+    ("terms-object", with_field(SERIES_03, ["series", "terms"], {}),
+     ALL_COMMANDS, "error: series.terms: list of [action, amplitude, phase] triples required"),
 ] + [
     (f"401-digits-{anchor}", with_field(doc, path, 10**400), ALL_COMMANDS, f"error: {anchor}: ")
     for doc, path, anchor in HUGE_INT_FIELDS

@@ -21,7 +21,7 @@ from qgspectra import (
 from qgspectra.fuzz import random_series, standard_window
 from qgspectra.oracle import _cell_counts
 from qgspectra.series import evaluate
-from qgspectra.solver import Spectrum, SpectrumEntry
+from qgspectra.solver import POSITIVE_FLOOR, Spectrum, SpectrumEntry
 
 from conftest import SOLVABLE_GRAPHS, make_star3
 
@@ -183,6 +183,51 @@ def planted_descend(monkeypatch, change):
     monkeypatch.setattr(oracle_module, "descend", faulty)
 
 
+class TestSeriesPairing:
+    """Faults planted in the descent of cos k - 1.2 cos 0.6k over (0, 100],
+    which has 19 roots, against the scan's pairing."""
+
+    SERIES = canonicalize(1.0, 0.0, [(0.6, 1.2, 0.0)])  # terms are subtracted
+    WINDOW = (0.0, 100.0)
+
+    def scan(self):
+        roots = scan_roots(self.SERIES, self.WINDOW)
+        assert roots.size == 19
+        return roots
+
+    def test_dropped_root_is_missing(self, monkeypatch):
+        roots = self.scan()
+        planted_descend(monkeypatch, lambda entries: entries[:9] + entries[10:])
+        report = verify_spectrum(self.SERIES, self.WINDOW)
+        assert report.missing == (roots[9],)
+        assert report.spurious == ()
+        assert report.matched == 18
+
+    def test_inserted_root_is_spurious(self, monkeypatch):
+        roots = self.scan()
+        extra = 0.5 * (roots[9] + roots[10])
+        planted_descend(
+            monkeypatch, lambda entries: entries[:10] + [entries[9]._replace(wavenumber=extra)] + entries[10:]
+        )
+        report = verify_spectrum(self.SERIES, self.WINDOW)
+        assert report.spurious == (extra,)
+        assert report.missing == ()
+        assert report.matched == 19
+
+    def test_shifted_root_is_spurious_and_the_true_one_missing(self, monkeypatch):
+        roots = self.scan()
+
+        def shift(entries):
+            return entries[:9] + [entries[9]._replace(wavenumber=entries[9].wavenumber + 1e-6)] + entries[10:]
+
+        planted_descend(monkeypatch, shift)
+        report = verify_spectrum(self.SERIES, self.WINDOW)
+        (spurious,) = report.spurious
+        assert spurious - roots[9] == pytest.approx(1e-6, abs=1e-9)
+        assert report.missing == (roots[9],)
+        assert report.matched == 18
+
+
 class TestEigenphaseCount:
     @pytest.mark.parametrize("name", sorted(SOLVABLE_GRAPHS))
     def test_clean_on_solvable_graphs(self, name):
@@ -262,16 +307,28 @@ class TestEigenphaseCount:
     def test_window_from_zero_skips_the_zero_eigenphase(self):
         # Sigma has an eigenphase at 0, so a cell starting at k = 0 itself
         # counts the k = 0 zero or not by the sign of rounding: on the
-        # three-star it counts 2 for one root.  verify starts at the
-        # solver's floor escape point instead.
+        # three-star it counts 2 for one root.  verify starts at
+        # POSITIVE_FLOOR instead, where every eigenphase has risen with k
+        # and the one from 0 sits about S0 * 1e-9 above it, clear of rounding.
         graph = make_star3()
         ks = solve_graph(graph, (0.0, 10.0)).wavenumbers
         assert _cell_counts(graph, np.array([0.0, 0.5 * (ks[0] + ks[1])])) == pytest.approx([2.0])
+        assert _cell_counts(graph, np.array([POSITIVE_FLOOR, 0.5 * (ks[0] + ks[1])])) == pytest.approx([1.0])
         report = verify_spectrum(graph, (0.0, 10.0))
         assert report.clean and report.matched == len(ks)
 
-    def test_oversampling_is_checked_for_graphs(self):
-        with pytest.raises(ValueError, match="oversampling must be an integer >= 8"):
-            verify_spectrum(make_star3(), (0.0, 10.0), oversampling=4)
-        with pytest.raises(SizeCapExceeded, match=r"^window: \[0\.0, 10\.0\] "):
-            verify_spectrum(make_star3(), (0.0, 10.0), oversampling=10**8)
+    def test_oversampling_is_ignored_for_graphs(self, monkeypatch):
+        # A graph builds no scan grid, so a density whose grid would be over
+        # the cap, or one the scan would refuse, changes nothing.
+        import qgspectra.oracle as oracle_module
+
+        expected = verify_spectrum(make_star3(), (0.0, 10.0))
+
+        def no_grid(*args):
+            raise AssertionError("a graph verify built a scan grid")
+
+        monkeypatch.setattr(oracle_module, "_grid_cells", no_grid)
+        monkeypatch.setattr(oracle_module, "scan_roots", no_grid)
+        for oversampling in (10**8, 4):
+            report = verify_spectrum(make_star3(), (0.0, 10.0), oversampling=oversampling)
+            assert report.clean and report == expected

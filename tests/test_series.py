@@ -75,6 +75,16 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize(1.0, 0.0, [(-0.1, 0.5, 0.0)])
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf])
+    def test_non_finite_leading_phase_rejected(self, phase):
+        with pytest.raises(ValueError, match="leading phase must be finite"):
+            canonicalize(1.0, phase)
+
+    @pytest.mark.parametrize("term", [(math.nan, 0.5, 0.0), (0.5, math.inf, 0.0), (0.5, 0.5, -math.inf)])
+    def test_non_finite_term_field_rejected(self, term):
+        with pytest.raises(ValueError, match="has a non-finite field"):
+            canonicalize(1.0, 0.0, [term])
+
     def test_zero_amplitude_dropped(self):
         s = canonicalize(1.0, 0.0, [(0.5, 1e-15, 0.0), (0.3, 0.0, 1.0)])
         assert s.terms == ()
