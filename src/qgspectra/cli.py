@@ -37,6 +37,7 @@ from .errors import (
     NotRegular,
     ParseError,
     RealificationFailure,
+    SizeCapExceeded,
     SpectralError,
     ValidationError,
 )
@@ -50,13 +51,13 @@ from .series import (
     is_finite_real,
     regularity_sum,
 )
-from .solver import build_chain, descend, regularization_order
+from .solver import MAX_GRID_CELLS, build_chain, descend, regularization_order
 
 _BC_MAP = {"dirichlet": "dirichlet", "kirchhoff": "kirchhoff", "delta": "scaling_delta"}
 _SAMPLE_POINTS_PER_HALF_PERIOD = 20
 EXIT_BROKEN_PIPE = 141
-# Rows formatted per write, which bounds the memory of the CSV writers.
-_WRITE_BLOCK = 4096
+# Values formatted per write, which bounds the memory of the CSV writers.
+_WRITE_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -238,12 +239,14 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
 
 
 def _write_rows(out: TextIO, template: str, rows) -> None:
-    """Write ``template % row`` for every row, at most ``_WRITE_BLOCK`` rows
-    per write, each block formatted by one ``%`` over its flattened values.
-    ``%.17g`` prints a float exactly as ``format(x, ".17g")`` does.
+    """Write ``template % row`` for every row, at most ``_WRITE_BLOCK``
+    values and at least one row per write, each block formatted by one
+    ``%`` over its flattened values.  ``%.17g`` prints a float exactly as
+    ``format(x, ".17g")`` does.
     """
-    for start in range(0, len(rows), _WRITE_BLOCK):
-        block = rows[start:start + _WRITE_BLOCK]
+    step = max(1, _WRITE_BLOCK // template.count("%"))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
         if isinstance(block, np.ndarray):
             values = tuple(block.ravel().tolist())
         else:
@@ -298,6 +301,12 @@ def _write_sample(config: ConfigDoc, out: TextIO) -> int:
     chain = build_chain(config.secular(), config.margin)
     points = config.given_oversampling or _SAMPLE_POINTS_PER_HALF_PERIOD
     ks = uniform_grid(chain.series, *config.window, points)
+    # The table may hold as many bytes as a solve at the grid cap.
+    if 8 * ks.size * (chain.order + 2) > 400 * MAX_GRID_CELLS:
+        raise SizeCapExceeded(
+            f"window: [{config.window[0]!r}, {config.window[1]!r}] takes a sample table of "
+            f"{ks.size} x {chain.order + 2} values, above the {400 * MAX_GRID_CELLS:.3g}-byte cap"
+        )
     table = np.empty((ks.size, chain.order + 2))
     table[:, 0] = ks
     for m in range(chain.order + 1):

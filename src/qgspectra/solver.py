@@ -32,12 +32,17 @@ bound by ``ENDPOINT_TOL``, and evaluates the series at every other
 separator and at the edges.
 
 Every level runs between the same two edges, the window padded by M + 1
-leading cells (the lower edge clamped at ``POSITIVE_FLOOR`` and, there,
-climbed off the systematic zero at k = 0).  The edges are arbitrary
-points: an edge value at noise level counts as positive, since a wrong
-edge sign can only change the roots of the edge cells, and each level
-spreads that at most one cell further inward, inside the padding.  A
-level-0 root is reported when its certified interval meets the window.
+leading cells.  A lower edge clamped at ``POSITIVE_FLOOR`` is climbed off
+the systematic zero at k = 0 once, for level 0, to where the oracle's scan
+starts.  That edge serves every level: level m + 1 is the slope of level m
+over s0, so where level m has a zero of order p at k = 0, level m + 1 is
+about p / (s0 k) times as large, and the climb stops within a quarter
+leading cell (s0 k <= pi / 4).  Where level 0 clears ``ENDPOINT_TOL``,
+every level above clears it by more.  The edges are arbitrary points: an
+edge value at noise level counts as positive, since a wrong edge sign can
+only change the roots of the edge cells, and each level spreads that at
+most one cell further inward, inside the padding.  A level-0 root is
+reported when its certified interval meets the window.
 """
 
 from __future__ import annotations
@@ -486,26 +491,22 @@ def _probe_pair(
     return a, b, lo_left & ~hi_left
 
 
-def _floor_escape(series: SpectralSeries, start: float, cap: float, level: int = 0) -> float:
-    """First point of a geometric climb from ``start`` whose value at level
-    ``level`` is resolvable.
+def _floor_escape(series: SpectralSeries, start: float, cap: float) -> float:
+    """First point of a geometric climb from ``start`` whose value is resolvable.
 
     Near k = 0 a series with an even symmetry (every secular series of a
     graph with real couplings, for instance) has a systematic zero whose
     true value sits below double-precision noise, so points there carry no
     usable sign.  Both the solver and the dense-scan oracle skip that
     region through this one helper, which keeps their window semantics
-    identical.  The climb multiplies by 4 up to ``cap`` and returns its first
-    point whose value exceeds ``ENDPOINT_TOL``.  ``start`` is most often
-    resolvable, so it is evaluated alone; the rest of the climb, in one call.
+    identical.  The climb ``start, 4 start, ...`` up to ``cap`` is evaluated
+    in one call, and its first point whose value exceeds ``ENDPOINT_TOL``
+    is returned.
     """
-    if abs(evaluate_array(series, np.array([start]), level)[0]) > ENDPOINT_TOL:
-        return start
-    climb, x = [], start
-    while x < cap:
-        x = min(x * 4.0, cap)
-        climb.append(x)
-    values = evaluate_array(series, np.array(climb), level)
+    climb = [start]
+    while climb[-1] < cap:
+        climb.append(min(climb[-1] * 4.0, cap))
+    values = evaluate_array(series, np.array(climb))
     resolvable = np.flatnonzero(np.abs(values) > ENDPOINT_TOL)
     if resolvable.size == 0:
         raise DegenerateSpectrum(f"series is numerically zero on [{start:g}, {cap:g}]")
@@ -588,16 +589,10 @@ def descend_with_trace(
         raise SizeCapExceeded(quoted) from None
     known = np.full(roots.size, np.nan)  # the grid's values are evaluated
     level_roots: list[np.ndarray] = []  # top level first
-    # Each level is the derivative of the level below, so a systematic zero
-    # at k = 0 is one order deeper a level down: a separator level's floor
-    # climb starts where the last climb escaped.  Level 0 starts at the
-    # floor, as the oracle's scan does.
-    climbed = lo_pad
+    lo_edge = lo_pad
+    if lo_pad == POSITIVE_FLOOR:  # level 0's climb, where the oracle's scan starts
+        lo_edge = _floor_escape(series, lo_pad, lo_pad + 0.25 * cell)
     for m in range(top, -1, -1):
-        lo_edge = lo_pad
-        if lo_pad == POSITIVE_FLOOR:
-            start = climbed if m else lo_pad
-            lo_edge = climbed = _floor_escape(series, start, lo_pad + 0.25 * cell, m)
         inside = (roots > lo_edge + width_tol) & (roots < hi_pad - width_tol)
         bounds = np.concatenate(([lo_edge], roots[inside], [hi_pad]))
         values = np.concatenate(([np.nan], known[inside], [np.nan]))

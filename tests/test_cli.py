@@ -518,6 +518,31 @@ class TestMain:
         assert main(["sample", path]) == 2
         assert "above the cap of 200" in capsys.readouterr().err
 
+    DEEP_SERIES = {"s0": 1.0, "phi0": 0.0, "terms": [[0.99999, 2.0, 0.0]]}  # M = 69,315
+
+    def test_sample_table_cap(self, tmp_path, capsys, monkeypatch):
+        # 63,663 rows of 69,317 values are 35 GB: refused before the table
+        # is evaluated, quoting the window as given.
+        import qgspectra.cli as cli_module
+
+        def refused(*args):
+            raise AssertionError("sample evaluated a table over the cap")
+
+        doc = {"series": self.DEEP_SERIES, "window": {"kmin": 0.0, "kmax": 1e4}}
+        path = write_config(tmp_path, doc)
+        monkeypatch.setattr(cli_module, "evaluate_array", refused)
+        assert main(["sample", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window: [0.0, 10000.0] takes a sample table of 63663 x 69317 values")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        monkeypatch.undo()
+        # 8 rows of 69,317 values are below the cap.
+        doc["window"]["kmax"] = 1.0
+        assert main(["sample", write_config(tmp_path, doc)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 8
+        assert {line.count(",") + 1 for line in lines} == {69_317}
+
     def test_other_library_errors_exit_2(self, tmp_path, capsys, monkeypatch):
         # Config validation keeps an empty window from reaching the solver,
         # but any SpectralError the library raises must still map to exit 2.
@@ -628,6 +653,8 @@ BAD_INPUTS = [
     ("series-list", with_field(SERIES_03, ["series"], []), ALL_COMMANDS, "error: series: must be an object"),
     ("terms-object", with_field(SERIES_03, ["series", "terms"], {}),
      ALL_COMMANDS, "error: series.terms: list of [action, amplitude, phase] triples required"),
+    ("empty-graph", with_field(with_field(BOND_DD, ["graph", "vertices"], []), ["graph", "bonds"], []),
+     ALL_COMMANDS, ("error: graph.vertices: at least one vertex", "error: graph.bonds: at least one bond")),
 ] + [
     (f"401-digits-{anchor}", with_field(doc, path, 10**400), ALL_COMMANDS, f"error: {anchor}: ")
     for doc, path, anchor in HUGE_INT_FIELDS
@@ -646,7 +673,8 @@ def test_bad_input_exit_2(tmp_path, capsys, config, command, first):
     err = capsys.readouterr().err
     lines = err.splitlines()
     assert lines and all(line.startswith("error: ") for line in lines), err
-    assert any(line.startswith(first) for line in lines), err
+    for prefix in (first,) if isinstance(first, str) else first:
+        assert any(line.startswith(prefix) for line in lines), err
     assert "Traceback" not in err
 
 

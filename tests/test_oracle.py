@@ -7,6 +7,7 @@ import pytest
 
 from qgspectra import (
     BondSpec,
+    DegenerateSpectrum,
     EmptyWindow,
     QuantumGraph,
     SizeCapExceeded,
@@ -83,6 +84,35 @@ class TestScanRoots:
         assert scan_roots(series, (0.0, math.pi / 2 - 1.3e-12)).size == 0
         assert scan_roots(series, (math.pi / 2 + 1.3e-12, 4.0)).size == 0
         assert scan_roots(series, (1.0, 2.0)).size == 1
+
+    def test_grid_point_on_a_root_is_nudged(self, monkeypatch):
+        # cos k - cos(k/2 + 1) is exactly 0.0 at k = 2.0, a point of this grid.
+        import qgspectra.oracle as oracle_module
+
+        series = canonicalize(1.0, 0.0, [(0.5, 1.0, 1.0)])
+        assert evaluate_array(series, np.array([2.0]))[0] == 0.0
+        monkeypatch.setattr(oracle_module, "uniform_grid", lambda *a: np.linspace(1.0, 3.0, 21))
+        roots = scan_roots(series, (1.0, 3.0))
+        assert roots.size == 1 and roots[0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_failed_floor_climb_scans_from_the_floor(self, monkeypatch):
+        # cos k - 0.5 cos(k/2) is resolvable at the floor, where the scan
+        # starts whether or not the climb succeeds.
+        import qgspectra.oracle as oracle_module
+
+        series = canonicalize(1.0, 0.0, [(0.5, 0.5, 0.0)])
+        want = scan_roots(series, (0.0, 20.0))
+
+        def degenerate(*args):
+            raise DegenerateSpectrum("numerically zero")
+
+        monkeypatch.setattr(oracle_module, "_floor_escape", degenerate)
+        assert want.size == 6
+        assert np.array_equal(scan_roots(series, (0.0, 20.0)), want)
+
+    def test_window_below_the_floor_is_empty(self):
+        series = canonicalize(1.0, 0.0, [(0.5, 0.5, 0.0)])
+        assert scan_roots(series, (0.0, 1e-10)).size == 0
 
     def test_roots_are_roots(self):
         rng = np.random.default_rng(41)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qgspectra import solver
+from qgspectra import oracle, solver
 from qgspectra import (
     DegenerateSpectrum,
     EmptyWindow,
@@ -43,6 +43,7 @@ from conftest import (
     make_wheel5,
     model_separator_values,
 )
+from test_acceptance import FUZZ_SEED
 from test_series import bond_graphs
 
 
@@ -67,6 +68,7 @@ class TestBaseSeparators:
         s = canonicalize(1.0, 0.0)
         seps = base_separators(s, 0.0, 10.0)
         assert np.allclose(seps, [0.0, math.pi, 2 * math.pi, 3 * math.pi], atol=1e-12)
+        assert base_separators(s, 0.1, 0.2).size == 0  # between two extrema
 
     def test_scaled_shifted_grid(self):
         s = canonicalize(2.0, math.pi / 2)
@@ -686,11 +688,11 @@ class TestSolveGraph:
         assert report.max_deviation <= 1e-8
 
 
-def sequential_floor_escape(series, start, cap, level=0, climbs=None):
+def sequential_floor_escape(series, start, cap, climbs=None):
     """Reference floor climb: the candidates of ``solver._floor_escape``
     tried one evaluation at a time, stopping at the first resolvable one."""
     x = start
-    while abs(float(evaluate_array(series, np.array([x]), level)[0])) <= solver.ENDPOINT_TOL:
+    while abs(float(evaluate_array(series, np.array([x]))[0])) <= solver.ENDPOINT_TOL:
         if x >= cap:
             raise DegenerateSpectrum("zero on the climb")
         x = min(x * 4.0, cap)
@@ -743,19 +745,89 @@ class TestEdgeClimb:
         with pytest.raises(DegenerateSpectrum):
             solver._floor_escape(series, start, start)
 
-    def test_resolvable_floor_costs_one_point(self, monkeypatch):
-        # cos k - 0.5 cos(k/2) is 0.5 at k = 0: the climb stops at its start.
-        series = canonicalize(1.0, 0.0, [(0.5, 0.5, 0.0)])
-        points = []
+    @pytest.mark.parametrize("amplitude", [0.5, 1.0], ids=["resolvable", "double-zero"])
+    def test_climb_is_one_call(self, monkeypatch, amplitude):
+        # cos k - 0.5 cos(k/2) is 0.5 at k = 0, so the climb stops at its
+        # start; cos k - cos(k/2) climbs.  Either way one call evaluates the
+        # whole climb, start first.
+        series = canonicalize(1.0, 0.0, [(0.5, amplitude, 0.0)])
+        calls = []
 
         def counting(s, ks, level=0):
-            points.append(np.size(ks))
+            calls.append(np.array(ks))
             return evaluate_array(s, ks, level)
 
         monkeypatch.setattr(solver, "evaluate_array", counting)
         start = solver.POSITIVE_FLOOR
-        assert solver._floor_escape(series, start, start + 0.25 * math.pi) == start
-        assert points == [1]
+        cap = start + 0.25 * math.pi
+        edge = solver._floor_escape(series, start, cap)
+        assert (edge == start) == (amplitude == 0.5)
+        [climb] = calls
+        assert climb[0] == start and climb[-1] == cap
+        assert np.array_equal(climb[1:-1], start * 4.0 ** np.arange(1, climb.size - 1))
+        assert edge in climb
+
+    @staticmethod
+    def shared_edge(series):
+        """Level 0's escape off the floor: where ``scan_roots`` starts."""
+        start = solver.POSITIVE_FLOOR
+        return solver._floor_escape(series, start, start + 0.25 * math.pi / series.leading_action)
+
+    @pytest.mark.parametrize("case", ["star8", "fuzz"])
+    def test_every_level_starts_at_the_shared_edge(self, monkeypatch, case):
+        if case == "star8":
+            series, window = secular_series(dirichlet_star(STAR_LENGTHS)), (0.0, 100.0)
+        else:
+            rng = np.random.default_rng(FUZZ_SEED)
+            series = [random_series(rng) for _ in range(8)][-1]  # criterion 5's eighth, M = 3 or more
+            window = standard_window(series, 50)
+        chain = build_chain(series)
+        assert chain.order >= 3
+        edge = self.shared_edge(series)
+        assert edge > solver.POSITIVE_FLOOR if case == "star8" else edge == solver.POSITIVE_FLOOR
+        scan_starts = []
+        uniform_grid = oracle.uniform_grid
+        monkeypatch.setattr(
+            oracle, "uniform_grid", lambda s, lo, *a: scan_starts.append(lo) or uniform_grid(s, lo, *a)
+        )
+        scan_roots(series, window)
+        assert scan_starts == [edge]
+        lower = []
+        level_pass = solver._level_pass
+
+        def recording(s, bounds, *args, **kwargs):
+            lower.append(bounds[0])
+            return level_pass(s, bounds, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_level_pass", recording)
+        descend(chain, window)
+        assert lower == [edge] * (chain.order + 1)
+
+    def test_one_climb_per_solve_from_the_floor(self, monkeypatch):
+        climbs = []
+        escape = solver._floor_escape
+        monkeypatch.setattr(solver, "_floor_escape", lambda *a: climbs.append(a) or escape(*a))
+        for make in SOLVABLE_GRAPHS.values():
+            chain = build_chain(secular_series(make()))
+            for window in self.WINDOWS:
+                climbs.clear()
+                _, trace = descend_with_trace(chain, window)
+                assert len(climbs) == (trace.padded_window[0] == solver.POSITIVE_FLOOR)
+                assert len(climbs) == (window[0] == 0.0)
+
+    def test_upper_levels_clear_the_tolerance_at_the_shared_edge(self):
+        # Near k = 0 a level with a zero of order p there is about s0 k / p
+        # times the level above it: where level 0 is resolvable, every level
+        # above is more so (160-fold the tolerance at the least, measured on
+        # the workload graphs and the fuzz corpus).
+        rng = np.random.default_rng(FUZZ_SEED)
+        corpus = [secular_series(make()) for make in SOLVABLE_GRAPHS.values()]
+        corpus += [random_series(rng) for _ in range(50)]
+        for series in corpus:
+            chain = build_chain(series)
+            edge = np.array([self.shared_edge(series)])
+            for m in range(1, chain.order + 1):
+                assert abs(evaluate_array(series, edge, m)[0]) >= 10.0 * solver.ENDPOINT_TOL
 
     def test_padded_edges_on_roots(self):
         # M = 0 and a one-cell pad: both padded edges, pi/2 and 7pi/2, are roots.
