@@ -8,6 +8,10 @@ verify  solver diff as JSON, against eigenphase counts for a graph and the
         dense scan for a series; exit 0 only on an empty diff
 sample  grid values of every derivative level as CSV, for plotting
 
+The CSV of ``solve`` and ``sample`` prints every float as C ``%.17g`` does:
+at most 17 significant digits, trailing zeros dropped, text that reads back
+as the same double.  ``solve`` prints ``n`` as an integer.
+
 With ``--out PATH`` the output replaces PATH only once the command has
 completed (exit 0 or 4); a failed command leaves PATH as it was.
 
@@ -22,7 +26,7 @@ writer ended by that signal).
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import os
 import sys
@@ -238,27 +242,137 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
     )
 
 
-def _write_rows(out: TextIO, template: str, rows) -> None:
-    """Write ``template % row`` for every row, at most ``_WRITE_BLOCK``
-    values and at least one row per write, each block formatted by one
-    ``%`` over its flattened values.  ``%.17g`` prints a float exactly as
-    ``format(x, ".17g")`` does.
-    """
-    step = max(1, _WRITE_BLOCK // template.count("%"))
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        if isinstance(block, np.ndarray):
-            values = tuple(block.ravel().tolist())
-        else:
-            values = tuple(itertools.chain.from_iterable(block))
-        out.write((template * len(block)) % values)
+# CSV text, field for field as ``format(x, ".17g")``.  A finite x with
+# 1e-270 < |x| < 1e270 prints from D, the 17-digit integer nearest to
+# |x|·10^(16−X) with X = ⌊log10|x|⌋, taken in double-double arithmetic; ±0
+# prints from D = 0.  Python formats every value that product does not
+# decide: one within 1e-6 of a rounding tie, one whose D has 16 or 18 digits
+# because log10 missed a power of ten, inf, nan and the extremes.  Each
+# field is laid out in six 8-byte words, NUL where it prints nothing, and the
+# NULs are dropped at the end.  Word 0: sign, the "0.000" prefix of a small
+# fixed-form value, and D's leading digit at byte 6; words 1–4: D's other 16
+# digits at even bytes, each followed by a slot for the point, cut after the
+# last digit printed; word 5: "e±XXX" and the separator at byte 7.  Digit i
+# of D sits at byte 6 + 2i of the field.
+def _words(text: bytes) -> np.ndarray:
+    return np.frombuffer(text, np.uint64)
+
+
+def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For c = 0 … 9999: "dddd" as a word with a slot after each digit, and
+    the number of trailing zeros of those four digits."""
+    digits = np.zeros((10, 10, 10, 10, 8), np.uint8)
+    zeros = np.zeros(10_000, np.int64)
+    for i in range(4):
+        digits[..., 2 * i] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - i))
+        zeros[::10 ** (i + 1)] += 1
+    return digits.view(np.uint64).ravel(), zeros
+
+
+_PAIRS, _TRAILING_ZEROS = _chunk_tables()
+_KEEP = _words(b"".join(b"\xff" * (2 * j) + b"\0" * (8 - 2 * j) for j in range(5)))  # first j digits
+# _CUTS[j - 1][e] keeps the digits of word j that fall among the first e.
+_CUTS = _KEEP[np.clip(np.arange(18) - 4 * np.arange(1, 5)[:, None] + 3, 0, 4)]
+_LEADS = _PAIRS[:10] & _words(b"\xff".rjust(7, b"\0") + b"\0")
+_MINUS, _COMMA, _NEWLINE = _words(b"-".ljust(8, b"\0") + b",".rjust(8, b"\0") + b"\n".rjust(8, b"\0"))
+_PREFIXES = _words(b"".join((b"\0" + b"0." + b"0" * (z - 1) if z else b"").ljust(8, b"\0") for z in range(5)))
+
+
+@functools.cache
+def _pow10(p: int) -> tuple[float, float]:
+    """10^p as hi + lo, each correctly rounded, from exact integers."""
+    num, den = 10 ** max(p, 0), 10 ** max(-p, 0)
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    return hi, (num * d - n * den) / (den * d)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = 134217729.0 * x  # Dekker: 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _digits(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Round y = a·10^(16−x), taken in double-double: the nearest integer,
+    ⌊y⌋, and whether y lies within 1e-6 of a tie."""
+    base = int(x.min())
+    k = x - base
+    counts = np.bincount(k)
+    h, l = np.zeros((2, counts.size))
+    for i in np.flatnonzero(counts).tolist():
+        h[i], l[i] = _pow10(16 - base - i)
+    hh, hl = _split(h)
+    h, l, hh, hl = h[k], l[k], hh[k], hl[k]
+    p = a * h
+    ah, al = _split(a)
+    r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * l  # y − p
+    whole = np.floor(p)
+    r += p - whole
+    n = np.floor(r + 0.5)
+    whole = whole.astype(np.int64)
+    return whole + n.astype(np.int64), whole + np.floor(r).astype(np.int64), np.abs(r - n) > 0.5 - 1e-6
+
+
+def _csv_text(table: np.ndarray) -> str:
+    """The rows of a float table as CSV text, every field ``%.17g``."""
+    v = table.ravel()
+    n = v.size
+    if n == 0:
+        return ""
+    a = np.where(np.isfinite(v), np.abs(v), 0.0)
+    fast = (a > 1e-270) & (a < 1e270)
+    a[~fast] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    d, low, tie = _digits(a, x)
+    zero = v == 0
+    # Near a power of ten, log10 may be off by one, or D may round up to 10^17.
+    exact = (fast & ~tie & (low >= 10**16) & (d < 10**17)) | zero
+    d[zero] = 0
+    top = d // 10**8
+    bottom = d - top * 10**8
+    chunks = (top // 10**8, top // 10**4 % 10**4, top % 10**4, bottom // 10**4, bottom % 10**4)
+    c0, c1, c2, c3, c4 = chunks
+    trailing = _TRAILING_ZEROS[c4] + (c4 == 0) * _TRAILING_ZEROS[c3]
+    trailing += (bottom == 0) * (_TRAILING_ZEROS[c2] + (c2 == 0) * _TRAILING_ZEROS[c1])
+    fixed = (x >= -4) & (x <= 16)
+    prefix = np.where(fixed & (x < 0), -x, 0)  # zeros of "0.000"
+    point = np.where(fixed & (x >= 0), x + 1, 1)  # digits before the point
+    end = np.maximum(17 - trailing, point)  # digits printed
+    words = np.empty((n, 6), np.uint64)
+    words[:, 0] = _LEADS[c0] | np.signbit(v) * _MINUS | _PREFIXES[prefix]
+    for j in range(1, 5):
+        words[:, j] = _PAIRS[chunks[j]] & _CUTS[j - 1][end]
+    words[:, 5] = _COMMA
+    words[table.shape[1] - 1::table.shape[1], 5] = _NEWLINE
+    field = words.view(np.uint8)
+    dot = np.flatnonzero((point < end) & (prefix == 0))
+    field.ravel()[48 * dot + 5 + 2 * point[dot]] = ord(".")
+    sci = np.flatnonzero(~fixed)
+    field[sci, 40] = ord("e")
+    field[sci, 41] = np.where(x[sci] < 0, ord("-"), ord("+"))
+    field[sci, 42:45] = _PAIRS[np.abs(x[sci])].view(np.uint8).reshape(-1, 8)[:, 2:7:2]
+    field[sci[np.abs(x[sci]) < 100], 42] = 0
+    for i in np.flatnonzero(~exact).tolist():
+        text = b"%.17g" % v[i]
+        field[i, :47] = 0
+        field[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return field.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _write_rows(out: TextIO, table: np.ndarray) -> None:
+    """Write a float table as CSV, at most ``_WRITE_BLOCK`` values and at
+    least one row per write."""
+    step = max(1, _WRITE_BLOCK // table.shape[1])
+    for start in range(0, len(table), step):
+        out.write(_csv_text(table[start:start + step]))
 
 
 def _write_solve(config: ConfigDoc, out: TextIO) -> int:
     spectrum = descend(build_chain(config.secular(), config.margin), config.window)
     out.write("n,k_n,E_n,enclosure\n")
-    rows = [(e.index, e.wavenumber, e.energy, e.enclosure) for e in spectrum]
-    _write_rows(out, "%d,%.17g,%.17g,%.17g\n", rows)
+    # Indices are below 2^53, so %.17g prints them as %d would.
+    _write_rows(out, np.array(spectrum.entries, dtype=float).reshape(-1, 4))
     return 0
 
 
@@ -312,7 +426,7 @@ def _write_sample(config: ConfigDoc, out: TextIO) -> int:
     for m in range(chain.order + 1):
         table[:, 1 + m] = evaluate_array(chain.series, ks, m)
     out.write("k," + ",".join(f"g{m}" for m in range(chain.order + 1)) + "\n")
-    _write_rows(out, ",".join(["%.17g"] * table.shape[1]) + "\n", table)
+    _write_rows(out, table)
     return 0
 
 

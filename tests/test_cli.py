@@ -10,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qgspectra import (
     ParseError,
@@ -18,7 +21,7 @@ from qgspectra import (
     descend,
     evaluate_array,
 )
-from qgspectra.cli import load_config, main, run
+from qgspectra.cli import _WRITE_BLOCK, _write_rows, load_config, main, run
 
 from conftest import STAR_LENGTHS
 
@@ -41,6 +44,25 @@ STAR3 = {
         "bonds": [{"from": 0, "to": i, "length": L} for i, L in ((1, 1.0), (2, 0.71), (3, 0.43))],
     },
     "window": {"kmin": 0.0, "kmax": 30.0},
+}
+
+# The README three-star: a delta vertex and a bond potential, as the CLI
+# benchmark's configs have.
+DELTA_STAR = {
+    "graph": {
+        "vertices": [
+            {"id": 0, "bc": "kirchhoff"},
+            {"id": 1, "bc": "dirichlet"},
+            {"id": 2, "bc": "delta", "lambda": 1.3},
+            {"id": 3, "bc": "dirichlet"},
+        ],
+        "bonds": [
+            {"from": 0, "to": 1, "length": 1.0},
+            {"from": 0, "to": 2, "length": 0.71, "potential_lambda": 0.25},
+            {"from": 0, "to": 3, "length": 0.43},
+        ],
+    },
+    "window": {"kmin": 0.0, "kmax": 2500.0},
 }
 
 IRREGULAR_SERIES = {
@@ -700,14 +722,26 @@ def reference_csv(command, config):
 class TestCsvText:
     SERIES = {"s0": 1.0, "phi0": 0.3, "terms": [[0.6, 1.2, 0.1], [0.25, 0.4, 2.0]]}
 
-    @pytest.mark.parametrize("command,kmax", [("solve", 2.5e4), ("sample", 1.5e3)])
+    @pytest.mark.parametrize(
+        "graph,command,kmax",
+        [(False, "solve", 2.5e4), (False, "sample", 1.5e3), (True, "solve", 2.5e3), (True, "sample", 2.5e3)],
+        ids=["solve-25000.0", "sample-1500.0", "graph-solve-2500.0", "graph-sample-2500.0"],
+    )
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-    def test_matches_per_field_format(self, tmp_path, capsys, command, kmax, to_file):
-        # More rows than one block of the writers, and two derivative levels.
-        doc = {"series": self.SERIES, "window": {"kmin": 0.0, "kmax": kmax}}
+    def test_matches_per_field_format(self, tmp_path, capsys, graph, command, kmax, to_file):
+        if graph:
+            # Enclosures in exponent form, negative values, and g0 at
+            # k = 0 at rounding level.
+            doc = with_field(DELTA_STAR, ["window", "kmax"], kmax)
+        else:
+            # More rows than one block of the writers, and two derivative levels.
+            doc = {"series": self.SERIES, "window": {"kmin": 0.0, "kmax": kmax}}
         path = write_config(tmp_path, doc)
         want = reference_csv(command, load_config(json.dumps(doc)))
-        assert want.count("\n") > 4096 + 1
+        if graph:
+            assert ("e-" if command == "solve" else ",-") in want
+        else:
+            assert want.count("\n") > 4096 + 1
         if to_file:
             out_path = tmp_path / "result.csv"
             assert main([command, path, "--out", str(out_path)]) == 0
@@ -716,3 +750,100 @@ class TestCsvText:
             assert main([command, path]) == 0
             got = capsys.readouterr().out.encode()
         assert got == want.encode()
+
+
+def per_field(table):
+    return "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in table)
+
+
+class BlockRecorder(io.StringIO):
+    """A text stream that keeps the size of each write in rows and fields."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = []
+
+    def write(self, text):
+        self.blocks.append((text.count("\n"), text.count(",") + text.count("\n")))
+        return super().write(text)
+
+
+def written(table):
+    out = BlockRecorder()
+    _write_rows(out, table)
+    step = max(1, _WRITE_BLOCK // table.shape[1])
+    assert all(0 < rows <= step and fields <= max(_WRITE_BLOCK, table.shape[1]) for rows, fields in out.blocks)
+    return out.getvalue()
+
+
+# Around the ends of the double range, the change between fixed and exponent
+# form at 1e-4 and 1e17, the top of 17 digits, and halfway cases: 1e15 + 0.25
+# is a tie of 17 digits, which rounds half to even.
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e-4, 9.9999999999999991e-05, 0.00010000000000000002, 1e-5,
+    1e16, 9999999999999998.0, 1e17, 99999999999999984.0, 12345678901234567.0,
+    1e15 + 0.25, 1e15 + 0.75,
+]
+
+
+class TestCsvKernel:
+    """The CSV writer against ``format(x, ".17g")`` field by field."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 4)),
+                  elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    def test_any_floats(self, table):
+        assert written(table) == per_field(table)
+
+    @pytest.mark.parametrize("columns", [1, 2, 3, 4])
+    def test_edge_values(self, columns):
+        values = np.array(EDGE_VALUES + [-x for x in EDGE_VALUES])
+        table = np.resize(values, (values.size * columns, columns))
+        assert written(table) == per_field(table)
+
+    def test_edge_texts(self):
+        table = np.array(EDGE_VALUES)[:, None]
+        assert written(table).split("\n")[:-1] == [
+            "0", "-0", "4.9406564584124654e-324", "2.2250738585072014e-308",
+            "1.7976931348623157e+308", "0.0001", "9.9999999999999991e-05",
+            "0.00010000000000000002", "1.0000000000000001e-05", "10000000000000000",
+            "9999999999999998", "1e+17", "99999999999999984", "12345678901234568",
+            "1000000000000000.2", "1000000000000000.8",
+        ]
+
+    @pytest.mark.parametrize("columns", [1, 3, 4])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_tables_at_block_boundaries(self, columns, extra):
+        rows = _WRITE_BLOCK // columns + extra
+        rng = np.random.default_rng(rows)
+        table = rng.choice([-1.0, 1.0], (rows, columns)) * 10.0 ** rng.uniform(-30, 30, (rows, columns))
+        assert written(table) == per_field(table)
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_empty_and_single_row_tables(self, rows):
+        table = np.arange(3.0 * rows).reshape(rows, 3) - 1.5
+        assert written(table) == ("" if rows == 0 else "-1.5,-0.5,0.5\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "sample", "verify", "series"])
+def test_commands_import_nothing_at_run_time(tmp_path, command):
+    # Lazy imports inside numpy (``np.unique`` loads ``numpy.ma``) or the
+    # standard library (``fractions`` loads ``decimal``) cost each CLI child
+    # milliseconds; every module a command needs is loaded by the import.
+    # Building the argument parser loads ``locale`` for argparse's messages,
+    # so the modules are counted from there.
+    path = write_config(tmp_path, with_field(DELTA_STAR, ["window", "kmax"], 50.0))
+    script = (
+        "import sys\n"
+        "import qgspectra.cli\n"
+        "qgspectra.cli._build_parser()\n"
+        "before = set(sys.modules)\n"
+        f"code = qgspectra.cli.main([{command!r}, {path!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.strip() == "0 []", proc.stdout + proc.stderr
