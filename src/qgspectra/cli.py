@@ -60,12 +60,8 @@ from .solver import MAX_GRID_CELLS, build_chain, descend, regularization_order
 _BC_MAP = {"dirichlet": "dirichlet", "kirchhoff": "kirchhoff", "delta": "scaling_delta"}
 _SAMPLE_POINTS_PER_HALF_PERIOD = 20
 EXIT_BROKEN_PIPE = 141
-# Values formatted per write, which bounds the memory of the CSV writers:
-# about 220 bytes a value at the peak of ``_csv_text``.  Blocks of 16,384
-# values outgrew what the C allocator keeps between frees, so each block
-# faulted its temporaries into fresh pages (19,000 page faults, a quarter of
-# the writer's time, on a 128,455 x 3 sample table); 4,096 fault about none.
-_WRITE_BLOCK = 4_096
+# Values formatted per write, which bounds the memory of the CSV writers.
+_WRITE_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -367,10 +363,19 @@ def _csv_text(table: np.ndarray) -> str:
 
 def _write_rows(out: TextIO, table: np.ndarray) -> None:
     """Write a float table as CSV, at most ``_WRITE_BLOCK`` values and at
-    least one row per write."""
+    least one row per write.
+
+    Each write is formatted in four pieces.  ``_csv_text`` peaks at about
+    220 bytes a value; for a whole block that outgrew what the C allocator
+    keeps between frees, so every block faulted its arrays into fresh pages
+    (19,000 page faults, a quarter of the writer's time, on a 128,455 x 3
+    sample table).  Pieces of a quarter block reuse their pages.
+    """
     step = max(1, _WRITE_BLOCK // table.shape[1])
+    piece = max(1, step // 4)
     for start in range(0, len(table), step):
-        out.write(_csv_text(table[start:start + step]))
+        block = table[start:start + step]
+        out.write("".join(_csv_text(block[i:i + piece]) for i in range(0, len(block), piece)))
 
 
 def _write_solve(config: ConfigDoc, out: TextIO) -> int:
