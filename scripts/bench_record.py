@@ -29,7 +29,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("graph_build", "wide_window", "cli_batch")
 PROVENANCE = ("git_sha", "src_sha256", "python", "numpy")
 
@@ -77,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number N of BENCH_<N>.json")
     parser.add_argument("--label", required=True, help="name of this checkout's entry, e.g. parent or change")
-    parser.add_argument("--tree", type=Path, default=HERE, help="checkout to benchmark")
+    parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to benchmark")
     parser.add_argument("--workload", action="append", choices=WORKLOADS, help="default: all three")
     parser.add_argument("--seed", type=int, action="append", help="default: 301, 302 and 303")
     parser.add_argument("--seconds", type=float, default=10.0, help="measured loop per run")

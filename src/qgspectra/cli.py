@@ -341,7 +341,7 @@ def _csv_text(table: np.ndarray) -> str:
     end = np.maximum(17 - trailing, point)  # digits printed
     text = bytearray(48 * n)
     words = np.frombuffer(text, np.uint64).reshape(n, 6)
-    words[:, 0] = _LEADS[c0] | np.signbit(v) * _MINUS | _PREFIXES[prefix]
+    words[:, 0] = _LEADS[c0] | np.signbit(v).astype(np.uint64) * _MINUS | _PREFIXES[prefix]
     for j in range(1, 5):
         words[:, j] = _PAIRS[chunks[j]] & _CUTS[j - 1][end]
     words[:, 5] = _COMMA
