@@ -2,10 +2,11 @@
 """Record the benchmark of one checkout into ``BENCH_<pr>.json``.
 
     python scripts/bench_record.py --pr N --label NAME [--tree DIR]
-        [--workload W ...] [--seed S ...] [--seconds T] [--smoke] [--out PATH]
+        [--seed S ...] [--seconds T] [--smoke] [--out PATH]
 
-For every workload and seed this runs, in the checkout ``--tree`` (default:
-the one holding this script),
+For every workload that the checkout's ``BENCHMARK.json`` declares, and every
+seed, this runs, in the checkout ``--tree`` (default: the one holding this
+script),
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -30,7 +31,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("graph_build", "wide_window", "cli_batch")
 PROVENANCE = ("git_sha", "src_sha256", "python", "numpy")
 
 
@@ -50,11 +50,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) 
     return json.loads(lines[-1]), provenance
 
 
-def record(tree: Path, workloads: list[str], seeds: list[int], seconds: float, smoke: bool) -> tuple[dict, bool]:
+def declared_workloads(tree: Path) -> list[str]:
+    with open(tree / "BENCHMARK.json", encoding="utf-8") as handle:
+        spec = json.load(handle)
+    return [w["name"] for w in spec["workloads"]]
+
+
+def record(tree: Path, seeds: list[int], seconds: float, smoke: bool) -> tuple[dict, bool]:
     """The entry of one label, and whether every run was correct."""
     entry: dict = {"seconds": seconds, "seeds": seeds, "smoke": smoke, "workloads": {}}
     correct = True
-    for workload in workloads:
+    for workload in declared_workloads(tree):
         results = []
         for seed in seeds:
             result, provenance = run_once(tree, workload, seed, seconds, smoke)
@@ -78,7 +84,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="number N of BENCH_<N>.json")
     parser.add_argument("--label", required=True, help="name of this checkout's entry, e.g. parent or change")
     parser.add_argument("--tree", type=Path, default=ROOT, help="checkout to benchmark")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS, help="default: all three")
     parser.add_argument("--seed", type=int, action="append", help="default: 301, 302 and 303")
     parser.add_argument("--seconds", type=float, default=10.0, help="measured loop per run")
     parser.add_argument("--smoke", action="store_true", help="one op per pass")
@@ -87,8 +92,7 @@ def main(argv: list[str] | None = None) -> int:
 
     out = args.out or Path(f"BENCH_{args.pr}.json")
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"pr": args.pr}
-    entry, correct = record(args.tree.resolve(), args.workload or list(WORKLOADS),
-                            args.seed or [301, 302, 303], args.seconds, args.smoke)
+    entry, correct = record(args.tree.resolve(), args.seed or [301, 302, 303], args.seconds, args.smoke)
     doc[args.label] = entry
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.label} to {out}")

@@ -327,8 +327,10 @@ def _csv_text(table: np.ndarray) -> str:
     d, low, tie = _digits(a, x)
     zero = v == 0
     # Near a power of ten, log10 may be off by one, or D may round up to 10^17.
+    # Python overwrites every field that is not exact, so its D is laid out as 0.
     exact = (fast & ~tie & (low >= 10**16) & (d < 10**17)) | zero
-    d[zero] = 0
+    d[~exact | zero] = 0
+    x[zero] = 0
     top = d // 10**8
     bottom = d - top * 10**8
     chunks = (top // 10**8, top // 10**4 % 10**4, top % 10**4, bottom // 10**4, bottom % 10**4)

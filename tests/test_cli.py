@@ -812,6 +812,18 @@ class TestCsvKernel:
             "1000000000000000.2", "1000000000000000.8",
         ]
 
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_log10_off_by_one(self, monkeypatch, shift):
+        # A less accurate log10 may return just below X at 10^X, so that D
+        # has 18 digits (or 16 just above): such fields go to Python.  The
+        # shift also reaches ±0, which must print without log10.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift * (np.arange(a.size) % 3 == 0))
+        rng = np.random.default_rng(7)
+        values = np.concatenate([EDGE_VALUES, 10.0 ** np.arange(-20, 21), 10.0 ** rng.uniform(-30, 30, 200)])
+        table = np.resize(values * rng.choice([-1.0, 1.0], values.size), (values.size, 3))
+        assert written(table) == per_field(table)
+
     @pytest.mark.parametrize("columns", [1, 3, 4])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_tables_at_block_boundaries(self, columns, extra):
