@@ -86,9 +86,12 @@ MODEL_NEWTON_STEPS = 7
 # Cap on the cells of a padded window's separator grid and of oracle.uniform_grid:
 # the descent holds about 400 bytes per cell, so a solve stays near 4 GB.
 MAX_GRID_CELLS = 10_000_000
-# Points per Taylor model block: its (N+1)-row arrays hold half an EVAL_BLOCK,
-# so a block costs no more memory than one of evaluate_array's.
-MODEL_BLOCK = EVAL_BLOCK // (2 * (MODEL_ORDER + 1))
+# Points per Taylor model block.  Newton holds the model (N + 2 rows, the
+# slope coefficients formed in place), the coefficients of p' (N) and the power
+# table (N + 1): 3N + 3 floats a lane, and a dozen single rows besides.  At
+# EVAL_BLOCK // (N + 6) = 744 lanes that is about 375 KiB, 516 bytes a lane,
+# and a level of up to 1,488 roots takes 2 blocks (wide_window's hold 1,455 at most).
+MODEL_BLOCK = EVAL_BLOCK // (MODEL_ORDER + 6)
 
 
 @dataclass(frozen=True)
@@ -278,12 +281,14 @@ def _model_roots(
     Every level is read off level 0 (:func:`taylor_array`).  At level 0 the
     ``c_n`` are the series' own, the remainder at most ``tail *
     |u|**(N+1)``, ``tail = (1 + sum a_j r_j**(N+1)) / (N+1)!``.  At level m
-    above, ``c_n = (n + 1) d_(n+1)``, from level m - 1's coefficients to
-    order N + 1, models its slope, level m, and ``tail`` has ``a_j
-    r_j**(m+N+1)``.  The level below's value at the root, ``sum_n d_n
-    u**n``, is within ``tail * |u|**(N+2) / (N+2)`` plus the rounding bound;
-    the last item holds it moved toward zero by that bound (0 when the
-    bound exceeds it): nearer zero than the true value, with its sign.
+    above, ``c_n = (n + 1) d_(n+1)``, formed in place over rows 1... of level
+    m - 1's coefficients to order N + 1, models its slope, level m, and
+    ``tail`` has ``a_j r_j**(m+N+1)``.  The level below's value at the root,
+    ``d_0 + sum_(n>=1) (c_(n-1) / n) u**n`` by Horner, is within ``tail *
+    |u|**(N+2) / (N+2)`` plus the rounding bound, which reading ``d_n`` back
+    as ``c_(n-1) / n`` grows by one rounding per coefficient; the last item
+    holds it moved toward zero by that bound (0 when the bound exceeds it):
+    nearer zero than the true value, with its sign.
 
     With ``half`` > 0 the polynomial is also evaluated at ``u -+ half``.  The
     fourth returned array holds, per lane, the sign at ``u - half`` when the
@@ -293,7 +298,8 @@ def _model_roots(
     ``s0 * |x|`` (``taylor_array`` derives them for term phasors built from
     bond phasors too), the sum over the J terms modelled, and the polynomial
     sum, at most ``e**|u|`` times the coefficient errors.  Points go through
-    ``MODEL_BLOCK`` at a time, certificate and level below included.
+    ``MODEL_BLOCK`` at a time, certificate and level below included; a
+    block frees its Newton tables before the certificate's arrays.
     """
     actions, amps, _ = series.arrays
     s0 = series.leading_action
@@ -304,6 +310,7 @@ def _model_roots(
     tail = (1.0 + amps @ ratios ** (level + top)) / math.factorial(top)
     noise = 4.0 * np.finfo(float).eps * (1.0 + (amps * ratios**source).sum())
     n = np.arange(1, top)[:, None]
+    scale = np.arange(1, top + 1)[:, None]
     f, root, error = np.empty(x.size), np.empty(x.size), np.empty(x.size)
     side = np.zeros(x.size, dtype=np.int8)
     level_below = np.empty(x.size) if level else None
@@ -313,21 +320,25 @@ def _model_roots(
             xb = x[block]
             lo, hi = s0 * (a[block] - xb), s0 * (b[block] - xb)
             d = taylor_array(series, xb, order, source)
-            c = np.arange(1, top + 1)[:, None] * d[1:] if level else d
+            if level:  # c_n = (n + 1) d_(n+1) in place over d_1...
+                d[1:] *= scale
+            c = d[1:] if level else d
             f[block] = c[0]
             dc = n * c[1:]
-            u = np.clip(0.0 - c[0] / c[1], lo, hi)
+            u = np.minimum(np.maximum(0.0 - c[0] / c[1], lo), hi)
             du, dp = np.abs(u), c[1]
             powers = np.ones((top, xb.size))
+            rows = list(powers)
             for _ in range(MODEL_NEWTON_STEPS - 1):
-                powers[1] = u
+                rows[1][...] = u
                 for row in range(2, top):
-                    np.multiply(powers[row - 1], u, out=powers[row])
+                    np.multiply(rows[row - 1], u, out=rows[row])
                 p = np.einsum("ij,ij->j", c, powers)
                 dp = np.einsum("ij,ij->j", dc, powers[:-1])
-                new = np.clip(u - p / dp, lo, hi)
+                new = np.minimum(np.maximum(u - p / dp, lo), hi)
                 du = np.abs(new - u)
                 u = new
+            del dc, powers, rows, p  # free the Newton tables before the certificate's arrays
             root[block] = xb + u / s0
             error[block] = (du + tail * np.abs(u) ** top / np.abs(dp)) / s0
             rounding = s0 * np.abs(xb) + len(amps) + 30.0
@@ -340,11 +351,11 @@ def _model_roots(
                 side[block] = np.where(clear, np.sign(pv[0]), 0.0)
                 del v, pv, bound, clear
             if level:
-                value = _polyval(d, u)
+                value = d[0] + u * _polyval(c / scale, u)
                 v = np.abs(u)
                 bound = tail * v ** (top + 1) / (top + 1) + noise * np.exp(v) * rounding
                 level_below[block] = np.copysign(np.maximum(np.abs(value) - bound, 0.0), value)
-            del c, d, dc, dp, powers  # free this block's arrays before the next one's
+            del c, d, dp  # free this block's arrays before the next one's
     return f, root, error, side, level_below
 
 

@@ -442,7 +442,10 @@ def reference_model_roots(series, x, a, b, half=0.0, level=0):
     power table rebuilt by ``cumprod`` at every step from u = 0, and ``p'``
     by a three-operand ``einsum``.  The kernel must match it bit for bit.
     Above level 0, the coefficients ``(n + 1) d_(n+1)`` come from the
-    order N + 1 model of the level below, as in the solver."""
+    order N + 1 model of the level below, as in the solver, built as a
+    separate table.  The fifth item holds the level below's values from
+    ``_polyval(d, u)``, the sixth ``sum_n |d_n| |u|**n``, which scales their
+    rounding (None at level 0)."""
     source = max(level - 1, 0)
     order = solver.MODEL_ORDER + (level > 0)
     actions, amps, _ = series.arrays
@@ -454,6 +457,7 @@ def reference_model_roots(series, x, a, b, half=0.0, level=0):
     n = np.arange(1, top)[:, None]
     f, root, error = np.empty(x.size), np.empty(x.size), np.empty(x.size)
     side = np.zeros(x.size, dtype=np.int8)
+    level_below, magnitude = (np.empty(x.size), np.empty(x.size)) if level else (None, None)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, x.size, solver.MODEL_BLOCK):
             block = slice(start, start + solver.MODEL_BLOCK)
@@ -474,6 +478,7 @@ def reference_model_roots(series, x, a, b, half=0.0, level=0):
                 u = new
             root[block] = xb + u / s0
             error[block] = (du + tail * np.abs(u) ** top / np.abs(dp)) / s0
+            rounding = s0 * np.abs(xb) + len(amps) + 30.0
             if half:
                 v = np.stack((u - half, u + half))
                 pv = np.zeros_like(v)
@@ -481,11 +486,16 @@ def reference_model_roots(series, x, a, b, half=0.0, level=0):
                     pv *= v
                     pv += c[row]
                 v = np.abs(v)
-                rounding = s0 * np.abs(xb) + len(amps) + 30.0
                 bound = tail * v**top + noise * np.exp(v) * rounding
                 clear = (np.abs(pv) > bound).all(axis=0) & (pv[0] * pv[1] < 0.0)
                 side[block] = np.where(clear, np.sign(pv[0]), 0.0)
-    return f, root, error, side
+            if level:
+                value = solver._polyval(d, u)
+                v = np.abs(u)
+                bound = tail * v ** (top + 1) / (top + 1) + noise * np.exp(v) * rounding
+                level_below[block] = np.copysign(np.maximum(np.abs(value) - bound, 0.0), value)
+                magnitude[block] = solver._polyval(np.abs(d), v)
+    return f, root, error, side, level_below, magnitude
 
 
 class TestModelKernel:
@@ -495,8 +505,19 @@ class TestModelKernel:
     def assert_matches_reference(series, x, a, b, half=0.0, level=0):
         got = solver._model_roots(series, x, a, b, half, level)
         want = reference_model_roots(series, x, a, b, half, level)
-        for g, w in zip(got, want):
+        for g, w in zip(got[:4], want[:4]):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        if level:
+            # The level below's value is summed from the slope coefficients
+            # c_(n-1) / n: its bits may move, within the rounding of two
+            # Horner sums and of c_(n-1) = n d_n read back as d_n.
+            got_below, want_below, magnitude = got[4], want[4], want[5]
+            both = (got_below != 0.0) & (want_below != 0.0)
+            assert np.array_equal(np.sign(got_below[both]), np.sign(want_below[both]))
+            slack = (4 * solver.MODEL_ORDER + 12) * np.finfo(float).eps * magnitude
+            assert np.all(np.abs(got_below - want_below) <= slack)
+        else:
+            assert got[4] is None and want[4] is None
         return got
 
     def lanes(self, rng, series, lo, hi):
@@ -529,8 +550,8 @@ class TestModelKernel:
         chain = build_chain(random_series(rng, amp_sum_range=(2.0, 3.0)))
         assert chain.order >= 2
         series = chain.series
-        seps = base_separators(chain.levels[-1], 0.0, 1000.0)
-        roots = descend_with_trace(chain, (0.0, 1000.0))[1].level_roots[1]
+        seps = base_separators(chain.levels[-1], 0.0, 2000.0)
+        roots = descend_with_trace(chain, (0.0, 2000.0))[1].level_roots[1]
         # Centres a little off the roots, in brackets reaching the separators.
         x = roots + rng.uniform(-0.3, 0.3, roots.size) / series.leading_action
         i = np.clip(np.searchsorted(seps, roots), 1, seps.size - 1)
@@ -539,6 +560,29 @@ class TestModelKernel:
         got = self.assert_matches_reference(series, x, a, b, half, 1)
         assert x.size > solver.MODEL_BLOCK and np.count_nonzero(got[3]) > x.size // 2
         assert got[4].shape == x.shape
+
+    def test_block_memory(self):
+        # One block of a separator level, certificate and level below
+        # included, on the 7-bond Dirichlet star.  MODEL_BLOCK is sized from
+        # this footprint: the Newton tables, 3N + 3 floats a lane, and
+        # about a dozen single rows.  The bound is about 5% above the 516
+        # bytes a lane measured with c_n formed in place over d and the
+        # Newton tables freed before the certificate.
+        chain = build_chain(secular_series(dirichlet_star(STAR_LENGTHS[:7])))
+        series = chain.series
+        x = np.linspace(1.0, 500.0, solver.MODEL_BLOCK)
+        cell = math.pi / series.leading_action
+        a, b = x - 0.5 * cell, x + 0.5 * cell
+        half = 0.25 * math.sqrt(solver.ENDPOINT_TOL / (1.0 + regularity_sum(chain.levels[2])))
+        solver._model_roots(series, x, a, b, half, 1)  # build the cached weights
+        tracemalloc.start()
+        try:
+            out = solver._model_roots(series, x, a, b, half, 1)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(out[3]) > 0
+        assert peak - current <= 540 * x.size  # net of the returned arrays
 
 
 class TestSeparatorValues:
@@ -666,7 +710,9 @@ class TestSolveGraph:
     def test_descent_memory_peak(self):
         # 7-bond Dirichlet star, about 1,700 roots on each of 7 levels.  The
         # bound is about 5% above the 842 KiB peak that per-block model
-        # arrays gave before separator certificates.
+        # arrays gave before separator certificates.  With 744-lane model
+        # blocks the peak is 857 KiB (826 KiB with the 481-lane blocks
+        # before): it falls in a block's taylor_array call.
         chain = build_chain(secular_series(dirichlet_star(STAR_LENGTHS[:7])))
         descend(chain, (0.0, 10.0))  # build the cached term arrays
         tracemalloc.start()
