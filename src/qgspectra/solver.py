@@ -309,7 +309,6 @@ def _model_roots(
     order = MODEL_ORDER + (level > 0)
     tail = (1.0 + amps @ ratios ** (level + top)) / math.factorial(top)
     noise = 4.0 * np.finfo(float).eps * (1.0 + (amps * ratios**source).sum())
-    n = np.arange(1, top)[:, None]
     scale = np.arange(1, top + 1)[:, None]
     f, root, error = np.empty(x.size), np.empty(x.size), np.empty(x.size)
     side = np.zeros(x.size, dtype=np.int8)
@@ -320,11 +319,10 @@ def _model_roots(
             xb = x[block]
             lo, hi = s0 * (a[block] - xb), s0 * (b[block] - xb)
             d = taylor_array(series, xb, order, source)
-            if level:  # c_n = (n + 1) d_(n+1) in place over d_1...
-                d[1:] *= scale
-            c = d[1:] if level else d
+            # Above level 0, c_n = (n + 1) d_(n+1) in place over rows 1... of d.
+            c = np.multiply(d[1:], scale, out=d[1:]) if level else d
             f[block] = c[0]
-            dc = n * c[1:]
+            dc = scale[:-1] * c[1:]
             u = np.minimum(np.maximum(0.0 - c[0] / c[1], lo), hi)
             du, dp = np.abs(u), c[1]
             powers = np.ones((top, xb.size))
