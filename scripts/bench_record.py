@@ -12,10 +12,13 @@ seed, this runs, in the checkout ``DIR``,
 and reads the JSON object on the last line of its output.  The checkouts
 take turns: for each workload and seed every label runs once, in the order
 given on even-numbered seeds and in reverse on odd-numbered ones, so drift
-of the machine over the recording falls on every label alike.  Every run
-gets ``PYTHONDONTWRITEBYTECODE=1`` and a fresh, empty
-``PYTHONPYCACHEPREFIX``, so each compiles its sources and none reads a
-tree's ``__pycache__``, whatever state it is in.
+of the machine over the recording falls on every label alike.  Bytecode
+comes from one fresh ``PYTHONPYCACHEPREFIX`` directory, never from a
+tree's ``__pycache__``, whatever state that is in: a ``--smoke`` run of
+each workload in each checkout first compiles into it what the runs
+import, then every measured run reads it under ``PYTHONDONTWRITEBYTECODE=1``.
+So every checkout imports from bytecode compiled the same way, as an
+installed package does, and no run compiles numpy afresh.
 
 The file ``BENCH_<N>.json`` in the current directory (or ``--out``) then
 holds, under each ``LABEL``, each workload's end-to-end metrics as the
@@ -41,13 +44,12 @@ from pathlib import Path
 PROVENANCE = ("git_sha", "src_sha256", "python", "numpy")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) -> tuple[dict, dict]:
-    """One benchmark run, compiling from source: its final JSON object and its provenance lines."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, smoke: bool,
+             env: dict[str, str]) -> tuple[dict, dict]:
+    """One benchmark run: its final JSON object and its provenance lines."""
     argv = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
-        proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=False)
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise SystemExit(f"error: {' '.join(argv)} in {tree} printed no result "
@@ -66,10 +68,16 @@ def declared_workloads(tree: Path) -> list[str]:
     return [w["name"] for w in spec["workloads"]]
 
 
-def record(trees: dict[str, Path], seeds: list[int], seconds: float,
-           smoke: bool) -> tuple[dict[str, dict], bool]:
+def record(trees: dict[str, Path], seeds: list[int], seconds: float, smoke: bool,
+           cache: str) -> tuple[dict[str, dict], bool]:
     """The entry of each label, and whether every run was correct."""
     declared = {label: declared_workloads(tree) for label, tree in trees.items()}
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    for label, tree in trees.items():
+        for workload in declared[label]:
+            run_once(tree, workload, seeds[0], 0.0, True, env)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     workloads = list(dict.fromkeys(w for names in declared.values() for w in names))
     entries = {label: {"seconds": seconds, "seeds": seeds, "smoke": smoke, "workloads": {}}
                for label in trees}
@@ -78,7 +86,7 @@ def record(trees: dict[str, Path], seeds: list[int], seconds: float,
         results: dict[str, list[dict]] = {label: [] for label in trees if workload in declared[label]}
         for i, seed in enumerate(seeds):
             for label in list(results)[:: -1 if i % 2 else 1]:
-                result, provenance = run_once(trees[label], workload, seed, seconds, smoke)
+                result, provenance = run_once(trees[label], workload, seed, seconds, smoke, env)
                 print(f"{label} {workload} seed {seed}: correct={result['correct']} "
                       f"failed={result['failed']}", flush=True)
                 results[label].append(result)
@@ -120,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
 
     out = args.out or Path(f"BENCH_{args.pr}.json")
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"pr": args.pr}
-    entries, correct = record(trees, args.seed or [301, 302, 303], args.seconds, args.smoke)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        entries, correct = record(trees, args.seed or [301, 302, 303], args.seconds, args.smoke, cache)
     doc.update(entries)
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {', '.join(entries)} to {out}")

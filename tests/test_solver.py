@@ -509,8 +509,9 @@ class TestModelKernel:
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
         if level:
             # The level below's value is summed from the slope coefficients
-            # c_(n-1) / n: its bits may move, within the rounding of two
-            # Horner sums and of c_(n-1) = n d_n read back as d_n.
+            # c_(n-1) / n, so its bits may move: by at most (2N + 4) eps
+            # sum |d_n| |u|**n to first order, the rounding of two Horner
+            # sums and of d_n read back as c_(n-1) / n.  Twice that is allowed.
             got_below, want_below, magnitude = got[4], want[4], want[5]
             both = (got_below != 0.0) & (want_below != 0.0)
             assert np.array_equal(np.sign(got_below[both]), np.sign(want_below[both]))
@@ -710,9 +711,8 @@ class TestSolveGraph:
     def test_descent_memory_peak(self):
         # 7-bond Dirichlet star, about 1,700 roots on each of 7 levels.  The
         # bound is about 5% above the 842 KiB peak that per-block model
-        # arrays gave before separator certificates.  With 744-lane model
-        # blocks the peak is 857 KiB (826 KiB with the 481-lane blocks
-        # before): it falls in a block's taylor_array call.
+        # arrays gave before separator certificates.  It reads 857 KiB with
+        # 744-lane model blocks, in a block's taylor_array call.
         chain = build_chain(secular_series(dirichlet_star(STAR_LENGTHS[:7])))
         descend(chain, (0.0, 10.0))  # build the cached term arrays
         tracemalloc.start()
