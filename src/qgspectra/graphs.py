@@ -30,7 +30,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -58,7 +58,7 @@ MAX_DIRECTED_BONDS = 20
 # coefficient seen.  The Kirchhoff star needs it: its principal minors of
 # size B/2 vanish exactly.
 FLOOR_UNITS = 16
-# Grid points per batched determinant call, which bounds its memory.
+# Grid points per batched determinant call at most, which bounds its memory.
 GRID_CHUNK = 3**5
 # Mirror-paired coefficients must be conjugate within this tolerance.
 CONJUGATE_TOL = 1e-9
@@ -211,21 +211,23 @@ def vertex_scattering(vertex: VertexSpec, degree: int) -> np.ndarray:
     return np.full((degree, degree), c, dtype=complex) - np.eye(degree, dtype=complex)
 
 
-@dataclass
-class ExpoPolynomial:
-    """Exponential sum  sum_n c_n * exp(i k * <n, actions>)  with n in {0,1,2}^B.
+class DeterminantTerms(NamedTuple):
+    """The kept monomials of det(I - D(k) Sigma) = sum_j c_j * exp(i k * <n_j, actions>).
 
-    ``actions`` holds the action S_b of each bond, and n_b counts how many of
-    bond b's two directions a monomial traverses.  Coefficients with
-    magnitude below ``floor`` are zeros and are never stored.
+    ``actions`` holds the action S_b of each bond, and n_jb, row j of
+    ``exponents`` in {0,1,2}^B, counts how many of bond b's two directions
+    monomial j traverses.  ``indices`` holds each monomial's point on the
+    coefficient grid of ``size`` points, in ascending order; the mirror
+    n -> 2 - n of point p is point size - 1 - p.  Coefficients with
+    magnitude below ``floor`` are zeros and are not kept.
     """
 
-    coefficients: dict[tuple[int, ...], complex]
+    coefficients: np.ndarray
+    exponents: np.ndarray
+    indices: np.ndarray
+    size: int
     actions: tuple[float, ...]
     floor: float
-
-    def total_action(self, exponents: tuple[int, ...]) -> float:
-        return math.fsum(n * s for n, s in zip(exponents, self.actions))
 
 
 def bond_scattering_matrix(graph: QuantumGraph) -> np.ndarray:
@@ -266,7 +268,7 @@ _INV3 = np.stack([np.ones(3), _Z3.conj(), _W3.conj()], axis=1) / 3
 _INV2 = np.stack([np.ones(2), _W2.conj()], axis=1) / 2
 
 
-def transfer_determinant(graph: QuantumGraph) -> ExpoPolynomial:
+def transfer_determinant(graph: QuantumGraph) -> DeterminantTerms:
     """Coefficients of det(I - D Sigma) as a polynomial in z_b = exp(i S_b k).
 
     z_b sits on the two rows of D(z) Sigma that belong to bond b, so the
@@ -315,26 +317,28 @@ def transfer_determinant(graph: QuantumGraph) -> ExpoPolynomial:
                 if f in slot:
                     spread[n_bonds + bi, slot[e] * order + slot[f]] += coupling[e]
 
-    # Per-axis tables over the digits; a reflecting axis leaves digit 2 unused.
+    # Per-axis tables of diag_b, off_b and the factor 1 - w_b over the
+    # digits; a reflecting axis leaves digit 2 unused.
     w = np.where(reflects[:, None], np.append(_W2, 0.0), _W3)
     z = np.where(reflects[:, None], np.append(_Z2, 0.0), _Z3)
-    diag = w / (w - 1.0)
-    off = -z / (w - 1.0)
-    scale = 1.0 - w
+    per_axis = np.stack((w / (w - 1.0), -z / (w - 1.0), 1.0 - w))
     radix = np.where(reflects, 2, 3)
     step = np.where(reflects, 2, 1)  # n_b = 2 * digit on a reflecting axis
     # Grid point p has digit (p // place[b]) % radix[b] on bond b's axis.
     place = np.cumprod(np.append(1, radix[:0:-1]))[::-1]
     size = int(np.prod(radix))
-    identity = np.eye(order, dtype=complex).ravel()
+    # A chunk spans the trailing axes whose points fit in GRID_CHUNK: their
+    # digits are gathered once, and each chunk sets those of the leading axes.
+    lead = n_bonds - int(np.searchsorted(np.cumprod(radix[::-1]), GRID_CHUNK, side="right"))
+    inner = int(np.prod(radix[lead:]))
     axes = np.arange(n_bonds)
+    table = per_axis[:, axes, np.arange(inner)[:, None] // place % radix]
+    identity = np.eye(order, dtype=complex).ravel()
     grid = np.empty(size, dtype=complex)
-    for start in range(0, size, GRID_CHUNK):
-        points = np.arange(start, min(start + GRID_CHUNK, size))
-        digits = points[:, None] // place % radix
-        values = np.concatenate((diag[axes, digits], off[axes, digits]), axis=1)
-        mats = (identity - values @ spread).reshape(points.size, order, order)
-        grid[start:start + points.size] = np.prod(scale[axes, digits], axis=1) * np.linalg.det(mats)
+    for start in range(0, size, inner):
+        table[:, :, :lead] = per_axis[:, axes[:lead], start // place[:lead] % radix[:lead]][:, None]
+        mats = (identity - np.concatenate(table[:2], axis=1) @ spread).reshape(inner, order, order)
+        grid[start:start + inner] = np.prod(table[2], axis=1) * np.linalg.det(mats)
 
     # Each pass transforms the leading axis and rotates it to the back.
     coeffs = grid
@@ -343,9 +347,7 @@ def transfer_determinant(graph: QuantumGraph) -> ExpoPolynomial:
     coeffs = coeffs.ravel()
     floor = FLOOR_UNITS * 2 * n_bonds * np.finfo(float).eps * float(np.abs(grid).max())
     kept = np.flatnonzero(np.abs(coeffs) >= floor)
-    exponents = (kept[:, None] // place % radix * step).tolist()
-    coefficients = dict(zip(map(tuple, exponents), coeffs[kept].tolist()))
-    return ExpoPolynomial(coefficients=coefficients, actions=actions, floor=floor)
+    return DeterminantTerms(coeffs[kept], kept[:, None] // place % radix * step, kept, size, actions, floor)
 
 
 def transfer_matrix(graph: QuantumGraph, k) -> np.ndarray:
@@ -373,7 +375,7 @@ class SecularExpansion:
     series: SpectralSeries
     theta: float
     normalization: complex
-    expo: ExpoPolynomial
+    expo: DeterminantTerms
 
 
 def expand_secular(graph: QuantumGraph) -> SecularExpansion:
@@ -391,7 +393,6 @@ def expand_secular(graph: QuantumGraph) -> SecularExpansion:
     ``canonicalize`` merges the terms of one action into one cosine.
     """
     expo = transfer_determinant(graph)
-    coefficients = expo.coefficients
     n_bonds = len(expo.actions)
     theta = math.fsum(expo.actions)
     if theta <= MERGE_TOL:
@@ -399,12 +400,15 @@ def expand_secular(graph: QuantumGraph) -> SecularExpansion:
             f"no cosine above the constant term: the bond actions sum to {theta!r}, "
             f"within {MERGE_TOL} of zero"
         )
+    # The mirror 2 - n of every grid point is the point of the reversed
+    # grid; a coefficient below the floor counts as 0.
+    grid = np.zeros(expo.size, dtype=complex)
+    grid[expo.indices] = expo.coefficients
+    mirrors = grid[::-1][expo.indices]
 
     # c_top must rotate onto conj(c_0): two unimodular solutions, pi apart.
     # The leading monomial alone has kappa = theta: fsum(2 S) is 2 theta exactly.
-    top = (2,) * n_bonds
-    c_0 = coefficients[(0,) * n_bonds]
-    c_top = coefficients[top]
+    c_0, c_top = complex(grid[0]), complex(grid[-1])
     rotation = cmath.exp(0.5j * cmath.phase(c_0.conjugate() / c_top))
     lead = rotation * c_top
     # Keep the leading phase within a quarter turn of zero; on the pure
@@ -416,37 +420,42 @@ def expand_secular(graph: QuantumGraph) -> SecularExpansion:
     r_lead = 0.5 * (rotation * c_top + (rotation * c_0).conjugate())
     lead_amp = abs(r_lead)
     scale = 2.0 * lead_amp
+    # Monomials at kappa < -MERGE_TOL only enter as mirrors.  A float dot
+    # product errs by less than 2B eps theta, so a screen 4B eps theta wide
+    # keeps every other one, and math.fsum gives their kappa.
+    screen = theta - MERGE_TOL - 4 * n_bonds * np.finfo(float).eps * theta
+    near = np.flatnonzero(expo.exponents @ np.array(expo.actions) >= screen)
+    kappas = np.array([math.fsum(row) - theta for row in (expo.exponents[near] * expo.actions).tolist()])
+    half, kappas = near[kappas >= -MERGE_TOL], kappas[kappas >= -MERGE_TOL]
+    p, q = rotation * expo.coefficients[half], np.conj(rotation * mirrors[half])
+    unpaired = np.flatnonzero(np.abs(p - q) > CONJUGATE_TOL)
+    if unpaired.size:
+        j = unpaired[0]
+        raise RealificationFailure(
+            f"coefficients of exponents {tuple(expo.exponents[half[j]].tolist())} and their mirror "
+            f"are not conjugate: {complex(p[j])!r} vs {complex(q[j])!r}"
+        )
+
+    # The leading monomial, last on the grid, is r_lead.  Each term's action
+    # is sum_b (n_b - 1) S_b over the exponents of the first monomial at its
+    # action; the constant term's row, after the monomials', is 0.
+    half, kappas = half[:-1], kappas[:-1]
+    eps_rows = np.vstack((expo.exponents[half] - 1, np.zeros(n_bonds, dtype=int)))
+    rows = {0.0: len(half)}
     raw_terms = []
-    # Each term's action is sum_b (n_b - 1) S_b over the exponents of the
-    # first monomial, in exponent order, at its action; the constant
-    # term's row is 0.
-    rows = {0.0: (0,) * n_bonds}
-    for n, c in coefficients.items():
-        kappa = expo.total_action(n) - theta
-        if kappa < -MERGE_TOL:
-            continue  # looked up as the mirror of 2 - n
-        p = rotation * c
-        q = (rotation * coefficients.get(tuple(2 - b for b in n), 0.0)).conjugate()
-        if abs(p - q) > CONJUGATE_TOL:
-            raise RealificationFailure(
-                f"coefficients of exponents {n} and their mirror are not conjugate: {p!r} vs {q!r}"
-            )
-        if n == top:
-            continue  # the leading cosine, r_lead
-        r = 0.5 * (p + q)
+    pairs = zip(kappas.tolist(), expo.coefficients[half].tolist(), mirrors[half].tolist())
+    for j, (kappa, c, m) in enumerate(pairs):
+        r = 0.5 * (rotation * c + (rotation * m).conjugate())
         if abs(kappa) <= MERGE_TOL:
             raw_terms.append((0.0, -r.real / scale, 0.0))
         else:
             raw_terms.append((kappa, -abs(r) / lead_amp, math.atan2(r.imag, r.real)))
-            rows.setdefault(kappa, tuple(b - 1 for b in n))
+            rows.setdefault(kappa, j)
     series = canonicalize(theta, math.atan2(r_lead.imag, r_lead.real), raw_terms)
-    bonds = BondTerms.from_rows(
-        expo.actions, [rows[t.action] for t in series.terms], series.arrays[0]
-    )
+    bond_rows = eps_rows[[rows[t.action] for t in series.terms]]
+    bonds = BondTerms.from_rows(expo.actions, bond_rows, series.arrays[0])
     series = SpectralSeries(series.leading_action, series.leading_phase, series.terms, bonds)
-    return SecularExpansion(
-        series=series, theta=theta, normalization=rotation / scale, expo=expo
-    )
+    return SecularExpansion(series=series, theta=theta, normalization=rotation / scale, expo=expo)
 
 
 def secular_series(graph: QuantumGraph) -> SpectralSeries:

@@ -179,8 +179,9 @@ class SpectralSeries:
 
     @cached_property
     def _bond_weights(self) -> dict:
-        """The bond kernel's weights, by derivative level and Taylor order:
-        :func:`_turned_weights`, built once for each."""
+        """The bond kernel's weights, by derivative level and Taylor order,
+        each gathered once from the table of turned weights held under the
+        key None (:func:`_turned_weights`)."""
         return {}
 
 
@@ -273,13 +274,6 @@ def canonicalize(
     )
 
 
-def evaluate(series: SpectralSeries, k: float) -> float:
-    """Value of the series at wavenumber ``k``, compensated summation."""
-    parts = [math.cos(series.leading_action * k + series.leading_phase)]
-    parts.extend(-t.amplitude * math.cos(t.action * k + t.phase) for t in series.terms)
-    return math.fsum(parts)
-
-
 def evaluate_array(series: SpectralSeries, ks: np.ndarray, level: int = 0) -> np.ndarray:
     """Vectorized evaluation of derivative level ``level`` over an array of wavenumbers.
 
@@ -350,8 +344,7 @@ def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int, level: int 
     if _by_bonds(series):
         rw = series._bond_weights.get((level, order))
         if rw is None:
-            w = amps * (actions / s0) ** np.arange(level, level + order + 1)[:, None]
-            rw = series._bond_weights[level, order] = _turned_weights(series, w, level)
+            rw = series._bond_weights[level, order] = _turned_weights(series, level, order)
         rows = order + 1
         # A block holds its node phasors with, in turn, the bond factors,
         # one layer's gathered parents and the sums: complex entries within
@@ -400,30 +393,40 @@ def _by_bonds(series: SpectralSeries) -> bool:
     return series.bonds is not None and 2 * series.bonds.actions.size < len(series.terms)
 
 
-def _turned_weights(series: SpectralSeries, w: np.ndarray, level: int) -> np.ndarray:
+def _turned_weights(series: SpectralSeries, level: int, order: int) -> np.ndarray:
     """Weights of the node phasors in :func:`taylor_array`'s bond kernel.
 
-    Row i of ``w`` weights term j by ``a_j r_j**n``, n = ``level`` + i.  The
-    node of term j holds ``q_j = exp(-i kappa'_j x)`` (:func:`_term_phasors`),
-    with ``kappa'_j = sum_b eps_jb S_b`` the bond sum, so with ``u_j =
-    exp(i phi_j)`` a cosine row (even n) sums ``Re(w_j u_j conj(q_j))`` and
-    a sine row (odd n) ``Re(-i w_j u_j conj(q_j))``: ``w_j cos t_j`` and
-    ``w_j sin t_j`` up to the drift ``d_j = kappa_j - kappa'_j``
-    (``BondTerms.drift``).  One more row, of the other parity, corrects row
-    0 for its first-order drift per unit of x: ``-d_j w_0j`` under a cosine
-    row 0, ``+d_j w_0j`` under a sine one.  As ``Re(v conj(q)) = Re v Re q +
-    Im v Im q``, the first half of the result holds each ``Re v`` and the
-    second half each ``Im v``, at the term's node and 0 at every other node.
+    Taylor row i of level ``level`` weights term j by ``w_j = a_j r_j**n``,
+    n = ``level`` + i.  The node of term j holds ``q_j = exp(-i kappa'_j
+    x)`` (:func:`_term_phasors`), with ``kappa'_j = sum_b eps_jb S_b`` the
+    bond sum, so with ``v_j = w_j (-i)**(n % 2) exp(i phi_j)`` the row sums
+    ``Re(v_j conj(q_j))``: ``w_j cos t_j`` for even n and ``w_j sin t_j``
+    for odd n, up to the drift ``d_j = kappa_j - kappa'_j``
+    (``BondTerms.drift``).  One more row, ``v_j = i d_j w_j (-i)**(n % 2)
+    exp(i phi_j)`` at n = ``level``, corrects row 0 for its first-order
+    drift per unit of x.  As ``Re(v conj(q)) = Re v Re q + Im v Im q``, the
+    first half of the result holds each ``Re v`` and the second half each
+    ``Im v``, at the term's node and 0 at every other node.
+
+    Every row depends on n alone, so the series keeps one table of ``Re v``
+    and ``Im v`` for the Taylor and drift rows of n = 0, 1, ..., and
+    rebuilds it whole when a request reaches past its end: a power table of
+    one row would square where a longer one calls ``pow``.
     """
     bonds = series.bonds
-    sine_rows = (level + np.arange(len(w) + 1)) % 2 == 1
-    sine_rows[len(w)] = level % 2 == 0  # the drift row, of the other parity
-    sine_rows = sine_rows[:, None]
-    w = np.vstack((w, (1.0 if level % 2 else -1.0) * w[0] * bonds.drift))
-    cos_turn, sin_turn = np.cos(series.arrays[2]), np.sin(series.arrays[2])
-    rw = np.zeros((2 * len(w), bonds.parents.size))
-    rw[: len(w), bonds.nodes] = w * np.where(sine_rows, sin_turn, cos_turn)
-    rw[len(w) :, bonds.nodes] = w * np.where(sine_rows, -cos_turn, sin_turn)
+    stop = level + order + 1
+    table = series._bond_weights.get(None)
+    if table is None or table.shape[1] < stop:
+        actions, amps, phases = series.arrays
+        n = np.arange(stop)
+        w = amps * (actions / series.leading_action) ** n[:, None]
+        # Rows m and m + 1 (mod 4) of turn are Re and Im of (-i)**m exp(i phi).
+        turn = np.stack((np.cos(phases), np.sin(phases), -np.cos(phases), -np.sin(phases)))
+        wd, n = w * bonds.drift, n % 2
+        table = series._bond_weights[None] = np.stack((w * turn[n], w * turn[n + 1], wd * turn[n - 1], wd * turn[n]))
+    rows, first = slice(level, stop), slice(level, level + 1)
+    rw = np.zeros((2 * (order + 2), bonds.parents.size))
+    rw[:, bonds.nodes] = np.concatenate((table[0, rows], table[2, first], table[1, rows], table[3, first]))
     return rw
 
 

@@ -299,7 +299,8 @@ def _model_roots(
     bond phasors too), the sum over the J terms modelled, and the polynomial
     sum, at most ``e**|u|`` times the coefficient errors.  Points go through
     ``MODEL_BLOCK`` at a time, certificate and level below included; a
-    block frees its Newton tables before the certificate's arrays.
+    block frees its Newton tables before the certificate's arrays and the
+    rest, single rows too, at its end.
     """
     actions, amps, _ = series.arrays
     s0 = series.leading_action
@@ -353,7 +354,8 @@ def _model_roots(
                 v = np.abs(u)
                 bound = tail * v ** (top + 1) / (top + 1) + noise * np.exp(v) * rounding
                 level_below[block] = np.copysign(np.maximum(np.abs(value) - bound, 0.0), value)
-            del c, d, dp  # free this block's arrays before the next one's
+                del value, v, bound
+            del c, d, dp, lo, hi, u, du, new, rounding  # free this block's arrays before the next one's
     return f, root, error, side, level_below
 
 

@@ -1,9 +1,19 @@
 """Shared fixtures: the small graph corpus used across test modules."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qgspectra import BondSpec, QuantumGraph, VertexSpec, descend_with_trace, solver
+
+
+def evaluate(series, k: float) -> float:
+    """Oracle value of a series at wavenumber ``k``: one scalar cosine per
+    term, summed with ``math.fsum``."""
+    parts = [math.cos(series.leading_action * k + series.leading_phase)]
+    parts.extend(-t.amplitude * math.cos(t.action * k + t.phase) for t in series.terms)
+    return math.fsum(parts)
 
 
 def make_bond_dd() -> QuantumGraph:

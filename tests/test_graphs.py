@@ -1,5 +1,6 @@
 """Graph model: vertex matrices, determinant expansion, realification."""
 
+import cmath
 import itertools
 import math
 
@@ -21,12 +22,13 @@ from qgspectra import (
     verify_spectrum,
     vertex_scattering,
 )
-from qgspectra.graphs import bond_scattering_matrix, transfer_determinant
-from qgspectra.series import evaluate
+from qgspectra.graphs import CONJUGATE_TOL, bond_scattering_matrix, transfer_determinant
+from qgspectra.series import MERGE_TOL, BondTerms, canonicalize
 
 from conftest import (
     ALL_GRAPHS,
     dirichlet_star,
+    evaluate,
     make_bond_dd,
     make_loop,
     make_path4,
@@ -40,9 +42,19 @@ def numeric_det(graph, k):
     return np.linalg.det(np.eye(n) - transfer_matrix(graph, k))
 
 
+def total_actions(expo):
+    """The total action <n, actions> of each kept monomial, by math.fsum."""
+    return [math.fsum(row) for row in (expo.exponents * expo.actions).tolist()]
+
+
 def expo_value(expo, k):
     """The exponential sum sum_n c_n exp(i k <n, actions>) at wavenumber k."""
-    return sum(c * np.exp(1j * expo.total_action(n) * k) for n, c in expo.coefficients.items())
+    return sum(c * np.exp(1j * s * k) for s, c in zip(total_actions(expo), expo.coefficients))
+
+
+def coefficient_dict(expo):
+    """The kept coefficients keyed by their exponent tuples."""
+    return dict(zip(map(tuple, expo.exponents.tolist()), expo.coefficients.tolist()))
 
 
 CONDITIONS = ("dirichlet", "kirchhoff", "scaling_delta")
@@ -80,12 +92,20 @@ FUZZ_GRAPHS = [random_graph(_FUZZ_RNG) for _ in range(60)]
 def assert_mirror_identity(expansion, graph):
     """Sigma is unitary, so det(I - U) = det U * conj(det(I - U)) for
     U = D(k) Sigma: c_(2-n) = det Sigma * conj(c_n), and the leading action
-    is the total bond action."""
-    coefficients = expansion.expo.coefficients
+    is the total bond action.  The mirror of grid point p is point
+    size - 1 - p, a coefficient below the floor counting as 0."""
+    expo = expansion.expo
     det_sigma = np.linalg.det(bond_scattering_matrix(graph))
-    for n, c in coefficients.items():
-        mirror = coefficients.get(tuple(2 - b for b in n), 0.0)
-        assert abs(mirror - det_sigma * c.conjugate()) <= 1e-12, n
+    grid = np.zeros(expo.size, dtype=complex)
+    grid[expo.indices] = expo.coefficients
+    mirrors = grid[expo.size - 1 - expo.indices]
+    mismatch = np.abs(mirrors - det_sigma * expo.coefficients.conj())
+    assert mismatch.max() <= 1e-12, expo.exponents[mismatch.argmax()]
+    # Reversing the grid maps exponents n to 2 - n.
+    rows = dict(zip(expo.indices.tolist(), expo.exponents.tolist()))
+    for p, n in rows.items():
+        if expo.size - 1 - p in rows:
+            assert rows[expo.size - 1 - p] == [2 - b for b in n], n
     assert expansion.series.leading_action == math.fsum(b.action for b in graph.bonds)
 
 
@@ -95,6 +115,46 @@ def assert_reconstructs(expansion, graph, ks):
         recon = expansion.normalization * np.exp(-1j * expansion.theta * k) * numeric_det(graph, k)
         assert abs(evaluate(expansion.series, k) - recon.real) <= 1e-9
         assert abs(recon.imag) <= 1e-9
+
+
+def reference_realification(graph):
+    """Series and bond rows realified one monomial at a time over a dict of
+    exponent tuples, from ``transfer_determinant``'s arrays: the loop that
+    ``expand_secular`` ran before it worked on the coefficient grid."""
+    expo = transfer_determinant(graph)
+    coefficients = coefficient_dict(expo)
+    n_bonds = len(expo.actions)
+    theta = math.fsum(expo.actions)
+    top = (2,) * n_bonds
+    c_0 = coefficients[(0,) * n_bonds]
+    c_top = coefficients[top]
+    rotation = cmath.exp(0.5j * cmath.phase(c_0.conjugate() / c_top))
+    lead = rotation * c_top
+    boundary = 1e-12 * abs(lead)
+    if lead.real < -boundary or (abs(lead.real) <= boundary and lead.imag > 0.0):
+        rotation = -rotation
+    r_lead = 0.5 * (rotation * c_top + (rotation * c_0).conjugate())
+    lead_amp = abs(r_lead)
+    scale = 2.0 * lead_amp
+    raw_terms = []
+    rows = {0.0: (0,) * n_bonds}
+    for n, c in coefficients.items():
+        kappa = math.fsum(b * s for b, s in zip(n, expo.actions)) - theta
+        if kappa < -MERGE_TOL:
+            continue
+        p = rotation * c
+        q = (rotation * coefficients.get(tuple(2 - b for b in n), 0.0)).conjugate()
+        assert abs(p - q) <= CONJUGATE_TOL, n
+        if n == top:
+            continue
+        r = 0.5 * (p + q)
+        if abs(kappa) <= MERGE_TOL:
+            raw_terms.append((0.0, -r.real / scale, 0.0))
+        else:
+            raw_terms.append((kappa, -abs(r) / lead_amp, math.atan2(r.imag, r.real)))
+            rows.setdefault(kappa, tuple(b - 1 for b in n))
+    series = canonicalize(theta, math.atan2(r_lead.imag, r_lead.real), raw_terms)
+    return series, BondTerms.from_rows(expo.actions, [rows[t.action] for t in series.terms], series.arrays[0])
 
 
 def principal_minor_coefficients(graph):
@@ -152,6 +212,29 @@ def wheel():
     vertices += [VertexSpec(i, "scaling_delta", 1.2 + 0.1 * i) for i in range(1, 5)]
     bonds = tuple(BondSpec(e, length) for e, length in zip(edges, ARMS8))
     return QuantumGraph(vertices=tuple(vertices), bonds=bonds)
+
+
+# The conftest graphs, the random graphs and the 8-bond stars and wheel.
+REALIFY_GRAPHS = {n: f() for n, f in ALL_GRAPHS.items()}
+REALIFY_GRAPHS.update({f"fuzz{i}": g for i, g in enumerate(FUZZ_GRAPHS)})
+REALIFY_GRAPHS.update(star8_dirichlet=dirichlet_star(ARMS8), star8_delta=delta_star(ARMS8), wheel=wheel())
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(REALIFY_GRAPHS))
+def test_realification_matches_reference(name):
+    # The array realification keeps every bit of the per-monomial loop.
+    graph = REALIFY_GRAPHS[name]
+    want, bonds = reference_realification(graph)
+    got = secular_series(graph)
+    assert [float_bits(t) for t in got.terms] == [float_bits(t) for t in want.terms]
+    leading = (got.leading_action, got.leading_phase), (want.leading_action, want.leading_phase)
+    assert float_bits(leading[0]) == float_bits(leading[1])
+    assert np.array_equal(got.bonds.rows, bonds.rows)
+    assert float_bits(got.bonds.drift) == float_bits(bonds.drift)
 
 
 class TestVertexScattering:
@@ -371,18 +454,19 @@ class TestSecularSeries:
         n_bonds = len(any_graph.bonds)
         assert len(expo.actions) == n_bonds
         assert len(expo.coefficients) <= 3 ** n_bonds
-        for exponents in expo.coefficients:
-            assert len(exponents) == n_bonds
-            assert set(exponents) <= {0, 1, 2}
-        assert all(abs(c) >= expo.floor for c in expo.coefficients.values())
+        assert expo.exponents.shape == (len(expo.coefficients), n_bonds)
+        assert set(expo.exponents.ravel().tolist()) <= {0, 1, 2}
+        assert len(set(map(tuple, expo.exponents.tolist()))) == len(expo.coefficients)
+        assert np.all(np.diff(expo.indices) > 0) and 0 <= expo.indices[0] <= expo.indices[-1] < expo.size
+        assert np.all(np.abs(expo.coefficients) >= expo.floor)
 
     @pytest.mark.parametrize("name", sorted(MINOR_GRAPHS))
     def test_coefficients_match_principal_minors(self, name):
         graph = MINOR_GRAPHS[name]
-        expo = transfer_determinant(graph)
+        coefficients = coefficient_dict(transfer_determinant(graph))
         oracle = principal_minor_coefficients(graph)
-        for exponents in oracle.keys() | expo.coefficients.keys():
-            got = expo.coefficients.get(exponents, 0.0)
+        for exponents in oracle.keys() | coefficients.keys():
+            got = coefficients.get(exponents, 0.0)
             assert abs(got - oracle.get(exponents, 0.0)) <= 1e-12, exponents
 
     @pytest.mark.parametrize("arms", [4, 6])
@@ -550,12 +634,12 @@ class TestReflectingAxes:
 
 def assert_coefficients_at_40_digits(graph):
     mpmath = pytest.importorskip("mpmath")
-    expo = transfer_determinant(graph)
+    coefficients = coefficient_dict(transfer_determinant(graph))
     with mpmath.workdps(40):
         oracle = mp_principal_minor_coefficients(graph, mpmath.mp)
-        assert expo.coefficients.keys() <= oracle.keys()
+        assert coefficients.keys() <= oracle.keys()
         for exponents, want in oracle.items():
-            got = mpmath.mpc(expo.coefficients.get(exponents, 0.0))
+            got = mpmath.mpc(coefficients.get(exponents, 0.0))
             assert abs(got - want) <= 1e-15, exponents
 
 

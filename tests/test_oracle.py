@@ -21,10 +21,9 @@ from qgspectra import (
 )
 from qgspectra.fuzz import random_series, standard_window
 from qgspectra.oracle import _cell_counts
-from qgspectra.series import evaluate
 from qgspectra.solver import POSITIVE_FLOOR, Spectrum, SpectrumEntry
 
-from conftest import SOLVABLE_GRAPHS, make_star3
+from conftest import SOLVABLE_GRAPHS, evaluate, make_star3
 
 
 class TestScanRoots:

@@ -28,13 +28,20 @@ from qgspectra.series import (
     BondTerms,
     SpectralSeries,
     TrigTerm,
-    evaluate,
     regularity_sum,
     taylor_array,
 )
 from qgspectra.solver import DescentChain
 
-from conftest import ALL_GRAPHS, STAR_LENGTHS, dirichlet_star, make_bond_dd, make_star3, make_wheel5
+from conftest import (
+    ALL_GRAPHS,
+    STAR_LENGTHS,
+    dirichlet_star,
+    evaluate,
+    make_bond_dd,
+    make_star3,
+    make_wheel5,
+)
 
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
@@ -379,6 +386,24 @@ class TestBondKernel:
         raw = random_series(np.random.default_rng(3), max_terms=40)
         assert raw.bonds is None and len(raw.terms) > 6
         descend(build_chain(raw), standard_window(raw, 30))
+
+    def test_weights_do_not_depend_on_request_order(self):
+        # The turned-weight table grows on demand.  Requests from the top
+        # level down, as the descent makes them, build it once; requests by
+        # rising highest power make it grow one row at a time.  Every
+        # (level, order) gives the same rows bit for bit either way.
+        graph = dirichlet_star(STAR_LENGTHS)
+        assert len(graph.bonds) == 8
+        top_down, bottom_up = secular_series(graph), secular_series(graph)
+        assert series_module._by_bonds(top_down)
+        pairs = [(level, order) for level in range(8) for order in (0, 1, 16, 17)]
+        ks = np.linspace(0.5, 99.5, 37)
+        want = {pair: taylor_array(top_down, ks, pair[1], pair[0]) for pair in reversed(pairs)}
+        for level, order in sorted(pairs, key=lambda pair: (sum(pair), pair)):
+            got = taylor_array(bottom_up, ks, order, level)
+            assert got.tobytes() == want[level, order].tobytes(), (level, order)
+            weights = (top_down._bond_weights[level, order], bottom_up._bond_weights[level, order])
+            assert weights[0].tobytes() == weights[1].tobytes(), (level, order)
 
     def test_many_terms_take_bond_phasors(self):
         series = secular_series(dirichlet_star(STAR_LENGTHS[:6]))

@@ -27,7 +27,6 @@ from qgspectra.fuzz import random_series, standard_window
 from qgspectra.series import (
     AMPLITUDE_FLOOR,
     derivative_series,
-    evaluate,
     regularity_sum,
     taylor_array,
 )
@@ -37,6 +36,7 @@ from conftest import (
     SOLVABLE_GRAPHS,
     STAR_LENGTHS,
     dirichlet_star,
+    evaluate,
     make_bond_dd,
     make_bond_dk,
     make_star3,
@@ -711,8 +711,9 @@ class TestSolveGraph:
     def test_descent_memory_peak(self):
         # 7-bond Dirichlet star, about 1,700 roots on each of 7 levels.  The
         # bound is about 5% above the 842 KiB peak that per-block model
-        # arrays gave before separator certificates.  It reads 857 KiB with
-        # 744-lane model blocks, in a block's taylor_array call.
+        # arrays gave before separator certificates.  It reads 828 KiB with
+        # 744-lane model blocks that free all their arrays, single rows too,
+        # at their end (857 KiB while those rows outlived the block).
         chain = build_chain(secular_series(dirichlet_star(STAR_LENGTHS[:7])))
         descend(chain, (0.0, 10.0))  # build the cached term arrays
         tracemalloc.start()
