@@ -179,9 +179,9 @@ class SpectralSeries:
 
     @cached_property
     def _bond_weights(self) -> dict:
-        """The bond kernel's weights, by derivative level and Taylor order,
-        each gathered once from the table of turned weights held under the
-        key None (:func:`_turned_weights`)."""
+        """The bond kernel's complex weights, by derivative level and Taylor
+        order, each gathered once from the table of turned weights held
+        under the key None (:func:`_turned_weights`)."""
         return {}
 
 
@@ -301,8 +301,8 @@ def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int, level: int 
     A series with bond structure and more than twice as many terms as
     bonds (:func:`_by_bonds`) takes its term phasors from
     :func:`_term_phasors`: one cosine and one sine per bond and point and
-    one complex multiply per node of the product plan.  One real matrix
-    product of the phasors' (cos, sin) pairs with weights turned by the
+    one complex multiply per node of the product plan.  The real part of
+    one complex matrix product of the phasors with weights turned by the
     term phases (:func:`_turned_weights`) then gives every row.  Any other
     series takes a cosine and a sine of each term angle, with one matrix
     product per row parity.  Either way, points go through in blocks whose
@@ -337,7 +337,7 @@ def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int, level: int 
     np.multiply(s0, x, out=c[0])
     c[0] += series.leading_phase
     if order:
-        c[1::2] = other(c[0])
+        c[3::2] = other(c[0], out=c[1])
     first(c[0], out=c[0])
     if order:
         c[2::2] = c[0]
@@ -349,20 +349,17 @@ def taylor_array(series: SpectralSeries, ks: np.ndarray, order: int, level: int 
         # A block holds its node phasors with, in turn, the bond factors,
         # one layer's gathered parents and the sums: complex entries within
         # EVAL_BLOCK, as the cosines and sines of the loop below.
-        width = bonds.parents.size + max(2 * bonds.actions.size, bonds.widest, 2 * rows + 2)
+        width = bonds.parents.size + max(2 * bonds.actions.size, bonds.widest, rows + 1)
         step = max(1, EVAL_BLOCK // width)
         for start in range(0, x.size, step):
             block = slice(start, start + step)
             phasors = _term_phasors(series, x[block])
-            sums = rw @ phasors.view(float)  # (cos, sin) column pairs
+            sums = (rw @ phasors).real
             del phasors
-            re, im = sums[: rows + 1], sums[rows + 1 :]
-            c[:, block] -= re[:rows, 0::2]
-            c[:, block] -= im[:rows, 1::2]
-            drift = re[rows, 0::2] + im[rows, 1::2]
-            drift *= x[block]
-            c[0, block] -= drift
-            del sums, re, im, drift
+            c[:, block] -= sums[:rows]
+            sums[rows] *= x[block]
+            c[0, block] -= sums[rows]
+            del sums
     else:
         w = amps * (actions / s0) ** np.arange(level, level + order + 1)[:, None]
         step = max(1, EVAL_BLOCK // max(1, len(amps)))
@@ -394,39 +391,33 @@ def _by_bonds(series: SpectralSeries) -> bool:
 
 
 def _turned_weights(series: SpectralSeries, level: int, order: int) -> np.ndarray:
-    """Weights of the node phasors in :func:`taylor_array`'s bond kernel.
+    """Complex weights of the node phasors in :func:`taylor_array`'s bond kernel.
 
     Taylor row i of level ``level`` weights term j by ``w_j = a_j r_j**n``,
     n = ``level`` + i.  The node of term j holds ``q_j = exp(-i kappa'_j
     x)`` (:func:`_term_phasors`), with ``kappa'_j = sum_b eps_jb S_b`` the
-    bond sum, so with ``v_j = w_j (-i)**(n % 2) exp(i phi_j)`` the row sums
-    ``Re(v_j conj(q_j))``: ``w_j cos t_j`` for even n and ``w_j sin t_j``
-    for odd n, up to the drift ``d_j = kappa_j - kappa'_j``
-    (``BondTerms.drift``).  One more row, ``v_j = i d_j w_j (-i)**(n % 2)
-    exp(i phi_j)`` at n = ``level``, corrects row 0 for its first-order
-    drift per unit of x.  As ``Re(v conj(q)) = Re v Re q + Im v Im q``, the
-    first half of the result holds each ``Re v`` and the second half each
-    ``Im v``, at the term's node and 0 at every other node.
+    bond sum, so with the turned weight ``u_j = w_j i**(n % 2) exp(-i
+    phi_j)`` the row sums ``Re(u_j q_j)``: ``w_j cos t_j`` for even n and
+    ``w_j sin t_j`` for odd n, up to the drift ``d_j = kappa_j - kappa'_j``
+    (``BondTerms.drift``).  One more row, ``-i d_j u_j`` at n = ``level``,
+    corrects row 0 for its first-order drift per unit of x.  Each weight
+    sits at its term's node, with 0 at every other node.
 
-    Every row depends on n alone, so the series keeps one table of ``Re v``
-    and ``Im v`` for the Taylor and drift rows of n = 0, 1, ..., and
-    rebuilds it whole when a request reaches past its end: a power table of
-    one row would square where a longer one calls ``pow``.
+    Every row depends on n alone, so the series keeps one table of the
+    Taylor and drift weights of n = 0, 1, ..., and rebuilds it whole when
+    a request reaches past its end: a power table of one row would square
+    where a longer one calls ``pow``.
     """
     bonds = series.bonds
     stop = level + order + 1
     table = series._bond_weights.get(None)
     if table is None or table.shape[1] < stop:
         actions, amps, phases = series.arrays
-        n = np.arange(stop)
-        w = amps * (actions / series.leading_action) ** n[:, None]
-        # Rows m and m + 1 (mod 4) of turn are Re and Im of (-i)**m exp(i phi).
-        turn = np.stack((np.cos(phases), np.sin(phases), -np.cos(phases), -np.sin(phases)))
-        wd, n = w * bonds.drift, n % 2
-        table = series._bond_weights[None] = np.stack((w * turn[n], w * turn[n + 1], wd * turn[n - 1], wd * turn[n]))
-    rows, first = slice(level, stop), slice(level, level + 1)
-    rw = np.zeros((2 * (order + 2), bonds.parents.size))
-    rw[:, bonds.nodes] = np.concatenate((table[0, rows], table[2, first], table[1, rows], table[3, first]))
+        w = amps * (actions / series.leading_action) ** np.arange(stop)[:, None] * np.exp(-1j * phases)
+        w[1::2] *= 1j  # i**(n % 2), exactly
+        table = series._bond_weights[None] = np.stack((w, -1j * bonds.drift * w))
+    rw = np.zeros((order + 2, bonds.parents.size), dtype=complex)
+    rw[:, bonds.nodes] = np.concatenate((table[0, level:stop], table[1, level : level + 1]))
     return rw
 
 

@@ -263,6 +263,35 @@ class TestTaylorModel:
         # The result itself, plus a few EVAL_BLOCK-sized blocks.
         assert peak < rows.nbytes + 8 * 8 * EVAL_BLOCK
 
+    @pytest.mark.parametrize("kernel", ["bonds", "per_term"])
+    def test_memory_does_not_grow_with_points(self, kernel):
+        # Net of its output, a call holds one block's arrays, at most
+        # EVAL_BLOCK complex entries, whatever the number of points: no
+        # temporary spans all points.  The 8-bond star's bond kernel reads
+        # 256.0 KiB.  The per-term kernel's
+        # row products and numpy's temporaries in np.outer and matmul come on
+        # top: 330.8 KiB for these 53 terms.
+        if kernel == "bonds":
+            series, slack = secular_series(dirichlet_star(STAR_LENGTHS)), 1024
+            assert series_module._by_bonds(series)
+        else:
+            series, slack = random_series(np.random.default_rng(4), max_terms=60), 96 * 1024
+            assert series.bonds is None and len(series.terms) > 50
+        window = standard_window(series, 100)
+        peaks = []
+        for n_points in (2_000, 20_000, 200_000):
+            ks = np.linspace(*window, n_points)
+            taylor_array(series, ks[:10], 17, 1)  # build the cached weights
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                rows = taylor_array(series, ks, 17, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base - rows.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) - min(peaks) <= 1024, peaks
+        assert max(peaks) <= 16 * EVAL_BLOCK + slack, peaks
+
 
 def bond_graphs():
     """The conftest graphs, the 6-, 7- and 8-bond Dirichlet stars and the wheel."""
