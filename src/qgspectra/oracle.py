@@ -112,7 +112,8 @@ def scan_roots(
     over the window padded by ``SCAN_WIDTH * max(1, |k|)`` on each side, at
     least one final bracket width; when the padding reaches
     ``POSITIVE_FLOOR`` the grid starts at the solver's escape point off the
-    systematic k = 0 zero, where the series is in float noise.  Sign
+    systematic k = 0 zero, where the series is in float noise.  An exact
+    0.0 reads as positive, as a noise-level edge does in the descent.  Sign
     changes are bisected to width ``SCAN_WIDTH`` or to adjacent floats, and
     the midpoints of the brackets that meet the window are returned,
     sorted.
@@ -129,26 +130,16 @@ def scan_roots(
     if hi <= lo:
         return np.empty(0)
     ks = uniform_grid(series, lo, hi, oversampling)
-    f = evaluate_array(series, ks)
-
-    # A grid point landing exactly on a root would break the sign test.
-    exact = f == 0.0
-    if exact.any():
-        ks = ks.copy()
-        ks[exact] += (hi - lo) / (ks.size - 1) * 1e-9
-        f = np.where(exact, evaluate_array(series, ks), f)
-
-    s = np.sign(f)
-    change = s[:-1] != s[1:]
+    negative = evaluate_array(series, ks) < 0.0
+    change = negative[:-1] != negative[1:]
     if not change.any():
         return np.empty(0)
     a = ks[:-1][change]
     b = ks[1:][change]
-    sa = s[:-1][change]
+    a_negative = negative[:-1][change]
     while (active := b - a > np.maximum(SCAN_WIDTH, np.spacing(b))).any():
         mid = 0.5 * (a + b)
-        fm = evaluate_array(series, mid)
-        go_left = active & (np.sign(fm) == sa)
+        go_left = active & ((evaluate_array(series, mid) < 0.0) == a_negative)
         go_right = active & ~go_left
         a = np.where(go_left, mid, a)
         b = np.where(go_right, mid, b)

@@ -40,11 +40,26 @@ FUZZ_PREFIX = 100
 # The separator tier solves the conftest graphs on (0, GRAPH_KMAX].
 GRAPH_KMAX = 40.0
 
+# The arms of graph_build's seed-1 star8_dirichlet (perfbench/workloads.py
+# ``_star``).  Its roots near k = 29.35 and 29.43 miss at 40 digits when the
+# bond kernel drops its drift rows.
+BUILD_STAR8_LENGTHS = (
+    0.6430171152863896,
+    0.431294100229226,
+    0.6642095848515929,
+    0.5145030123492382,
+    0.7328260494770522,
+    0.8262461509419077,
+    0.8537465579627749,
+    0.5341574289018182,
+)
+
 # The bond tier: graph and reported window; separators on (0, 20].
 BOND_GRAPHS = {
     "star6": (lambda: dirichlet_star(STAR_LENGTHS[:6]), 60.0),
     "star7": (lambda: dirichlet_star(STAR_LENGTHS[:7]), 60.0),
     "star8": (lambda: dirichlet_star(STAR_LENGTHS), 30.0),
+    "star8_build1": (lambda: dirichlet_star(BUILD_STAR8_LENGTHS), 30.0),
     "wheel5": (make_wheel5, 30.0),
 }
 

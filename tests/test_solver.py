@@ -1064,8 +1064,10 @@ class TestWindowMembership:
                 assert np.all(np.abs(got_ks - ks[meets]) <= got_encl + encl[meets]), (series, sub)
 
     def test_sub_windows_of_fuzz_series(self):
-        # The per-term kernel evaluates each point alike in any batch, so
-        # the roots and enclosures are the whole window's, bit for bit.
+        # The per-term kernel's matrix products can round a point's value
+        # by a last bit that depends on the batch, too (ROADMAP item 17),
+        # yet on these series the roots and enclosures are the whole
+        # window's, bit for bit.
         rng = np.random.default_rng(67)
         for _ in range(40):
             series = random_series(rng)
