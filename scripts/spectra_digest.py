@@ -62,9 +62,8 @@ def main(argv: list[str] | None = None) -> int:
 
     mp = mpmath.mp
     mp.dps = 40
-    totals = []
+    totals = {}
     for name, make in WORKLOADS.items():
-        all_roots = all_misses = 0
         for seed in args.seed or [1, 2, 3, 4, 5, 301]:
             digest = hashlib.sha256()
             with tempfile.TemporaryDirectory(prefix="spectra-digest-") as workdir:
@@ -88,10 +87,10 @@ def main(argv: list[str] | None = None) -> int:
                         print(f"miss {name} {seed} {label} k={entry.wavenumber!r} "
                               f"enclosure={entry.enclosure!r}", flush=True)
             print(f"{name} {seed} {digest.hexdigest()} roots {roots} misses {misses}", flush=True)
-            all_roots, all_misses = all_roots + roots, all_misses + misses
-        if name != "cli_batch":
-            totals.append(f"{name} total roots {all_roots} misses {all_misses}")
-    print("\n".join(totals))
+            all_roots, all_misses = totals.get(name, (0, 0))
+            totals[name] = (all_roots + roots, all_misses + misses)
+    for name, (roots, misses) in totals.items():
+        print(f"{name} total roots {roots} misses {misses}")
     return 0
 
 
