@@ -318,8 +318,6 @@ def _csv_text(table: np.ndarray) -> str:
     """The rows of a float table as CSV text, every field ``%.17g``."""
     v = table.ravel()
     n = v.size
-    if n == 0:
-        return ""
     a = np.where(np.isfinite(v), np.abs(v), 0.0)
     fast = (a > 1e-270) & (a < 1e270)
     a[~fast] = 1.0

@@ -14,18 +14,17 @@ def random_series(
     *,
     max_terms: int = 5,
     amp_sum_range: tuple[float, float] = (1.0, 3.0),
-    ratio_range: tuple[float, float] = (0.1, 0.95),
-    s0_range: tuple[float, float] = (0.6, 2.5),
 ) -> SpectralSeries:
     """Draw a canonical series with a prescribed term-amplitude budget.
 
-    Term actions are uniform ratios of the leading action, amplitudes are
-    rescaled so their sum is uniform in ``amp_sum_range`` (typically above
-    1, so the instance is not regular at level 0), phases are uniform.
+    The leading action is uniform in [0.6, 2.5) and term actions are
+    uniform ratios of it in [0.1, 0.95); amplitudes are rescaled so their
+    sum is uniform in ``amp_sum_range`` (typically above 1, so the instance
+    is not regular at level 0), phases are uniform.
     """
-    s0 = float(rng.uniform(*s0_range))
+    s0 = float(rng.uniform(0.6, 2.5))
     n = int(rng.integers(1, max_terms + 1))
-    ratios = rng.uniform(*ratio_range, size=n)
+    ratios = rng.uniform(0.1, 0.95, size=n)
     raw_amps = rng.uniform(0.2, 1.0, size=n)
     target = rng.uniform(*amp_sum_range)
     amps = raw_amps * (target / raw_amps.sum())

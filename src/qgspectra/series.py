@@ -115,12 +115,13 @@ class BondTerms(NamedTuple):
         place = [3**b for b in range(n_bonds)]
         root = 2 * sum(place)
         codes = ((rows + 1) * place).sum(axis=1).tolist()
-        known = set(codes) | {root}
-        up, via = {root: root}, {root: 0}
-        pending = known - {root}
+        # code -> (parent code, factor); None until planned.  A round plans
+        # its nodes against the keys known when it starts, in any order.
+        parent = dict.fromkeys(codes)
+        parent[root] = (root, 0)
+        pending = parent.keys() - {root}
         while pending:
-            added = set()
-            for v in sorted(pending):
+            for v in pending:
                 steps = []
                 for b, p in enumerate(place):
                     digit = v // p % 3
@@ -128,13 +129,12 @@ class BondTerms(NamedTuple):
                         steps.append((v + (2 - digit) * p, b if digit else n_bonds + b))
                     if digit == 0:
                         steps.append((v + p, b))
-                up[v], via[v] = next((step for step in steps if step[0] in known), steps[0])
-                added.add(up[v])
-            pending = added - known
-            known |= pending
+                parent[v] = next((step for step in steps if step[0] in parent), steps[0])
+            pending = {parent[v][0] for v in pending} - parent.keys()
+            parent.update(dict.fromkeys(pending))
         depth = {root: 0}
-        for v in sorted(known - {root}, reverse=True):  # parents first
-            depth[v] = depth[up[v]] + 1
+        for v in sorted(parent.keys() - {root}, reverse=True):  # parents first
+            depth[v] = depth[parent[v][0]] + 1
         order = sorted(depth, key=lambda v: (depth[v], v))
         index = {v: i for i, v in enumerate(order)}
         starts = [i for i in range(1, len(order)) if depth[order[i]] != depth[order[i - 1]]]
@@ -148,8 +148,8 @@ class BondTerms(NamedTuple):
             rows=rows,
             drift=np.array(drift),
             nodes=np.array([index[v] for v in codes], dtype=np.intp),
-            parents=np.array([index[up[v]] for v in order], dtype=np.intp),
-            factors=np.array([via[v] for v in order], dtype=np.intp),
+            parents=np.array([index[parent[v][0]] for v in order], dtype=np.intp),
+            factors=np.array([parent[v][1] for v in order], dtype=np.intp),
             layers=layers,
             widest=max((stop - start for start, stop in layers), default=0),
         )

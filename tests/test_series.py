@@ -1,5 +1,6 @@
 """Canonical series algebra: construction, evaluation, derivative chain."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -40,6 +41,7 @@ from conftest import (
     evaluate,
     make_bond_dd,
     make_star3,
+    make_triangle_delta,
     make_wheel5,
 )
 
@@ -438,6 +440,24 @@ class TestBondKernel:
         series = secular_series(dirichlet_star(STAR_LENGTHS[:6]))
         assert len(series.terms) > 2 * series.bonds.actions.size
         assert series_module._by_bonds(series)
+
+    @pytest.mark.parametrize(
+        "make, size, n_layers, digest",
+        [
+            (make_wheel5, 186, 8, "1731e50b8ac3ba45"),
+            (make_triangle_delta, 7, 3, "14b8fa4a6b80534f"),
+            (lambda: dirichlet_star(STAR_LENGTHS), 90, 3, "41ab1f02fd77ba1d"),
+        ],
+        ids=["wheel5", "triangle_delta", "star8"],
+    )
+    def test_plan_is_pinned(self, make, size, n_layers, digest):
+        # The kernel's rounding follows the plan's node order, so a changed
+        # plan moves spectra in their last bits.  Wheel5's plan holds nodes
+        # that are no term's, added as parents only.
+        bonds = secular_series(make()).bonds
+        assert (len(bonds.parents), len(bonds.layers)) == (size, n_layers)
+        plan = np.concatenate([bonds.nodes, bonds.parents, bonds.factors, np.ravel(bonds.layers)])
+        assert hashlib.sha256(plan.astype(np.int64).tobytes()).hexdigest()[:16] == digest
 
 
 class TestDerivative:
