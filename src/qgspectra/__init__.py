@@ -11,15 +11,10 @@ __version__ = "0.1.0"
 
 from .errors import (
     DegenerateSpectrum,
-    DegreeMismatch,
-    EmptyWindow,
-    NonpositiveLeadingAction,
     NotRegular,
-    ParseError,
     RealificationFailure,
     SizeCapExceeded,
     SpectralError,
-    TermActionExceedsLeading,
     ValidationError,
 )
 from .series import canonicalize, derivative_series, evaluate_array
@@ -44,16 +39,11 @@ from .oracle import scan_roots, verify_spectrum
 __all__ = [
     "BondSpec",
     "DegenerateSpectrum",
-    "DegreeMismatch",
-    "EmptyWindow",
-    "NonpositiveLeadingAction",
     "NotRegular",
-    "ParseError",
     "QuantumGraph",
     "RealificationFailure",
     "SizeCapExceeded",
     "SpectralError",
-    "TermActionExceedsLeading",
     "ValidationError",
     "VertexSpec",
     "build_chain",

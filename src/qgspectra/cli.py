@@ -39,7 +39,6 @@ from . import __version__
 from .errors import (
     DegenerateSpectrum,
     NotRegular,
-    ParseError,
     RealificationFailure,
     SizeCapExceeded,
     SpectralError,
@@ -68,20 +67,16 @@ _WRITE_BLOCK = 16_384
 class ConfigDoc:
     """Validated run configuration: one model, a window and options.
 
-    ``given_oversampling`` is None unless the document or a flag sets
-    ``options.oversampling``; ``sample`` then uses its own grid density.
+    ``oversampling`` is None unless the document or a flag sets
+    ``options.oversampling``; ``verify`` then scans at the oracle's default
+    density and ``sample`` uses its own grid density.
     """
 
     graph: QuantumGraph | None
     series: SpectralSeries | None
     window: tuple[float, float]
     margin: float
-    given_oversampling: int | None
-
-    @property
-    def oversampling(self) -> int:
-        """Scan grid density of the oracle: the given value or the default."""
-        return self.given_oversampling or DEFAULT_OVERSAMPLING
+    oversampling: int | None
 
     def secular(self) -> SpectralSeries:
         if self.series is not None:
@@ -179,14 +174,14 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
     ``overrides`` (from command-line flags) are merged into the document
     before validation, so a window may come entirely from flags.  Every
     violated invariant is collected into a single ``ValidationError``;
-    syntax errors raise ``ParseError`` with line and column anchors.
+    text that is not JSON raises one with a line and column anchor.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ValidationError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
-        raise ParseError("arrays or objects nested too deeply to parse") from exc
+        raise ValidationError("arrays or objects nested too deeply to parse") from exc
 
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -238,7 +233,7 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
         series=series,
         window=(float(kmin), float(kmax)),
         margin=float(margin),
-        given_oversampling=int(oversampling) if "oversampling" in options else None,
+        oversampling=int(oversampling) if "oversampling" in options else None,
     )
 
 
@@ -389,8 +384,8 @@ def _write_solve(config: ConfigDoc, out: TextIO) -> int:
 def _write_series(config: ConfigDoc, out: TextIO) -> int:
     series = config.secular()
     options = {"margin": config.margin}
-    if config.given_oversampling is not None:
-        options["oversampling"] = config.given_oversampling
+    if config.oversampling is not None:
+        options["oversampling"] = config.oversampling
     doc = {
         "series": {
             "s0": series.leading_action,
@@ -414,7 +409,7 @@ def _write_verify(config: ConfigDoc, out: TextIO) -> int:
         config.graph or config.series,
         config.window,
         margin=config.margin,
-        oversampling=config.oversampling,
+        oversampling=config.oversampling or DEFAULT_OVERSAMPLING,
     )
     json.dump(asdict(report), out, indent=2)
     out.write("\n")
@@ -423,7 +418,7 @@ def _write_verify(config: ConfigDoc, out: TextIO) -> int:
 
 def _write_sample(config: ConfigDoc, out: TextIO) -> int:
     chain = build_chain(config.secular(), config.margin)
-    points = config.given_oversampling or _SAMPLE_POINTS_PER_HALF_PERIOD
+    points = config.oversampling or _SAMPLE_POINTS_PER_HALF_PERIOD
     ks = uniform_grid(chain.series, *config.window, points)
     # The table may hold as many bytes as a solve at the grid cap.
     if 8 * ks.size * (chain.order + 2) > 400 * MAX_GRID_CELLS:
@@ -542,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RealificationFailure, NotRegular) as exc:
         print(f"error: unsupported model: {exc}", file=sys.stderr)
         return 2
-    except SpectralError as exc:  # ParseError included
+    except SpectralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,23 +5,13 @@ class SpectralError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonpositiveLeadingAction(SpectralError):
-    """The leading action of a series must be strictly positive."""
-
-
-class TermActionExceedsLeading(SpectralError):
-    """A term action must stay strictly below the leading action."""
-
-
-class DegreeMismatch(SpectralError):
-    """Vertex degree handed to a scattering-matrix builder is invalid."""
-
-
 class ValidationError(SpectralError):
     """One or more structural invariants are violated.
 
-    ``violations`` lists every violated invariant, one message per entry,
-    each anchored to the document path of the offending field.
+    ``violations`` lists every violated invariant, one message per entry;
+    a config's are each anchored to the document path of the offending
+    field.  Bad series actions, a vertex degree below 1, an empty window
+    and config text that is not JSON raise it with one message.
     """
 
     def __init__(self, violations):
@@ -50,11 +40,3 @@ class NotRegular(SpectralError):
 
 class DegenerateSpectrum(SpectralError):
     """Descent hit a (near-)tangential root; the spectrum is not simple."""
-
-
-class EmptyWindow(SpectralError):
-    """Wavenumber window contains no interval."""
-
-
-class ParseError(SpectralError):
-    """Configuration text is not well-formed JSON."""

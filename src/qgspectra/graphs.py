@@ -34,12 +34,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegreeMismatch,
-    RealificationFailure,
-    SizeCapExceeded,
-    ValidationError,
-)
+from .errors import RealificationFailure, SizeCapExceeded, ValidationError
 from .series import MERGE_TOL, BondTerms, SpectralSeries, canonicalize, is_finite_real
 
 # Cap on directed bonds (2 per undirected bond).  It bounds the descent and
@@ -197,7 +192,7 @@ def vertex_coupling(vertex: VertexSpec, degree: int) -> complex:
     as lam*k.
     """
     if degree < 1:
-        raise DegreeMismatch(f"vertex degree must be >= 1, got {degree}")
+        raise ValidationError(f"vertex degree must be >= 1, got {degree}")
     if vertex.condition == "dirichlet":
         return 0.0
     lam = vertex.delta_strength if vertex.condition == "scaling_delta" else 0.0

@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import NonpositiveLeadingAction, TermActionExceedsLeading
+from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,12 +220,11 @@ def canonicalize(
     shift, phases are reduced mod 2*pi and amplitudes below
     ``AMPLITUDE_FLOOR`` are dropped, so a cancelling group leaves no term.
 
-    Raises ``NonpositiveLeadingAction`` or ``TermActionExceedsLeading``
-    when the dominance structure is broken.
+    Raises ``ValidationError`` when the dominance structure is broken.
     """
     s0 = float(leading_action)
     if not math.isfinite(s0) or s0 <= 0.0:
-        raise NonpositiveLeadingAction(f"leading action must be > 0, got {leading_action!r}")
+        raise ValidationError(f"leading action must be > 0, got {leading_action!r}")
     if not math.isfinite(leading_phase):
         raise ValueError(f"leading phase must be finite, got {leading_phase!r}")
 
@@ -239,7 +238,7 @@ def canonicalize(
         if action < 0.0:
             raise ValueError(f"term action must be >= 0, got {action!r}")
         if action >= s0:
-            raise TermActionExceedsLeading(
+            raise ValidationError(
                 f"term action {action!r} is not strictly below the leading action {s0!r}"
             )
         if amplitude != 0.0:

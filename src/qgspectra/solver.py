@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, EmptyWindow, NotRegular, SizeCapExceeded
+from .errors import DegenerateSpectrum, NotRegular, SizeCapExceeded, ValidationError
 from .graphs import QuantumGraph, secular_series
 from .series import (
     DEFAULT_MARGIN,
@@ -564,7 +564,7 @@ def _level_pass(
 
 def _checked_window(window: tuple[float, float]) -> tuple[float, float]:
     """The window's bounds as floats; raises ``ValueError`` unless they are
-    finite and nonnegative, and ``EmptyWindow`` unless the upper one is the
+    finite and nonnegative, and ``ValidationError`` unless the upper one is the
     greater."""
     k_lo, k_hi = float(window[0]), float(window[1])
     if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
@@ -572,7 +572,7 @@ def _checked_window(window: tuple[float, float]) -> tuple[float, float]:
     if k_lo < 0.0:
         raise ValueError(f"window must start at a nonnegative wavenumber, got {k_lo!r}")
     if not k_hi > k_lo:
-        raise EmptyWindow(f"window [{k_lo!r}, {k_hi!r}] contains no interval")
+        raise ValidationError(f"window [{k_lo!r}, {k_hi!r}] contains no interval")
     return k_lo, k_hi
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qgspectra import (
-    ParseError,
+    SpectralError,
     ValidationError,
     build_chain,
     descend,
@@ -85,7 +85,7 @@ class TestLoadConfig:
         assert len(config.graph.bonds) == 1
         assert config.window == (0.0, 10.0)
         assert config.margin == 1e-6
-        assert config.oversampling == 50
+        assert config.oversampling is None
 
     def test_series_document(self):
         config = load_config(json.dumps(IRREGULAR_SERIES))
@@ -110,7 +110,7 @@ class TestLoadConfig:
             load_config(json.dumps({"window": {"kmin": 0.0, "kmax": 1.0}}))
 
     def test_parse_error_carries_position(self):
-        with pytest.raises(ParseError, match=r"line \d+, column \d+"):
+        with pytest.raises(ValidationError, match=r"line \d+, column \d+"):
             load_config("{ not json }")
 
     def test_all_violations_reported(self):
@@ -234,13 +234,18 @@ class TestCommands:
         import qgspectra.cli as cli_module
         from qgspectra.oracle import VerificationReport
 
+        seen = {}
+
         def fake_verify(series, window, margin, oversampling):
+            seen["oversampling"] = oversampling
             return VerificationReport(2, (1.5,), (), 3e-9)
 
         monkeypatch.setattr(cli_module, "verify_spectrum", fake_verify)
         config = load_config(json.dumps(IRREGULAR_SERIES))
         out = io.StringIO()
         assert run("verify", config, out) == 4
+        # No oversampling given: the scan runs at the oracle's default.
+        assert seen["oversampling"] == 50
 
     @pytest.mark.parametrize("kmin, kmax, matched", [
         (1e9, 1e9 + 20.0, 13),
@@ -566,13 +571,12 @@ class TestMain:
         assert {line.count(",") + 1 for line in lines} == {69_317}
 
     def test_other_library_errors_exit_2(self, tmp_path, capsys, monkeypatch):
-        # Config validation keeps an empty window from reaching the solver,
-        # but any SpectralError the library raises must still map to exit 2.
+        # A bare SpectralError, which no other clause of main names, must
+        # still map to exit 2.
         import qgspectra.cli as cli_module
-        from qgspectra import EmptyWindow
 
         def empty(chain, window):
-            raise EmptyWindow("window [5.0, 5.0] contains no interval")
+            raise SpectralError("window [5.0, 5.0] contains no interval")
 
         monkeypatch.setattr(cli_module, "descend", empty)
         path = write_config(tmp_path, BOND_DD)

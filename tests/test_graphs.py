@@ -14,7 +14,6 @@ from qgspectra import (
     SizeCapExceeded,
     ValidationError,
     VertexSpec,
-    DegreeMismatch,
     expand_secular,
     scan_roots,
     secular_series,
@@ -253,7 +252,7 @@ class TestVertexScattering:
         assert np.array_equal(delta, kirch)
 
     def test_invalid_degree(self):
-        with pytest.raises(DegreeMismatch):
+        with pytest.raises(ValidationError, match="vertex degree must be >= 1"):
             vertex_scattering(VertexSpec(0, "kirchhoff"), 0)
 
     @pytest.mark.parametrize("condition,lam", [

@@ -8,9 +8,9 @@ import pytest
 from qgspectra import (
     BondSpec,
     DegenerateSpectrum,
-    EmptyWindow,
     QuantumGraph,
     SizeCapExceeded,
+    ValidationError,
     VertexSpec,
     canonicalize,
     descend,
@@ -155,14 +155,20 @@ class TestVerifySpectrum:
         assert report.matched > 10
 
     @pytest.mark.parametrize(
-        "window, error",
-        [((-1.0, 1e20), ValueError), ((0.0, math.inf), ValueError), ((5.0, 5.0), EmptyWindow)],
+        "window, error, match",
+        [
+            ((-1.0, 1e20), ValueError, None),
+            ((0.0, math.inf), ValueError, None),
+            ((5.0, 5.0), ValidationError, "contains no interval"),
+        ],
         ids=["negative", "infinite", "empty"],
     )
-    def test_invalid_window_raises_before_the_grid_cap(self, window, error):
+    def test_invalid_window_raises_before_the_grid_cap(self, window, error, match):
         # Each of these windows raises what the descent raises for it, not the
-        # scan grid's cap, although its grid would be over the cap.
-        with pytest.raises(error):
+        # scan grid's cap, although its grid would be over the cap.  The cap's
+        # SizeCapExceeded is a ValidationError too, so the empty window is
+        # told apart by its message.
+        with pytest.raises(error, match=match):
             verify_spectrum(canonicalize(1.0, 0.0), window, oversampling=10**8)
 
     def test_bad_oversampling_is_refused_before_the_descent(self, monkeypatch):
@@ -332,6 +338,25 @@ class TestEigenphaseCount:
         assert report.max_deviation > 1e-6
         assert 0 < len(report.spurious) == len(report.missing)
         assert report.matched + len(report.spurious) == 14
+
+    def test_count_twice_the_tolerance_off_is_a_mismatch(self, monkeypatch):
+        # One cell's count moved 2e-3, twice COUNT_TOL, off its integer
+        # confirms nothing: its root is spurious and its midpoint missing.
+        import qgspectra.oracle as oracle_module
+
+        cell_counts = oracle_module._cell_counts
+
+        def nudged(graph, edges):
+            counts = cell_counts(graph, edges)
+            counts[3] += 2e-3
+            return counts
+
+        monkeypatch.setattr(oracle_module, "_cell_counts", nudged)
+        ks = solve_graph(make_star3(), (0.0, 20.0)).wavenumbers
+        report = verify_spectrum(make_star3(), (0.0, 20.0))
+        assert (report.matched, report.spurious) == (12, (ks[3],))
+        assert report.missing == pytest.approx([0.25 * (ks[2] + 2 * ks[3] + ks[4])])
+        assert report.max_deviation == pytest.approx(2e-3, rel=0.01)
 
     def test_window_from_zero_skips_the_zero_eigenphase(self):
         # Sigma has an eigenphase at 0, so a cell starting at k = 0 itself

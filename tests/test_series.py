@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgspectra import (
-    NonpositiveLeadingAction,
-    TermActionExceedsLeading,
+    ValidationError,
     build_chain,
     canonicalize,
     derivative_series,
@@ -69,15 +68,15 @@ class TestCanonicalize:
         assert s.terms[0].amplitude == pytest.approx(0.5, abs=0)
 
     def test_action_at_or_above_leading_rejected(self):
-        with pytest.raises(TermActionExceedsLeading):
+        with pytest.raises(ValidationError, match="not strictly below the leading action"):
             canonicalize(1.0, 0.0, [(1.2, 0.1, 0.0)])
-        with pytest.raises(TermActionExceedsLeading):
+        with pytest.raises(ValidationError, match="not strictly below the leading action"):
             canonicalize(1.0, 0.0, [(1.0, 0.1, 0.0)])
 
     def test_nonpositive_leading_action_rejected(self):
-        with pytest.raises(NonpositiveLeadingAction):
+        with pytest.raises(ValidationError, match="leading action must be > 0"):
             canonicalize(0.0, 0.0)
-        with pytest.raises(NonpositiveLeadingAction):
+        with pytest.raises(ValidationError, match="leading action must be > 0"):
             canonicalize(-2.0, 0.0)
 
     def test_negative_action_rejected(self):

@@ -10,9 +10,9 @@ import pytest
 from qgspectra import oracle, solver
 from qgspectra import (
     DegenerateSpectrum,
-    EmptyWindow,
     NotRegular,
     SizeCapExceeded,
+    ValidationError,
     build_chain,
     canonicalize,
     descend,
@@ -242,9 +242,9 @@ class TestDescend:
 
     def test_window_validation(self):
         chain = build_chain(canonicalize(1.0, 0.0))
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(ValidationError, match="contains no interval"):
             descend(chain, (5.0, 5.0))
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(ValidationError, match="contains no interval"):
             descend(chain, (5.0, 1.0))
         with pytest.raises(ValueError):
             descend(chain, (-1.0, 5.0))
@@ -339,6 +339,19 @@ class TestDescend:
             expected = bisect_oracle(lambda x: math.cos(x) - 0.5 * math.cos(0.5 * x), lo, hi)
             assert k == pytest.approx(expected, abs=1e-12)
             assert 0.0 < e <= solver.BRACKET_REL_WIDTH * max(1.0, k)
+
+    def test_enclosure_after_a_clipped_probe_pair(self):
+        # The bracket's upper end sits 8e-15 above the root, inside the
+        # probe pair's half-width h, so the pair is clipped there and the
+        # root is off the enclosing bracket's centre.  The enclosure reaches
+        # the far end, max(x - a, b - x), not half the bracket's width.
+        series = canonicalize(1.0, 0.0, [(0.5, 0.3, 0.0)])
+        r = 1.3327320510340566
+        a, b = np.array([r - 0.3]), np.array([r + 8e-15])
+        ks, encl, _ = solver._refine_brackets(series, a, b, evaluate_array(series, a))
+        h = 0.5 * solver.BRACKET_REL_WIDTH * max(1.0, abs(ks[0]))
+        assert ks[0] == pytest.approx(r, abs=h)
+        assert 0.9 * h <= encl[0] <= 2.0 * h
 
     @staticmethod
     def separator_brackets(window):
@@ -963,7 +976,7 @@ class TestFloatResolution:
                 except SizeCapExceeded as exc:
                     assert str(exc).startswith("window: ") and "beyond float resolution" in str(exc)
                     outcome.append("refused")
-                except EmptyWindow:
+                except ValidationError:
                     assert window[1] == window[0]
                     outcome.append("empty")
             assert outcome == sorted(outcome, key=["solved", "refused", "empty"].index)
@@ -972,6 +985,18 @@ class TestFloatResolution:
         # width 1e-13 * k passes the leading cell pi, every window is refused.
         assert outcomes[0][:8] == ["solved"] * 5 + ["refused"] * 3
         assert all("solved" in o and "refused" in o for o in outcomes)
+
+    def test_windows_past_the_separator_spread_are_refused(self):
+        # Term sum 0.99999 leaves the leading cosine a margin of acos(T),
+        # 4.5e-3 rad, at its extrema.  Float spacing at 2**42 puts the
+        # separators 6.5 * ulp = 6.3e-3 rad off them, so the grid no longer
+        # brackets one root per cell and the window is refused, far below
+        # the bracket-width rule's 3.1e13.  At 2**41 the spread is 3.2e-3.
+        chain = build_chain(canonicalize(1.0, 0.0, [(0.5, 0.99999, 0.0)]))
+        assert chain.order == 0
+        assert len(descend(chain, (2.0**41, 2.0**41 + 20.0))) == 7
+        with pytest.raises(SizeCapExceeded, match="off the leading cosine's extrema"):
+            descend(chain, (2.0**42, 2.0**42 + 20.0))
 
     def test_windows_past_the_bracket_width_are_refused(self):
         # The first fuzz series of seed 7 (s0 = 1.788, M = 1).  At 2**46 the

@@ -25,14 +25,12 @@ def load_spans():
 
 
 EXPORTED = [
-    "BondSpec", "DegenerateSpectrum", "DegreeMismatch", "EmptyWindow",
-    "NonpositiveLeadingAction", "NotRegular", "ParseError", "QuantumGraph",
+    "BondSpec", "DegenerateSpectrum", "NotRegular", "QuantumGraph",
     "RealificationFailure", "SizeCapExceeded", "SpectralError",
-    "TermActionExceedsLeading", "ValidationError", "VertexSpec", "build_chain",
-    "canonicalize", "derivative_series", "descend", "descend_with_trace",
-    "evaluate_array", "expand_secular", "regularization_order", "scan_roots",
-    "secular_series", "solve_graph", "transfer_matrix", "verify_spectrum",
-    "vertex_scattering",
+    "ValidationError", "VertexSpec", "build_chain", "canonicalize",
+    "derivative_series", "descend", "descend_with_trace", "evaluate_array",
+    "expand_secular", "regularization_order", "scan_roots", "secular_series",
+    "solve_graph", "transfer_matrix", "verify_spectrum", "vertex_scattering",
 ]
 
 
