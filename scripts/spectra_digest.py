@@ -11,7 +11,8 @@ graph_build and wide_window case is solved once with ``solve_graph``; the
 digest covers every entry's index, k, k**2 and enclosure to the last bit,
 and a root misses when the float secular series, evaluated in 40-digit
 mpmath, has the same sign at ``k - enclosure`` and at ``k + enclosure``
-(the rule of ``_misses`` in ``tests/test_enclosure_mp.py``).  It prints a
+(``misses`` of ``tests/reference.py`` in the checkout holding this script,
+the rule the 40-digit test tier applies).  It prints a
 ``miss <workload> <seed> <case> k=... enclosure=...`` line per miss, a
 ``<workload> <seed> <sha256> roots <N> misses <M>`` line per seed and, last,
 each workload's totals.  For cli_batch the digest covers the exit code and
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import sys
 import tempfile
 from pathlib import Path
@@ -35,18 +37,11 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI_COMMANDS = ("solve", "verify", "sample")
 
 
-def series_sign(series):
-    """The sign of the float series, at mpmath's working precision, as a
-    function of an mpf k."""
-    mp = mpmath.mp
-    s0, phi0 = mp.mpf(series.leading_action), mp.mpf(series.leading_phase)
-    terms = [(mp.mpf(t.action), mp.mpf(t.amplitude), mp.mpf(t.phase)) for t in series.terms]
-
-    def sign(k) -> int:
-        value = mp.cos(s0 * k + phi0) - mp.fsum(a * mp.cos(s * k + p) for s, a, p in terms)
-        return int(mp.sign(value))
-
-    return sign
+def load_reference():
+    spec = importlib.util.spec_from_file_location("tests_reference", ROOT / "tests" / "reference.py")
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return reference
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -60,8 +55,8 @@ def main(argv: list[str] | None = None) -> int:
     from qgspectra import secular_series, solve_graph
     from workloads import WORKLOADS
 
-    mp = mpmath.mp
-    mp.dps = 40
+    reference = load_reference()
+    mpmath.mp.dps = 40
     totals = {}
     for name, make in WORKLOADS.items():
         for seed in args.seed or [1, 2, 3, 4, 5, 301]:
@@ -78,14 +73,10 @@ def main(argv: list[str] | None = None) -> int:
             for label, graph, window in workload.cases:
                 spectrum = solve_graph(graph, window)
                 digest.update(repr((label, spectrum.entries)).encode())
-                sign = series_sign(secular_series(graph))
-                roots += len(spectrum)
-                for entry in spectrum:
-                    k, r = mp.mpf(entry.wavenumber), mp.mpf(entry.enclosure)
-                    if sign(k - r) * sign(k + r) >= 0:
-                        misses += 1
-                        print(f"miss {name} {seed} {label} k={entry.wavenumber!r} "
-                              f"enclosure={entry.enclosure!r}", flush=True)
+                found = reference.misses(secular_series(graph), [(e.wavenumber, e.enclosure) for e in spectrum])
+                for k, r in found:
+                    print(f"miss {name} {seed} {label} k={k!r} enclosure={r!r}", flush=True)
+                roots, misses = roots + len(spectrum), misses + len(found)
             print(f"{name} {seed} {digest.hexdigest()} roots {roots} misses {misses}", flush=True)
             all_roots, all_misses = totals.get(name, (0, 0))
             totals[name] = (all_roots + roots, all_misses + misses)

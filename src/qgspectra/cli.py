@@ -65,23 +65,23 @@ _WRITE_BLOCK = 16_384
 
 @dataclass(frozen=True)
 class ConfigDoc:
-    """Validated run configuration: one model, a window and options.
+    """Validated run configuration: one model (the config's graph or
+    series), a window and options.
 
     ``oversampling`` is None unless the document or a flag sets
     ``options.oversampling``; ``verify`` then scans at the oracle's default
     density and ``sample`` uses its own grid density.
     """
 
-    graph: QuantumGraph | None
-    series: SpectralSeries | None
+    model: QuantumGraph | SpectralSeries
     window: tuple[float, float]
     margin: float
     oversampling: int | None
 
     def secular(self) -> SpectralSeries:
-        if self.series is not None:
-            return self.series
-        return secular_series(self.graph)
+        if isinstance(self.model, SpectralSeries):
+            return self.model
+        return secular_series(self.model)
 
 
 def _check_keys(obj: dict, allowed: set[str], path: str, problems: list[str]) -> None:
@@ -171,10 +171,12 @@ def _parse_series(doc: Any, problems: list[str]) -> SpectralSeries | None:
 def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc:
     """Parse and validate a JSON configuration document.
 
-    ``overrides`` (from command-line flags) are merged into the document
-    before validation, so a window may come entirely from flags.  Every
-    violated invariant is collected into a single ``ValidationError``;
-    text that is not JSON raises one with a line and column anchor.
+    The ``kmin``, ``kmax``, ``margin`` and ``oversampling`` entries of
+    ``overrides`` (the parsed command line; None for a flag not given) are
+    merged into the document before validation, so a window may come
+    entirely from flags; other entries are ignored.  Every violated
+    invariant is collected into a single ``ValidationError``; text that is
+    not JSON raises one with a line and column anchor.
     """
     try:
         doc = json.loads(text)
@@ -200,14 +202,13 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
     # "report" is emitted by the `series` command and ignored on re-ingestion.
     _check_keys(doc, {"graph", "series", "window", "options", "report"}, "top level", problems)
 
-    graph = None
-    series = None
+    model = None
     if ("graph" in doc) == ("series" in doc):
         problems.append("top level: exactly one of 'graph' or 'series' must be present")
     elif "graph" in doc:
-        graph = _parse_graph(doc["graph"], problems)
+        model = _parse_graph(doc["graph"], problems)
     else:
-        series = _parse_series(doc["series"], problems)
+        model = _parse_series(doc["series"], problems)
 
     kmin = window_doc.get("kmin")
     kmax = window_doc.get("kmax")
@@ -229,8 +230,7 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
     if problems:
         raise ValidationError(problems)
     return ConfigDoc(
-        graph=graph,
-        series=series,
+        model=model,
         window=(float(kmin), float(kmax)),
         margin=float(margin),
         oversampling=int(oversampling) if "oversampling" in options else None,
@@ -406,7 +406,7 @@ def _write_series(config: ConfigDoc, out: TextIO) -> int:
 
 def _write_verify(config: ConfigDoc, out: TextIO) -> int:
     report = verify_spectrum(
-        config.graph or config.series,
+        config.model,
         config.window,
         margin=config.margin,
         oversampling=config.oversampling or DEFAULT_OVERSAMPLING,
@@ -444,12 +444,13 @@ COMMANDS = {
 }
 
 
-def run(command: str, config: ConfigDoc, out: TextIO | None = None) -> int:
-    """Execute one command against a validated config; returns the exit code."""
+def run(command: str, config: ConfigDoc, out: TextIO) -> int:
+    """Execute one command against a validated config, writing to ``out``;
+    returns the exit code."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     _, writer = COMMANDS[command]
-    return writer(config, out if out is not None else sys.stdout)
+    return writer(config, out)
 
 
 def _run_to_file(command: str, config: ConfigDoc, path: str) -> int:
@@ -481,20 +482,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certified spectra of scaling quantum graphs from their secular cosine series.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("config", help="path to a JSON configuration file")
-        p.add_argument("--kmin", type=float, default=None, help="override window.kmin")
-        p.add_argument("--kmax", type=float, default=None, help="override window.kmax")
-        p.add_argument("--margin", type=float, default=None, help="override options.margin")
-        p.add_argument(
-            "--oversampling",
-            type=int,
-            default=None,
-            help="override options.oversampling (the scan density of a series verify; also sets the sample grid density)",
-        )
-        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+    parser.add_argument(
+        "command", choices=COMMANDS, help="; ".join(f"{name}: {text}" for name, (text, _) in COMMANDS.items())
+    )
+    parser.add_argument("config", help="path to a JSON configuration file")
+    parser.add_argument("--kmin", type=float, help="override window.kmin")
+    parser.add_argument("--kmax", type=float, help="override window.kmax")
+    parser.add_argument("--margin", type=float, help="override options.margin")
+    parser.add_argument(
+        "--oversampling",
+        type=int,
+        help="override options.oversampling (the scan density of a series verify; also sets the sample grid density)",
+    )
+    parser.add_argument("--out", help="write output to this file instead of stdout")
     return parser
 
 
@@ -506,14 +506,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
-    overrides = {
-        "kmin": args.kmin,
-        "kmax": args.kmax,
-        "margin": args.margin,
-        "oversampling": args.oversampling,
-    }
     try:
-        config = load_config(text, overrides)
+        config = load_config(text, vars(args))
         if args.out is not None:
             return _run_to_file(args.command, config, args.out)
         code = run(args.command, config, sys.stdout)
@@ -540,7 +534,3 @@ def main(argv: list[str] | None = None) -> int:
     except SpectralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,12 +22,12 @@ class ValidationError(SpectralError):
 
 
 class SizeCapExceeded(ValidationError):
-    """Input exceeds a size cap: a graph beyond the directed-bond cap of the
-    determinant expansion, a window whose separator grid or uniform (scan
-    or sample) grid has more cells than the solver's ``MAX_GRID_CELLS``, or
-    a window so high that the float spacing there unpins the separator
-    grid or the target bracket width reaches a leading cell; it is refused
-    before anything of that size is allocated."""
+    """Input exceeds a size cap: a graph beyond the directed-bond cap, a
+    window whose separator grid or uniform (scan or sample) grid has more
+    cells than the solver's ``MAX_GRID_CELLS``, or a window so high that
+    the float spacing there unpins the separator grid or the target
+    bracket width reaches a leading cell; it is refused before anything of
+    that size is allocated."""
 
 
 class RealificationFailure(SpectralError):

@@ -139,17 +139,23 @@ def validate_graph(vertices, bonds) -> list[str]:
         problems.append("graph.bonds: at least one bond is required")
     if 2 * len(bonds) > MAX_DIRECTED_BONDS:
         problems.append(
-            f"graph.bonds: {2 * len(bonds)} directed bonds exceed the expansion cap of {MAX_DIRECTED_BONDS}"
+            f"graph.bonds: {2 * len(bonds)} directed bonds exceed the directed-bond cap of {MAX_DIRECTED_BONDS}"
         )
+    actions = []  # of the bonds whose length and potential fraction are valid
     for i, b in enumerate(bonds):
         path = f"graph.bonds[{i}]"
-        if not (is_finite_real(b.length) and b.length > 0.0):
+        length_ok = is_finite_real(b.length) and b.length > 0.0
+        if not length_ok:
             problems.append(f"{path}.length: finite number > 0 required, got {b.length!r}")
         if not (is_finite_real(b.potential_fraction) and b.potential_fraction < 1.0):
             problems.append(
                 f"{path}.potential_lambda: potential_fraction must be < 1 "
                 f"(got {b.potential_fraction!r}; fractions >= 1 create classically forbidden bonds)"
             )
+        elif length_ok:
+            actions.append(b.action)
+            if not math.isfinite(b.action):
+                problems.append(f"{path}: action length*sqrt(1 - potential_lambda) must be finite, got {b.action!r}")
         ends = b.endpoints
         if not (isinstance(ends, (tuple, list)) and len(ends) == 2 and all(map(_is_id, ends))):
             problems.append(f"{path}: two integer vertex ids ('from' and 'to') required, got {ends!r}")
@@ -157,6 +163,9 @@ def validate_graph(vertices, bonds) -> list[str]:
         for e in ends:
             if e not in known:
                 problems.append(f"{path}: endpoint {e!r} is not a vertex id")
+    # The leading monomial's total action; a float sum overflows to inf without raising.
+    if all(map(math.isfinite, actions)) and not math.isfinite(2.0 * sum(actions)):
+        problems.append(f"graph.bonds: leading action 2*sum(bond actions) must be finite, got {2.0 * sum(actions)!r}")
 
     # Connectivity over the vertices actually referenced; degree >= 1 everywhere.
     if vertices and bonds and not problems:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qgspectra import (
+    QuantumGraph,
     SpectralError,
     ValidationError,
     build_chain,
@@ -22,6 +23,7 @@ from qgspectra import (
     evaluate_array,
 )
 from qgspectra.cli import _WRITE_BLOCK, _write_rows, load_config, main, run
+from qgspectra.series import SpectralSeries
 
 from conftest import STAR_LENGTHS
 
@@ -80,18 +82,17 @@ def write_config(tmp_path, doc, name="config.json"):
 class TestLoadConfig:
     def test_minimal_graph_document(self):
         config = load_config(json.dumps(BOND_DD))
-        assert config.graph is not None
-        assert config.series is None
-        assert len(config.graph.bonds) == 1
+        assert isinstance(config.model, QuantumGraph)
+        assert len(config.model.bonds) == 1
         assert config.window == (0.0, 10.0)
         assert config.margin == 1e-6
         assert config.oversampling is None
 
     def test_series_document(self):
         config = load_config(json.dumps(IRREGULAR_SERIES))
-        assert config.graph is None
-        assert config.series.leading_action == 1.0
-        assert len(config.series.terms) == 1
+        assert isinstance(config.model, SpectralSeries)
+        assert config.model.leading_action == 1.0
+        assert len(config.model.terms) == 1
 
     def test_tunneling_potential_rejected(self):
         doc = json.loads(json.dumps(BOND_DD))
@@ -153,7 +154,7 @@ class TestLoadConfig:
         doc = json.loads(json.dumps(IRREGULAR_SERIES))
         doc["report"] = {"M": 1, "regularity_sum": 1.2}
         config = load_config(json.dumps(doc))
-        assert config.series is not None
+        assert isinstance(config.model, SpectralSeries)
 
 
 class TestCommands:
@@ -213,7 +214,7 @@ class TestCommands:
         emitted = io.StringIO()
         run("series", config, emitted)
         config2 = load_config(emitted.getvalue())
-        assert config2.series.bonds is None
+        assert config2.model.bonds is None
         second = io.StringIO()
         run("solve", config2, second)
         ks = [np.array([float(line.split(",")[1]) for line in out.getvalue().splitlines()[1:]])
@@ -324,7 +325,7 @@ class TestCommands:
     def test_unknown_command(self):
         config = load_config(json.dumps(BOND_DD))
         with pytest.raises(ValueError):
-            run("frobnicate", config)
+            run("frobnicate", config, io.StringIO())
 
 
 class TestMain:
@@ -653,8 +654,19 @@ HUGE_INT_FIELDS = [
     (BOND_DD, ["graph", "bonds", 0, "potential_lambda"], "graph.bonds[0].potential_lambda"),
     (BOND_DD, ["graph", "vertices", 0, "lambda"], "graph.vertices[0].lambda"),
 ]
+
+
+def tiny_window_bonds(*bonds):
+    """``BOND_DD`` on (0, 1e-300] with bonds (length, potential fraction)
+    between its two vertices."""
+    doc = with_field(BOND_DD, ["window", "kmax"], 1e-300)
+    return with_field(doc, ["graph", "bonds"], [
+        {"from": 0, "to": 1, "length": length, "potential_lambda": fraction} for length, fraction in bonds
+    ])
+
+
 # Name, config (a document or raw text), the commands it reaches, and the
-# start of the error line each must print.
+# start of each error line it must print, one line each.
 BAD_INPUTS = [
     ("oversampling-1e12", with_field(SERIES_03, ["options"], {"oversampling": 10**12}),
      ("sample", "verify"), "error: window: "),
@@ -669,7 +681,7 @@ BAD_INPUTS = [
     ("bc-list", with_field(BOND_DD, ["graph", "vertices", 0, "bc"], []),
      ALL_COMMANDS, "error: graph.vertices[0].bc: "),
     ("vertex-id-list", with_field(BOND_DD, ["graph", "vertices", 0, "id"], [0]),
-     ALL_COMMANDS, "error: graph.vertices[0].id: "),
+     ALL_COMMANDS, ("error: graph.vertices[0].id: ", "error: graph.bonds[0]: endpoint 0 is not a vertex id")),
     ("length-str", with_field(BOND_DD, ["graph", "bonds", 0, "length"], "1.0"),
      ALL_COMMANDS, "error: graph.bonds[0].length: "),
     ("top-level-list", "[]", ALL_COMMANDS, "error: top level: must be a JSON object"),
@@ -681,6 +693,15 @@ BAD_INPUTS = [
      ALL_COMMANDS, "error: series.terms: list of [action, amplitude, phase] triples required"),
     ("empty-graph", with_field(with_field(BOND_DD, ["graph", "vertices"], []), ["graph", "bonds"], []),
      ALL_COMMANDS, ("error: graph.vertices: at least one vertex", "error: graph.bonds: at least one bond")),
+    # Bond actions beyond float range.  The actions' sum overflowed math.fsum;
+    # only twice the sum, the leading monomial's action, overflowed, and the
+    # series kept no terms (verify then counted NaN); one action overflowed.
+    ("actions-sum-overflow", tiny_window_bonds((1e308, 0.0), (1.5e308, 0.0)),
+     ALL_COMMANDS, "error: graph.bonds: leading action 2*sum(bond actions) must be finite, got inf"),
+    ("leading-action-overflow", tiny_window_bonds((9e307, 0.0)),
+     ALL_COMMANDS, "error: graph.bonds: leading action 2*sum(bond actions) must be finite, got inf"),
+    ("bond-action-overflow", tiny_window_bonds((1e200, -1e300)),
+     ALL_COMMANDS, "error: graph.bonds[0]: action length*sqrt(1 - potential_lambda) must be finite, got inf"),
 ] + [
     (f"401-digits-{anchor}", with_field(doc, path, 10**400), ALL_COMMANDS, f"error: {anchor}: ")
     for doc, path, anchor in HUGE_INT_FIELDS
@@ -698,8 +719,9 @@ def test_bad_input_exit_2(tmp_path, capsys, config, command, first):
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     lines = err.splitlines()
-    assert lines and all(line.startswith("error: ") for line in lines), err
-    for prefix in (first,) if isinstance(first, str) else first:
+    prefixes = (first,) if isinstance(first, str) else first
+    assert len(lines) == len(prefixes), err
+    for prefix in prefixes:
         assert any(line.startswith(prefix) for line in lines), err
     assert "Traceback" not in err
 

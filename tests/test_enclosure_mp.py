@@ -1,10 +1,11 @@
 """40-digit reference tier: every reported enclosure contains a sign change.
 
-The series is re-evaluated in 40-digit arithmetic at ``k - enclosure`` and
-``k + enclosure``; the two signs must differ, so the true root of the
-(exactly represented) series lies inside the enclosure.  The separator
-tier checks the roots of every level above the reported one the same way,
-at the half-width ``delta`` that the descent's separator argument needs.
+The series is re-evaluated in 40-digit arithmetic (``reference.py``) at
+``k - enclosure`` and ``k + enclosure``; the two signs must differ, so the
+true root of the (exactly represented) series lies inside the enclosure.
+The separator tier checks the roots of every level above the reported one
+the same way, at the half-width ``delta`` that the descent's separator
+argument needs.
 The separator-value tier checks the values a level takes from the model
 of the level above instead of evaluating them: each must have the 40-digit
 sign of that level at its separator and lie nearer zero than its value.
@@ -31,6 +32,7 @@ from conftest import (
 )
 
 mpmath = pytest.importorskip("mpmath")
+import reference  # noqa: E402  (needs mpmath)
 
 # Criterion-5 corpus of the acceptance suite: seed and the prefix checked here.
 FUZZ_SEED = 20260809
@@ -64,34 +66,6 @@ BOND_GRAPHS = {
 }
 
 
-def _exact(series):
-    """The series as a function of an mpmath wavenumber, at working precision."""
-    mp = mpmath.mp
-    s0, phi0 = mp.mpf(series.leading_action), mp.mpf(series.leading_phase)
-    terms = [(mp.mpf(t.action), mp.mpf(t.amplitude), mp.mpf(t.phase)) for t in series.terms]
-
-    def value(k):
-        return mp.cos(s0 * k + phi0) - mp.fsum(a * mp.cos(s * k + p) for s, a, p in terms)
-
-    return value
-
-
-def _misses(series, roots) -> list[tuple[float, float]]:
-    """(k, half-width) pairs whose two ends have the same 40-digit series sign."""
-    mp = mpmath.mp
-    exact = _exact(series)
-
-    def sign(k) -> int:
-        return int(mp.sign(exact(k)))
-
-    misses = []
-    for x, h in roots:
-        k, r = mp.mpf(x), mp.mpf(h)
-        if sign(k - r) * sign(k + r) >= 0:
-            misses.append((x, h))
-    return misses
-
-
 def _enclosures(spectrum) -> list[tuple[float, float]]:
     return [(e.wavenumber, e.enclosure) for e in spectrum]
 
@@ -113,7 +87,7 @@ def _separator_misses(chain, window) -> tuple[int, list[tuple[int, float]]]:
         delta = 0.25 * math.sqrt(ENDPOINT_TOL / (1.0 + slope)) / s0
         roots = trace.level_roots[m]
         checked += len(roots)
-        misses += [(m, x) for x, _ in _misses(series, [(float(x), delta) for x in roots])]
+        misses += [(m, x) for x, _ in reference.misses(series, [(float(x), delta) for x in roots])]
     return checked, misses
 
 
@@ -128,7 +102,7 @@ def test_graph_enclosures_hold_at_40_digits(name):
     graph = SOLVABLE_GRAPHS[name]()
     spectrum = solve_graph(graph, (0.0, 200.0))
     assert len(spectrum) > 50
-    assert _misses(secular_series(graph), _enclosures(spectrum)) == []
+    assert reference.misses(secular_series(graph), _enclosures(spectrum)) == []
 
 
 def test_fuzz_enclosures_hold_at_40_digits():
@@ -136,7 +110,7 @@ def test_fuzz_enclosures_hold_at_40_digits():
     for i in range(FUZZ_PREFIX):
         series = random_series(rng)
         spectrum = descend(build_chain(series), standard_window(series, 50))
-        assert _misses(series, _enclosures(spectrum)) == [], f"series {i}"
+        assert reference.misses(series, _enclosures(spectrum)) == [], f"series {i}"
 
 
 @pytest.mark.parametrize("name", sorted(SOLVABLE_GRAPHS))
@@ -164,7 +138,7 @@ def test_graph_separator_values_hold_at_40_digits(name, monkeypatch):
     _, passes = model_separator_values(monkeypatch, chain, (0.0, GRAPH_KMAX))
     checked, wrong = 0, []
     for series, xs, values in passes:
-        exact = _exact(series)
+        exact = reference.exact(series)
         for x, value in zip(xs.tolist(), values.tolist()):
             true = exact(mpmath.mpf(x))
             if mpmath.sign(true) != math.copysign(1.0, value) or abs(true) < abs(value):
@@ -181,6 +155,6 @@ def test_bond_graph_roots_hold_at_40_digits(name):
     assert 2 * series.bonds.actions.size < len(series.terms)
     spectrum = solve_graph(make(), (0.0, kmax))
     assert len(spectrum) > 40
-    assert _misses(series, _enclosures(spectrum)) == []
+    assert reference.misses(series, _enclosures(spectrum)) == []
     checked, misses = _separator_misses(build_chain(series), (0.0, 20.0))
     assert checked > 100 and misses == []

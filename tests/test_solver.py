@@ -423,6 +423,38 @@ class TestDescend:
         )
         assert np.array_equal(ks, ref) and np.array_equal(encl, ref_encl)
 
+    def test_separator_model_against_its_bracket_is_probed(self, monkeypatch):
+        # A model whose certified sign below the candidate is the opposite of
+        # the bracket's left end contradicts the separator argument.  Such a
+        # lane is not held on the model: it takes the probe pair, and its
+        # level-below value is left to the series (NaN).
+        chain, a, b, fa = self.separator_brackets((0.0, 60.0))
+        flipped, probed = set(), set()
+        model_roots, probe_pair = solver._model_roots, solver._probe_pair
+
+        def bracket(x):  # the index of the original bracket holding each point
+            return np.searchsorted(a, x, side="right") - 1
+
+        def contradicted(series, x, *rest):
+            f, root, error, side, values = model_roots(series, x, *rest)
+            flip = (bracket(x) % 2 == 0) & (side != 0)
+            side[flip] = -side[flip]
+            flipped.update(bracket(x[flip]).tolist())
+            return f, root, error, side, values
+
+        def spied(series, x, *rest):
+            probed.update(bracket(x).tolist())
+            return probe_pair(series, x, *rest)
+
+        monkeypatch.setattr(solver, "_model_roots", contradicted)
+        monkeypatch.setattr(solver, "_probe_pair", spied)
+        ks, _, values = solver._refine_brackets(chain.series, a, b, fa, level=1)
+        assert len(flipped) > 5 and flipped <= probed
+        assert np.isnan(values[sorted(flipped)]).all()
+        # The lanes left as they were are held on the model.
+        kept = sorted(set(range(len(ks))) - probed)
+        assert len(kept) > 5 and np.isfinite(values[kept]).all()
+
     def test_model_certificate_declines_far_from_its_centre(self):
         # cos k - 2 cos(k/2) has one root in [10, 17], near 16.46.  Its degree-16
         # model about k = 12 puts the root about 6e-5 off, far beyond the
