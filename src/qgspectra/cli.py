@@ -163,7 +163,7 @@ def _parse_series(doc: Any, problems: list[str]) -> SpectralSeries | None:
         return None
     try:
         return canonicalize(float(doc["s0"]), float(doc["phi0"]), triples)
-    except (SpectralError, ValueError) as exc:
+    except SpectralError as exc:
         problems.append(f"series: {exc}")
         return None
 
@@ -448,7 +448,7 @@ def run(command: str, config: ConfigDoc, out: TextIO) -> int:
     """Execute one command against a validated config, writing to ``out``;
     returns the exit code."""
     if command not in COMMANDS:
-        raise ValueError(f"unknown command {command!r}")
+        raise ValidationError(f"unknown command {command!r}")
     _, writer = COMMANDS[command]
     return writer(config, out)
 
@@ -534,3 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpectralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

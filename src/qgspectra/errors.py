@@ -5,13 +5,14 @@ class SpectralError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ValidationError(SpectralError):
+class ValidationError(SpectralError, ValueError):
     """One or more structural invariants are violated.
 
-    ``violations`` lists every violated invariant, one message per entry;
-    a config's are each anchored to the document path of the offending
-    field.  Bad series actions, a vertex degree below 1, an empty window
-    and config text that is not JSON raise it with one message.
+    Every input the package refuses raises it, and it is also a
+    ``ValueError``.  ``violations`` lists every violated invariant, one
+    message per entry; a config's are each anchored to the document path of
+    the offending field.  A refusal outside a config, or of config text
+    that is not JSON, has one message.
     """
 
     def __init__(self, violations):

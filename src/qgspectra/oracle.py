@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, SizeCapExceeded
+from .errors import DegenerateSpectrum, SizeCapExceeded, ValidationError
 from .graphs import QuantumGraph, secular_series, transfer_matrix
 from .series import DEFAULT_MARGIN, SpectralSeries, evaluate_array
 from .solver import (
@@ -71,10 +71,10 @@ class VerificationReport:
 def _grid_cells(series: SpectralSeries, lo: float, hi: float, per_half_period: int) -> float:
     """Cells from ``lo`` to ``hi`` at ``per_half_period`` per half-period of
     the leading cosine.  A ``per_half_period`` other than an integer >= 8
-    raises ``ValueError``; ``MAX_GRID_CELLS`` cells or more raise
+    raises ``ValidationError``; ``MAX_GRID_CELLS`` cells or more raise
     ``SizeCapExceeded``."""
     if int(per_half_period) != per_half_period or per_half_period < 8:
-        raise ValueError(f"oversampling must be an integer >= 8, got {per_half_period!r}")
+        raise ValidationError(f"oversampling must be an integer >= 8, got {per_half_period!r}")
     try:
         step = math.pi / (series.leading_action * per_half_period)
         if step:

@@ -226,7 +226,7 @@ def canonicalize(
     if not math.isfinite(s0) or s0 <= 0.0:
         raise ValidationError(f"leading action must be > 0, got {leading_action!r}")
     if not math.isfinite(leading_phase):
-        raise ValueError(f"leading phase must be finite, got {leading_phase!r}")
+        raise ValidationError(f"leading phase must be finite, got {leading_phase!r}")
 
     terms: list[tuple[float, float, float]] = []
     for action, amplitude, phase in raw_terms:
@@ -234,9 +234,9 @@ def canonicalize(
         amplitude = float(amplitude)
         phase = float(phase)
         if not (math.isfinite(action) and math.isfinite(amplitude) and math.isfinite(phase)):
-            raise ValueError(f"term ({action!r}, {amplitude!r}, {phase!r}) has a non-finite field")
+            raise ValidationError(f"term ({action!r}, {amplitude!r}, {phase!r}) has a non-finite field")
         if action < 0.0:
-            raise ValueError(f"term action must be >= 0, got {action!r}")
+            raise ValidationError(f"term action must be >= 0, got {action!r}")
         if action >= s0:
             raise ValidationError(
                 f"term action {action!r} is not strictly below the leading action {s0!r}"
@@ -246,7 +246,7 @@ def canonicalize(
     try:
         math.fsum(abs(t[1]) for t in terms)
     except OverflowError:
-        raise ValueError("term amplitudes sum beyond float range") from None
+        raise ValidationError("term amplitudes sum beyond float range") from None
 
     terms.sort(key=lambda t: t[0])
     merged: list[TrigTerm] = []

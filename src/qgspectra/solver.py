@@ -111,7 +111,7 @@ class DescentChain:
 
     def __post_init__(self):
         if self.order < 0:
-            raise ValueError(f"chain order must be >= 0, got {self.order!r}")
+            raise ValidationError(f"chain order must be >= 0, got {self.order!r}")
 
     @cached_property
     def levels(self) -> tuple[SpectralSeries, ...]:
@@ -172,7 +172,7 @@ def build_chain(series: SpectralSeries, margin: float = DEFAULT_MARGIN) -> Desce
     ``MAX_ORDER`` levels do not suffice raises ``NotRegular``.
     """
     if not (0.0 < margin < 1.0):
-        raise ValueError(f"margin must lie in (0, 1), got {margin!r}")
+        raise ValidationError(f"margin must lie in (0, 1), got {margin!r}")
     actions, amps, _ = series.arrays
     ratios = actions / series.leading_action
     order = 0
@@ -563,14 +563,13 @@ def _level_pass(
 
 
 def _checked_window(window: tuple[float, float]) -> tuple[float, float]:
-    """The window's bounds as floats; raises ``ValueError`` unless they are
-    finite and nonnegative, and ``ValidationError`` unless the upper one is the
-    greater."""
+    """The window's bounds as floats; raises ``ValidationError`` unless they
+    are finite and nonnegative and the upper one is the greater."""
     k_lo, k_hi = float(window[0]), float(window[1])
     if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
-        raise ValueError("window bounds must be finite")
+        raise ValidationError("window bounds must be finite")
     if k_lo < 0.0:
-        raise ValueError(f"window must start at a nonnegative wavenumber, got {k_lo!r}")
+        raise ValidationError(f"window must start at a nonnegative wavenumber, got {k_lo!r}")
     if not k_hi > k_lo:
         raise ValidationError(f"window [{k_lo!r}, {k_hi!r}] contains no interval")
     return k_lo, k_hi

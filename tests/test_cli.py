@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,14 @@ from qgspectra import (
     build_chain,
     descend,
     evaluate_array,
+    __version__,
 )
 from qgspectra.cli import _WRITE_BLOCK, _write_rows, load_config, main, run
 from qgspectra.series import SpectralSeries
 
 from conftest import STAR_LENGTHS
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BOND_DD = {
     "graph": {
@@ -586,6 +590,29 @@ class TestMain:
         assert err.startswith("error:") and "contains no interval" in err
         assert "Traceback" not in err
 
+    def test_refused_input_in_run_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A check below load_config (here build_chain's margin) refuses with
+        # a ValidationError: one error line, no traceback.
+        import qgspectra.cli as cli_module
+
+        config = load_config(json.dumps(BOND_DD))
+        monkeypatch.setattr(cli_module, "load_config", lambda text, overrides: replace(config, margin=1.5))
+        assert main(["solve", write_config(tmp_path, BOND_DD)]) == 2
+        assert capsys.readouterr().err == "error: margin must lie in (0, 1), got 1.5\n"
+
+    @pytest.mark.parametrize("module", ["qgspectra", "qgspectra.cli"])
+    def test_module_entry_points_run_main(self, tmp_path, module):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        missing = str(tmp_path / "absent.json")
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", module, "solve", missing],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot read {missing}") and proc.stderr.count("\n") == 1
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", module, "--version"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"qgspectra {__version__}\n", "")
+
     def test_closed_pipe_exits_quietly(self, tmp_path):
         # About 400 kB of CSV, far more than a pipe buffers.
         doc = {
@@ -593,9 +620,8 @@ class TestMain:
             "window": {"kmin": 0.0, "kmax": 2e4},
         }
         path = write_config(tmp_path, doc)
-        src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "qgspectra", "solve", path],
             stdout=subprocess.PIPE,
@@ -880,8 +906,7 @@ def test_commands_import_nothing_at_run_time(tmp_path, command):
         f"code = qgspectra.cli.main([{command!r}, {path!r}, '--out', {str(tmp_path / 'out')!r}])\n"
         "print(code, sorted(set(sys.modules) - before))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.stdout.strip() == "0 []", proc.stdout + proc.stderr

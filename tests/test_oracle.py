@@ -155,20 +155,20 @@ class TestVerifySpectrum:
         assert report.matched > 10
 
     @pytest.mark.parametrize(
-        "window, error, match",
+        "window, match",
         [
-            ((-1.0, 1e20), ValueError, None),
-            ((0.0, math.inf), ValueError, None),
-            ((5.0, 5.0), ValidationError, "contains no interval"),
+            ((-1.0, 1e20), "nonnegative wavenumber"),
+            ((0.0, math.inf), "window bounds must be finite"),
+            ((5.0, 5.0), "contains no interval"),
         ],
         ids=["negative", "infinite", "empty"],
     )
-    def test_invalid_window_raises_before_the_grid_cap(self, window, error, match):
+    def test_invalid_window_raises_before_the_grid_cap(self, window, match):
         # Each of these windows raises what the descent raises for it, not the
         # scan grid's cap, although its grid would be over the cap.  The cap's
-        # SizeCapExceeded is a ValidationError too, so the empty window is
-        # told apart by its message.
-        with pytest.raises(error, match=match):
+        # SizeCapExceeded is a ValidationError too, so each window is told
+        # apart by its message.
+        with pytest.raises(ValidationError, match=match):
             verify_spectrum(canonicalize(1.0, 0.0), window, oversampling=10**8)
 
     def test_bad_oversampling_is_refused_before_the_descent(self, monkeypatch):

@@ -1,20 +1,38 @@
-"""Public surface: exported names and the names the traced benchmark wraps."""
+"""Public surface: exported names, the README's examples, the error every
+refused input raises and the names the traced benchmark wraps."""
 
 import importlib
 import importlib.util
+import io
+import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qgspectra
-from qgspectra import build_chain, descend, evaluate_array, expand_secular
+from qgspectra import (
+    ValidationError,
+    build_chain,
+    canonicalize,
+    descend,
+    evaluate_array,
+    expand_secular,
+    scan_roots,
+)
+from qgspectra import cli
 from qgspectra.graphs import transfer_determinant
+from qgspectra.solver import DescentChain
 
 from conftest import make_star3
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
 
 
 def load_spans():
@@ -47,6 +65,51 @@ def test_import_does_not_load_the_cli():
     check = "import qgspectra, sys; assert 'qgspectra.cli' not in sys.modules"
     src = str(Path(qgspectra.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", check], check=True, cwd=src)
+
+
+def readme_block(section, language):
+    """The first ``language`` code block under the README heading ``section``."""
+    text = README.read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"^```{language}\n(.*?)^```$", body, re.S | re.M).group(1)
+
+
+def test_readme_library_example_runs():
+    exec(compile(readme_block("Library use", "python"), str(README), "exec"), {})
+
+
+@pytest.mark.parametrize("command", ["series", "solve", "verify"])
+def test_readme_config_runs(command):
+    out = io.StringIO()
+    assert cli.run(command, cli.load_config(readme_block("Command line", "json")), out) == 0
+    if command == "verify":
+        diff = json.loads(out.getvalue())
+        assert diff["missing"] == [] and diff["spurious"] == [] and diff["matched"] > 0
+
+
+SERIES = canonicalize(1.0, 0.0, [(0.5, 0.3, 0.0)])
+
+# One call per check that refuses its input, each with its message.
+REFUSED = {
+    "leading-phase": (lambda: canonicalize(1.0, math.inf), "leading phase must be finite"),
+    "term-field": (lambda: canonicalize(1.0, 0.0, [(0.5, math.nan, 0.0)]), "has a non-finite field"),
+    "term-action": (lambda: canonicalize(1.0, 0.0, [(-0.5, 0.3, 0.0)]), "term action must be >= 0"),
+    "amplitude-sum": (lambda: canonicalize(1.0, 0.0, [(0.5, 1e308, 0.0)] * 2), "beyond float range"),
+    "chain-order": (lambda: DescentChain(SERIES, -1, 1e-6), "chain order must be >= 0"),
+    "margin": (lambda: build_chain(SERIES, 1.5), r"margin must lie in \(0, 1\)"),
+    "window-finite": (lambda: descend(build_chain(SERIES), (0.0, math.inf)), "window bounds must be finite"),
+    "window-negative": (lambda: descend(build_chain(SERIES), (-1.0, 5.0)), "nonnegative wavenumber"),
+    "oversampling": (lambda: scan_roots(SERIES, (0.0, 10.0), oversampling=4), "integer >= 8"),
+    "command": (lambda: cli.run("frobnicate", None, io.StringIO()), "unknown command 'frobnicate'"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSED.values(), ids=REFUSED)
+def test_refused_input_raises_validation_error(call, message):
+    # Callers that catch ValueError still catch every refusal.
+    with pytest.raises(ValidationError, match=message) as caught:
+        call()
+    assert isinstance(caught.value, ValueError)
 
 
 def test_traced_targets_resolve():
