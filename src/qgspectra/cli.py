@@ -45,16 +45,16 @@ from .errors import (
     ValidationError,
 )
 from .graphs import BondSpec, QuantumGraph, VertexSpec, secular_series
-from .oracle import DEFAULT_OVERSAMPLING, uniform_grid, verify_spectrum
-from .series import (
-    DEFAULT_MARGIN,
-    SpectralSeries,
-    canonicalize,
-    evaluate_array,
-    is_finite_real,
-    regularity_sum,
+from .oracle import DEFAULT_OVERSAMPLING, _checked_oversampling, uniform_grid, verify_spectrum
+from .series import DEFAULT_MARGIN, SpectralSeries, canonicalize, evaluate_array, regularity_sum
+from .solver import (
+    MAX_GRID_CELLS,
+    _checked_margin,
+    _checked_window,
+    build_chain,
+    descend,
+    regularization_order,
 )
-from .solver import MAX_GRID_CELLS, build_chain, descend, regularization_order
 
 _BC_MAP = {"dirichlet": "dirichlet", "kirchhoff": "kirchhoff", "delta": "scaling_delta"}
 _SAMPLE_POINTS_PER_HALF_PERIOD = 20
@@ -82,6 +82,16 @@ class ConfigDoc:
         if isinstance(self.model, SpectralSeries):
             return self.model
         return secular_series(self.model)
+
+
+def _collect(problems: list[str], build, *args) -> Any:
+    """``build(*args)``; None, with the violations of the ``ValidationError``
+    it raises added to ``problems``, when the library refuses the values."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        problems.extend(exc.violations)
+        return None
 
 
 def _check_keys(obj: dict, allowed: set[str], path: str, problems: list[str]) -> None:
@@ -115,57 +125,35 @@ def _objects(doc: dict, key: str, allowed: set[str], problems: list[str]) -> lis
 
 
 def _parse_graph(doc: Any, problems: list[str]) -> QuantumGraph | None:
-    """The graph of a config; ``QuantumGraph`` checks its field values."""
+    """The graph of a config; ``QuantumGraph`` checks its field values once
+    the graph's own JSON shapes hold, whatever else the config violates."""
     if not isinstance(doc, dict):
         problems.append("graph: must be an object with 'vertices' and 'bonds'")
         return None
+    known = len(problems)
     _check_keys(doc, {"vertices", "bonds"}, "graph", problems)
     vertices = _objects(doc, "vertices", {"id", "bc", "lambda"}, problems)
     bonds = _objects(doc, "bonds", {"from", "to", "length", "potential_lambda"}, problems)
     for i, v in enumerate(vertices):
         if isinstance(v, dict) and not (isinstance(v.get("bc"), str) and v["bc"] in _BC_MAP):
             problems.append(f"graph.vertices[{i}].bc: must be one of {sorted(_BC_MAP)}, got {v.get('bc')!r}")
-    if problems:
+    if len(problems) > known:
         return None
-    try:
-        return QuantumGraph(
-            vertices=tuple(VertexSpec(v.get("id"), _BC_MAP[v["bc"]], v.get("lambda", 0.0)) for v in vertices),
-            bonds=tuple(
-                BondSpec((b.get("from"), b.get("to")), b.get("length"), b.get("potential_lambda", 0.0))
-                for b in bonds
-            ),
-        )
-    except ValidationError as exc:
-        problems.extend(exc.violations)
-        return None
+    vertices = tuple(VertexSpec(v.get("id"), _BC_MAP[v["bc"]], v.get("lambda", 0.0)) for v in vertices)
+    bonds = tuple(
+        BondSpec((b.get("from"), b.get("to")), b.get("length"), b.get("potential_lambda", 0.0)) for b in bonds
+    )
+    return _collect(problems, QuantumGraph, vertices, bonds)
 
 
 def _parse_series(doc: Any, problems: list[str]) -> SpectralSeries | None:
+    """The series of a config; ``canonicalize`` checks its values."""
     if not isinstance(doc, dict):
         problems.append("series: must be an object with 's0', 'phi0' and 'terms'")
         return None
     _check_keys(doc, {"s0", "phi0", "terms"}, "series", problems)
-    if not is_finite_real(doc.get("s0")):
-        problems.append("series.s0: finite number required")
-    if not is_finite_real(doc.get("phi0")):
-        problems.append("series.phi0: finite number required")
-    terms = doc.get("terms", [])
-    if not isinstance(terms, list):
-        problems.append("series.terms: list of [action, amplitude, phase] triples required")
-        terms = []
-    triples: list[tuple[float, float, float]] = []
-    for i, t in enumerate(terms):
-        if not (isinstance(t, list) and len(t) == 3 and all(is_finite_real(x) for x in t)):
-            problems.append(f"series.terms[{i}]: expected [action, amplitude, phase] numbers")
-            continue
-        triples.append((float(t[0]), float(t[1]), float(t[2])))
-    if problems:
-        return None
-    try:
-        return canonicalize(float(doc["s0"]), float(doc["phi0"]), triples)
-    except SpectralError as exc:
-        problems.append(f"series: {exc}")
-        return None
+    terms = _field(doc, "terms", list, "series.terms", problems)
+    return _collect(problems, canonicalize, doc.get("s0"), doc.get("phi0"), terms or ())
 
 
 def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc:
@@ -174,9 +162,14 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
     The ``kmin``, ``kmax``, ``margin`` and ``oversampling`` entries of
     ``overrides`` (the parsed command line; None for a flag not given) are
     merged into the document before validation, so a window may come
-    entirely from flags; other entries are ignored.  Every violated
-    invariant is collected into a single ``ValidationError``; text that is
-    not JSON raises one with a line and column anchor.
+    entirely from flags; other entries are ignored.  This layer checks the
+    JSON: object and list shapes, known keys, the ``bc`` names and that
+    exactly one of graph and series is given.  The library checks every
+    value (``QuantumGraph``, ``canonicalize``, the window, margin and
+    oversampling rules of the solver and the oracle), and the violations
+    of both layers are collected into a single ``ValidationError``, each
+    anchored at its config path.  Text that is not JSON raises one with a
+    line and column anchor.
     """
     try:
         doc = json.loads(text)
@@ -210,31 +203,20 @@ def load_config(text: str, overrides: dict[str, Any] | None = None) -> ConfigDoc
     else:
         model = _parse_series(doc["series"], problems)
 
-    kmin = window_doc.get("kmin")
-    kmax = window_doc.get("kmax")
+    bounds = None
     if window is not None:  # a window that is not an object is reported alone
         _check_keys(window_doc, {"kmin", "kmax"}, "window", problems)
-        if not is_finite_real(kmin) or kmin < 0:
-            problems.append(f"window.kmin: number >= 0 required, got {kmin!r}")
-        if not is_finite_real(kmax) or (is_finite_real(kmin) and not kmax > kmin):
-            problems.append(f"window.kmax: number > kmin required, got {kmax!r}")
+        bounds = _collect(problems, _checked_window, (window_doc.get("kmin"), window_doc.get("kmax")))
 
     _check_keys(options, {"margin", "oversampling"}, "options", problems)
-    margin = options.get("margin", DEFAULT_MARGIN)
-    if not is_finite_real(margin) or not (0.0 < margin < 1.0):
-        problems.append(f"options.margin: number in (0, 1) required, got {margin!r}")
-    oversampling = options.get("oversampling", DEFAULT_OVERSAMPLING)
-    if not (isinstance(oversampling, int) and is_finite_real(oversampling) and oversampling >= 8):
-        problems.append(f"options.oversampling: integer >= 8 required, got {oversampling!r}")
+    margin = _collect(problems, _checked_margin, options.get("margin", DEFAULT_MARGIN))
+    oversampling = None
+    if "oversampling" in options:
+        oversampling = _collect(problems, _checked_oversampling, options["oversampling"])
 
     if problems:
         raise ValidationError(problems)
-    return ConfigDoc(
-        model=model,
-        window=(float(kmin), float(kmax)),
-        margin=float(margin),
-        oversampling=int(oversampling) if "oversampling" in options else None,
-    )
+    return ConfigDoc(model=model, window=bounds, margin=margin, oversampling=oversampling)
 
 
 # CSV text, field for field as ``format(x, ".17g")``.  A finite x with

@@ -10,9 +10,9 @@ class ValidationError(SpectralError, ValueError):
 
     Every input the package refuses raises it, and it is also a
     ``ValueError``.  ``violations`` lists every violated invariant, one
-    message per entry; a config's are each anchored to the document path of
-    the offending field.  A refusal outside a config, or of config text
-    that is not JSON, has one message.
+    message per entry, each anchored at the config path of the offending
+    value (``series.terms[1]: ...``, ``window.kmax: ...``) wherever the
+    value has one, whether it came from a config or a library call.
     """
 
     def __init__(self, violations):

@@ -21,13 +21,14 @@ agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, SizeCapExceeded, ValidationError
 from .graphs import QuantumGraph, secular_series, transfer_matrix
-from .series import DEFAULT_MARGIN, SpectralSeries, evaluate_array
+from .series import DEFAULT_MARGIN, SpectralSeries, evaluate_array, is_finite_real
 from .solver import (
     MAX_GRID_CELLS,
     POSITIVE_FLOOR,
@@ -68,21 +69,26 @@ class VerificationReport:
         return not self.missing and not self.spurious
 
 
+def _checked_oversampling(oversampling) -> int:
+    """The oversampling as an int; raises ``ValidationError``, anchored at
+    ``options.oversampling``, unless it is an integer >= 8 within float
+    range (not a bool, and not a float such as 50.0)."""
+    if not (isinstance(oversampling, numbers.Integral) and is_finite_real(oversampling) and oversampling >= 8):
+        raise ValidationError(f"options.oversampling: oversampling must be an integer >= 8, got {oversampling!r}")
+    return int(oversampling)
+
+
 def _grid_cells(series: SpectralSeries, lo: float, hi: float, per_half_period: int) -> float:
     """Cells from ``lo`` to ``hi`` at ``per_half_period`` per half-period of
-    the leading cosine.  A ``per_half_period`` other than an integer >= 8
-    raises ``ValidationError``; ``MAX_GRID_CELLS`` cells or more raise
+    the leading cosine.  The oversampling rule (:func:`_checked_oversampling`)
+    applies to ``per_half_period``; ``MAX_GRID_CELLS`` cells or more raise
     ``SizeCapExceeded``."""
-    if int(per_half_period) != per_half_period or per_half_period < 8:
-        raise ValidationError(f"oversampling must be an integer >= 8, got {per_half_period!r}")
-    try:
-        step = math.pi / (series.leading_action * per_half_period)
-        if step:
-            cells = (hi - lo) / step
-        else:  # s0 * per_half_period overflowed
-            cells = (hi - lo) / math.pi * series.leading_action * per_half_period
-    except OverflowError:  # an int per_half_period beyond float range
-        cells = math.inf
+    per_half_period = _checked_oversampling(per_half_period)
+    step = math.pi / (series.leading_action * per_half_period)
+    if step:
+        cells = (hi - lo) / step
+    else:  # s0 * per_half_period overflowed
+        cells = (hi - lo) / math.pi * series.leading_action * per_half_period
     if not cells < MAX_GRID_CELLS:
         raise SizeCapExceeded(
             f"window: [{lo!r}, {hi!r}] takes a grid of {cells:.3g} cells, above the cap of {MAX_GRID_CELLS}"
@@ -260,5 +266,5 @@ def verify_spectrum(
         matched=matched,
         missing=tuple(missing),
         spurious=tuple(spurious),
-        max_deviation=max_dev,
+        max_deviation=float(max_dev),
     )

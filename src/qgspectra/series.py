@@ -187,6 +187,8 @@ class SpectralSeries:
 
 def is_finite_real(x) -> bool:
     """True for a real number, not a bool, whose float value is finite."""
+    if type(x) is float:  # most calls, without the slower ABC check below
+        return math.isfinite(x)
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return False
     try:
@@ -220,33 +222,47 @@ def canonicalize(
     shift, phases are reduced mod 2*pi and amplitudes below
     ``AMPLITUDE_FLOOR`` are dropped, so a cancelling group leaves no term.
 
-    Raises ``ValidationError`` when the dominance structure is broken.
+    Raises one ``ValidationError`` listing every violation, each anchored
+    at its config path: ``series.s0`` unless the leading action is a finite
+    number > 0, ``series.phi0`` unless the leading phase is a finite
+    number, ``series.terms[i]`` unless term i is a triple of finite
+    numbers with ``0 <= action < s0``, and ``series.terms`` when the terms
+    are not iterable or their amplitudes sum beyond float range.  Bools
+    and numeric strings are not numbers here.
     """
-    s0 = float(leading_action)
-    if not math.isfinite(s0) or s0 <= 0.0:
-        raise ValidationError(f"leading action must be > 0, got {leading_action!r}")
-    if not math.isfinite(leading_phase):
-        raise ValidationError(f"leading phase must be finite, got {leading_phase!r}")
+    problems: list[str] = []
+    s0 = float(leading_action) if is_finite_real(leading_action) else math.nan
+    if not s0 > 0.0:
+        problems.append(f"series.s0: leading action must be > 0, got {leading_action!r}")
+    if not is_finite_real(leading_phase):
+        problems.append(f"series.phi0: leading phase must be finite, got {leading_phase!r}")
+    if not isinstance(raw_terms, Iterable):
+        problems.append(f"series.terms: (action, amplitude, phase) triples required, got {raw_terms!r}")
+        raw_terms = ()
 
     terms: list[tuple[float, float, float]] = []
-    for action, amplitude, phase in raw_terms:
-        action = float(action)
-        amplitude = float(amplitude)
-        phase = float(phase)
-        if not (math.isfinite(action) and math.isfinite(amplitude) and math.isfinite(phase)):
-            raise ValidationError(f"term ({action!r}, {amplitude!r}, {phase!r}) has a non-finite field")
+    for i, term in enumerate(raw_terms):
+        try:
+            action, amplitude, phase = term
+        except (TypeError, ValueError):
+            problems.append(f"series.terms[{i}]: (action, amplitude, phase) triple required, got {term!r}")
+            continue
+        if not (is_finite_real(action) and is_finite_real(amplitude) and is_finite_real(phase)):
+            problems.append(f"series.terms[{i}]: term {(action, amplitude, phase)!r} has a non-finite field")
+            continue
+        action, amplitude, phase = float(action), float(amplitude), float(phase)
         if action < 0.0:
-            raise ValidationError(f"term action must be >= 0, got {action!r}")
-        if action >= s0:
-            raise ValidationError(
-                f"term action {action!r} is not strictly below the leading action {s0!r}"
-            )
-        if amplitude != 0.0:
+            problems.append(f"series.terms[{i}]: term action must be >= 0, got {action!r}")
+        elif action >= s0:
+            problems.append(f"series.terms[{i}]: term action {action!r} is not strictly below the leading action {s0!r}")
+        elif amplitude != 0.0:
             terms.append((action, amplitude, phase))
     try:
         math.fsum(abs(t[1]) for t in terms)
     except OverflowError:
-        raise ValidationError("term amplitudes sum beyond float range") from None
+        problems.append("series.terms: term amplitudes sum beyond float range")
+    if problems:
+        raise ValidationError(problems)
 
     terms.sort(key=lambda t: t[0])
     merged: list[TrigTerm] = []

@@ -48,6 +48,7 @@ reported when its certified interval meets the window.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -63,6 +64,7 @@ from .series import (
     _wrap_phase,
     derivative_series,
     evaluate_array,
+    is_finite_real,
     taylor_array,
 )
 
@@ -102,7 +104,8 @@ class DescentChain:
     quarter periods on.  The descent reads each level off ``series``;
     ``levels`` builds them as series for readers that want one.  An order
     below the regularization order raises ``NotRegular`` from the top
-    level's separator grid.
+    level's separator grid; an order that is not an integer >= 0, or a
+    margin outside (0, 1), raises ``ValidationError``.
     """
 
     series: SpectralSeries
@@ -110,8 +113,9 @@ class DescentChain:
     margin: float
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValidationError(f"chain order must be >= 0, got {self.order!r}")
+        if not (isinstance(self.order, numbers.Integral) and not isinstance(self.order, bool) and self.order >= 0):
+            raise ValidationError(f"chain order must be an integer >= 0, got {self.order!r}")
+        _checked_margin(self.margin)
 
     @cached_property
     def levels(self) -> tuple[SpectralSeries, ...]:
@@ -171,8 +175,7 @@ def build_chain(series: SpectralSeries, margin: float = DEFAULT_MARGIN) -> Desce
     is below 1, so amplitudes decay geometrically.  A gap so small that
     ``MAX_ORDER`` levels do not suffice raises ``NotRegular``.
     """
-    if not (0.0 < margin < 1.0):
-        raise ValidationError(f"margin must lie in (0, 1), got {margin!r}")
+    margin = _checked_margin(margin)
     actions, amps, _ = series.arrays
     ratios = actions / series.leading_action
     order = 0
@@ -185,6 +188,14 @@ def build_chain(series: SpectralSeries, margin: float = DEFAULT_MARGIN) -> Desce
         amps = amps * ratios
         order += 1
     return DescentChain(series, order, margin)
+
+
+def _checked_margin(margin) -> float:
+    """The margin as a float; raises ``ValidationError``, anchored at
+    ``options.margin``, unless it is a finite number in (0, 1)."""
+    if not (is_finite_real(margin) and 0.0 < margin < 1.0):
+        raise ValidationError(f"options.margin: margin must lie in (0, 1), got {margin!r}")
+    return float(margin)
 
 
 def regularization_order(series: SpectralSeries, margin: float = DEFAULT_MARGIN) -> int:
@@ -206,7 +217,8 @@ def base_separators(
     consecutive grid points bracket exactly one root.  Level m is read off
     level 0 with the amplitudes and phase that :func:`derivative_series`
     gives it, so the grid is that of ``DescentChain.levels[m]``.  Requires
-    the level to be regular at the given margin.  A grid of ``MAX_GRID_CELLS``
+    the level to be regular at the given margin, itself in (0, 1) as
+    :func:`build_chain` requires.  A grid of ``MAX_GRID_CELLS``
     cells or more raises ``SizeCapExceeded`` before anything is allocated.
 
     So does a window beyond float resolution, checked after the cap.  A
@@ -225,6 +237,7 @@ def base_separators(
     ``pi / (s0 * 1e-13)`` on: every bracket there is narrow before its
     first step, and the roots are no longer refined.
     """
+    margin = _checked_margin(margin)
     s0, phi0 = series.leading_action, series.leading_phase
     actions, amps, _ = series.arrays
     ratios = actions / s0
@@ -562,16 +575,32 @@ def _level_pass(
     )
 
 
-def _checked_window(window: tuple[float, float]) -> tuple[float, float]:
-    """The window's bounds as floats; raises ``ValidationError`` unless they
-    are finite and nonnegative and the upper one is the greater."""
-    k_lo, k_hi = float(window[0]), float(window[1])
-    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
-        raise ValidationError("window bounds must be finite")
-    if k_lo < 0.0:
-        raise ValidationError(f"window must start at a nonnegative wavenumber, got {k_lo!r}")
-    if not k_hi > k_lo:
-        raise ValidationError(f"window [{k_lo!r}, {k_hi!r}] contains no interval")
+def _checked_window(window) -> tuple[float, float]:
+    """The window's bounds as floats.
+
+    Raises one ``ValidationError`` listing every violation, anchored at
+    ``window.kmin`` and ``window.kmax``: each bound must be a finite
+    number, not a bool or a string, the lower one nonnegative and the
+    upper one the greater.  A window that is not a pair of bounds is
+    refused at ``window``.
+    """
+    try:
+        k_lo, k_hi = window
+    except (TypeError, ValueError):
+        raise ValidationError(f"window: a (kmin, kmax) pair required, got {window!r}") from None
+    problems = [
+        f"window.{key}: window bounds must be finite numbers, got {bound!r}"
+        for key, bound in (("kmin", k_lo), ("kmax", k_hi))
+        if not is_finite_real(bound)
+    ]
+    if not problems:
+        k_lo, k_hi = float(k_lo), float(k_hi)
+        if k_lo < 0.0:
+            problems.append(f"window.kmin: window must start at a nonnegative wavenumber, got {k_lo!r}")
+        if not k_hi > k_lo:
+            problems.append(f"window.kmax: window [{k_lo!r}, {k_hi!r}] contains no interval")
+    if problems:
+        raise ValidationError(problems)
     return k_lo, k_hi
 
 

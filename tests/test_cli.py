@@ -20,8 +20,10 @@ from qgspectra import (
     SpectralError,
     ValidationError,
     build_chain,
+    canonicalize,
     descend,
     evaluate_array,
+    scan_roots,
     __version__,
 )
 from qgspectra.cli import _WRITE_BLOCK, _write_rows, load_config, main, run
@@ -132,6 +134,32 @@ class TestLoadConfig:
         assert "length" in text
         assert "potential_fraction" in text
         assert "kmin" in text
+
+    @pytest.mark.parametrize("s0, want", [
+        (-1, ["series.s0: leading action must be > 0, got -1",
+              "series.terms[0]: term action 2.0 is not strictly below the leading action -1.0",
+              "series.terms[1]: term action must be >= 0, got -1.0"]),
+        (1, ["series.terms[0]: term action 2.0 is not strictly below the leading action 1.0",
+             "series.terms[1]: term action must be >= 0, got -1.0"]),
+    ], ids=["s0-negative", "s0-valid"])
+    def test_every_series_violation_reported(self, s0, want):
+        doc = {
+            "series": {"s0": s0, "phi0": 0.0, "terms": [[2.0, 0.3, 0], [-1.0, 0.3, 0]]},
+            "window": {"kmin": 0.0, "kmax": 10.0},
+        }
+        with pytest.raises(ValidationError) as err:
+            load_config(json.dumps(doc))
+        assert err.value.violations == want
+
+    def test_graph_values_checked_beside_other_violations(self):
+        doc = with_field(BOND_DD, ["graph", "bonds", 0, "length"], -1.0)
+        doc["extra"] = 1
+        with pytest.raises(ValidationError) as err:
+            load_config(json.dumps(doc))
+        assert err.value.violations == [
+            "top level.extra: unknown field",
+            "graph.bonds[0].length: finite number > 0 required, got -1.0",
+        ]
 
     def test_window_from_overrides(self):
         doc = {"series": IRREGULAR_SERIES["series"]}
@@ -598,7 +626,7 @@ class TestMain:
         config = load_config(json.dumps(BOND_DD))
         monkeypatch.setattr(cli_module, "load_config", lambda text, overrides: replace(config, margin=1.5))
         assert main(["solve", write_config(tmp_path, BOND_DD)]) == 2
-        assert capsys.readouterr().err == "error: margin must lie in (0, 1), got 1.5\n"
+        assert capsys.readouterr().err == "error: options.margin: margin must lie in (0, 1), got 1.5\n"
 
     @pytest.mark.parametrize("module", ["qgspectra", "qgspectra.cli"])
     def test_module_entry_points_run_main(self, tmp_path, module):
@@ -700,7 +728,7 @@ BAD_INPUTS = [
                             "window": {"kmin": 0.0, "kmax": 1e-300}},
      ("sample",), "error: window: "),
     ("amplitudes-overflow", with_field(SERIES_03, ["series", "terms"], [[0.5, 1e308, 0.0], [0.6, 1e308, 0.0]]),
-     ALL_COMMANDS, "error: series: "),
+     ALL_COMMANDS, "error: series.terms: term amplitudes sum beyond float range"),
     ("bond-1e-300", with_field(BOND_DD, ["graph", "bonds", 0, "length"], 1e-300),
      ALL_COMMANDS, "error: unsupported model: "),
     ("nested-1e5", "[" * 100_000 + "]" * 100_000, ALL_COMMANDS, "error: arrays or objects nested"),
@@ -716,7 +744,7 @@ BAD_INPUTS = [
      ALL_COMMANDS, "error: graph.vertices[0]: must be an object"),
     ("series-list", with_field(SERIES_03, ["series"], []), ALL_COMMANDS, "error: series: must be an object"),
     ("terms-object", with_field(SERIES_03, ["series", "terms"], {}),
-     ALL_COMMANDS, "error: series.terms: list of [action, amplitude, phase] triples required"),
+     ALL_COMMANDS, "error: series.terms: must be a list, got {}"),
     ("empty-graph", with_field(with_field(BOND_DD, ["graph", "vertices"], []), ["graph", "bonds"], []),
      ALL_COMMANDS, ("error: graph.vertices: at least one vertex", "error: graph.bonds: at least one bond")),
     # Bond actions beyond float range.  The actions' sum overflowed math.fsum;
@@ -750,6 +778,46 @@ def test_bad_input_exit_2(tmp_path, capsys, config, command, first):
     for prefix in prefixes:
         assert any(line.startswith(prefix) for line in lines), err
     assert "Traceback" not in err
+
+
+# The library entry point that owns the value rule of each config path,
+# called with SERIES_03's other values, and malformed values for each path.
+SERIES_03_MODEL = canonicalize(1.0, 0.0, [(0.5, 0.3, 0.0)])
+LIBRARY_RULES = {
+    ("series", "s0"): lambda v: canonicalize(v, 0.0, [[0.5, 0.3, 0.0]]),
+    ("series", "phi0"): lambda v: canonicalize(1.0, v, [[0.5, 0.3, 0.0]]),
+    ("series", "terms", 0): lambda v: canonicalize(1.0, 0.0, [v]),
+    ("window", "kmin"): lambda v: descend(build_chain(SERIES_03_MODEL), (v, 10.0)),
+    ("window", "kmax"): lambda v: descend(build_chain(SERIES_03_MODEL), (0.0, v)),
+    ("options", "margin"): lambda v: build_chain(SERIES_03_MODEL, v),
+    ("options", "oversampling"): lambda v: scan_roots(SERIES_03_MODEL, (0.0, 10.0), v),
+}
+MALFORMED = {
+    ("series", "s0"): ["2", True, None, -1, 0.0, math.nan, 10**400, [1.0]],
+    ("series", "phi0"): ["0", True, None, math.inf, 10**400],
+    ("series", "terms", 0): [[0.5, True, 0.0], ["a", 0.3, 0.0], [0.5, 0.3], [0.5, 0.3, 0.0, 1.0], 7,
+                             [-0.5, 0.3, 0.0], [1.5, 0.3, 0.0], [0.5, math.nan, 0.0], [0.5, 10**400, 0.0]],
+    ("window", "kmin"): ["0", True, None, -1.0, math.nan, 10**400, 10.0],
+    ("window", "kmax"): ["10", False, None, 0.0, math.inf, 10**400],
+    ("options", "margin"): [1.5, 0, 1, "0.5", True, None, math.nan, 10**400],
+    ("options", "oversampling"): [4, 50.0, True, "50", None, 10**400],
+}
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(path, value) for path, values in MALFORMED.items() for value in values],
+    ids=[f"{'.'.join(map(str, path))}={value!r:.20}" for path, values in MALFORMED.items() for value in values],
+)
+def test_cli_and_library_refuse_with_the_same_words(path, value):
+    # The library owns each value rule; load_config only maps JSON onto it,
+    # so both refuse the value, and the library's text is among the config's.
+    with pytest.raises(ValidationError) as library:
+        LIBRARY_RULES[path](value)
+    with pytest.raises(ValidationError) as config:
+        load_config(json.dumps(with_field(SERIES_03, list(path), value)))
+    assert library.value.violations
+    assert set(library.value.violations) <= set(config.value.violations)
 
 
 def reference_csv(command, config):

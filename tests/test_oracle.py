@@ -45,9 +45,10 @@ class TestScanRoots:
         with pytest.raises(ValueError):
             scan_roots(canonicalize(1.0, 0.0), (0.0, 10.0), oversampling=4)
 
-    def test_oversampling_beyond_float_range_is_over_the_cap(self):
-        # The refusal quotes the window as given, not the padded scan window.
-        with pytest.raises(SizeCapExceeded, match=r"^window: \[0\.0, 10\.0\] .*above the cap"):
+    def test_oversampling_beyond_float_range_is_refused(self):
+        # The oversampling rule refuses it before any grid is sized, as
+        # load_config does for options.oversampling.
+        with pytest.raises(ValidationError, match=r"^options\.oversampling: oversampling must be an integer >= 8"):
             scan_roots(canonicalize(1.0, 0.0), (0.0, 10.0), 10**400)
 
     @pytest.mark.parametrize("window", [(-1.0, 5.0), (math.nan, 1.0)], ids=["negative", "nan"])
@@ -147,6 +148,13 @@ class TestVerifySpectrum:
         assert report.missing == ()
         assert report.spurious == ()
         assert report.max_deviation <= 1e-10
+
+    @pytest.mark.parametrize("model", [canonicalize(1.0, 0.0, [(0.5, 0.3, 0.0)]), make_star3()],
+                             ids=["series", "graph"])
+    def test_max_deviation_is_a_float(self, model):
+        # A numpy scalar in one of the two reports would make the type of a
+        # field depend on the model.
+        assert type(verify_spectrum(model, (0.0, 10.0)).max_deviation) is float
 
     def test_regular_series_clean(self):
         series = canonicalize(1.3, 0.9, [(0.8, 0.5, 2.0), (0.2, 0.3, 0.7)])

@@ -180,7 +180,7 @@ class TestChainCheck:
             descend(chain, (0.0, 30.0))
 
     def test_negative_order_is_refused(self):
-        with pytest.raises(ValueError, match="order must be >= 0"):
+        with pytest.raises(ValueError, match="order must be an integer >= 0"):
             solver.DescentChain(self.SERIES, -1, 1e-6)
 
     def test_hand_built_derivatives_are_accepted(self):

@@ -26,7 +26,7 @@ from qgspectra import (
 )
 from qgspectra import cli
 from qgspectra.graphs import transfer_determinant
-from qgspectra.solver import DescentChain
+from qgspectra.solver import DescentChain, base_separators
 
 from conftest import make_star3
 
@@ -95,11 +95,33 @@ REFUSED = {
     "term-field": (lambda: canonicalize(1.0, 0.0, [(0.5, math.nan, 0.0)]), "has a non-finite field"),
     "term-action": (lambda: canonicalize(1.0, 0.0, [(-0.5, 0.3, 0.0)]), "term action must be >= 0"),
     "amplitude-sum": (lambda: canonicalize(1.0, 0.0, [(0.5, 1e308, 0.0)] * 2), "beyond float range"),
-    "chain-order": (lambda: DescentChain(SERIES, -1, 1e-6), "chain order must be >= 0"),
+    "chain-order": (lambda: DescentChain(SERIES, -1, 1e-6), "chain order must be an integer >= 0"),
     "margin": (lambda: build_chain(SERIES, 1.5), r"margin must lie in \(0, 1\)"),
     "window-finite": (lambda: descend(build_chain(SERIES), (0.0, math.inf)), "window bounds must be finite"),
     "window-negative": (lambda: descend(build_chain(SERIES), (-1.0, 5.0)), "nonnegative wavenumber"),
     "oversampling": (lambda: scan_roots(SERIES, (0.0, 10.0), oversampling=4), "integer >= 8"),
+    # Values that are not numbers, windows that are not pairs, and chains
+    # whose order or margin the descent cannot use.
+    "leading-action-bool": (lambda: canonicalize(True, 0.0), "^series.s0: leading action must be > 0, got True$"),
+    "leading-action-str": (lambda: canonicalize("2", 0.0), "^series.s0: leading action must be > 0, got '2'$"),
+    "leading-action-none": (lambda: canonicalize(None, 0.0), "^series.s0: leading action must be > 0"),
+    "leading-phase-none": (lambda: canonicalize(1.0, None), "^series.phi0: leading phase must be finite"),
+    "terms-none": (lambda: canonicalize(1.0, 0.0, None), r"^series.terms: \(action, amplitude, phase\) triples"),
+    "term-pair": (lambda: canonicalize(1.0, 0.0, [(0.5, 0.3)]), r"^series.terms\[0\]: \(action, amplitude, phase\)"),
+    "term-str": (lambda: canonicalize(1.0, 0.0, [("a", 0.3, 0.0)]), r"^series.terms\[0\]: .* non-finite field"),
+    "amplitude-bool": (lambda: canonicalize(1.0, 0.0, [(0.5, True, 0.0)]), r"^series.terms\[0\]: .* non-finite"),
+    "window-str": (lambda: descend(build_chain(SERIES), ("0", "10")), "^window.kmin: .*; window.kmax: "),
+    "window-bool": (lambda: descend(build_chain(SERIES), (True, 10)), "^window.kmin: window bounds must be finite"),
+    "window-three": (lambda: descend(build_chain(SERIES), (0, 10, -5)), r"^window: a \(kmin, kmax\) pair required"),
+    "window-none": (lambda: descend(build_chain(SERIES), None), r"^window: a \(kmin, kmax\) pair required"),
+    "window-one": (lambda: descend(build_chain(SERIES), (0,)), r"^window: a \(kmin, kmax\) pair required"),
+    "oversampling-float": (lambda: scan_roots(SERIES, (0.0, 10.0), 50.0), "^options.oversampling: .* got 50.0$"),
+    "margin-str": (lambda: build_chain(SERIES, "0.5"), "^options.margin: margin must lie"),
+    "chain-margin-nan": (lambda: DescentChain(SERIES, 1, math.nan), "^options.margin: margin must lie"),
+    "chain-margin-large": (lambda: DescentChain(SERIES, 1, 5.0), "^options.margin: margin must lie"),
+    "separators-margin": (lambda: base_separators(SERIES, 0.0, 10.0, 5.0), "^options.margin: margin must lie"),
+    "chain-order-bool": (lambda: DescentChain(SERIES, True, 1e-6), "chain order must be an integer >= 0"),
+    "chain-order-float": (lambda: DescentChain(SERIES, 1.5, 1e-6), "chain order must be an integer >= 0"),
     "command": (lambda: cli.run("frobnicate", None, io.StringIO()), "unknown command 'frobnicate'"),
 }
 
